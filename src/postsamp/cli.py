@@ -32,6 +32,7 @@ from .linops import (
 )
 from .proplab import contour_grid
 from .regularizers import (
+    RegKind,
     RegularizerKind,
     beta_sd_nominal,
     closed_form_j,
@@ -141,12 +142,10 @@ def _vector_csv(values: np.ndarray) -> str:
 
 def _cmd_contours(args) -> tuple[int, dict, list]:
     post = ToyPosterior.single(args.mu0, args.sigma0)
-    if args.kind == "l1sd":
-        kind = RegularizerKind.l1_sd(args.p, _resolve_beta(args.beta, args.p))
-    elif args.kind == "l2":
-        kind = RegularizerKind.l2(args.p)
-    else:
-        kind = RegularizerKind.l2_var(args.p)
+    reg = RegKind(args.kind)
+    # Only the absolute-error objective takes a spread-reward weight.
+    beta = _resolve_beta(args.beta, args.p) if reg is RegKind.L1_SD else None
+    kind = RegularizerKind(reg, args.p, beta)
     grid = contour_grid(
         kind,
         post,
@@ -355,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("contours", help="closed-form objective grid over (mu, sigma)")
-    p.add_argument("--kind", choices=("l1sd", "l2", "l2var"), required=True)
+    p.add_argument("--kind", choices=[k.value for k in RegKind], required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--beta", default="nominal", help="'nominal' or a number (l1sd only)")
     p.add_argument("--mu0", type=float, required=True)

@@ -8,31 +8,34 @@ the regularizer actually rewards:
 * squared-error loss + variance reward -> flat in sigma, so the spread
   is not identifiable and is reported as such rather than invented.
 
-The optimizer is plain gradient descent with Armijo backtracking on the
-closed forms, with sigma kept nonnegative by projection.  Positivity of
+Everything here is driven by the per-kind table
+:data:`~postsamp.regularizers.CLOSED_FORMS` of values, gradients and
+Hessians.  The optimizer is a damped Newton method whose trust region is
+measured in units of the natural scale ``s = sqrt(sigma0^2 + sigma^2/P)``
+of each dimension, so the same controls serve posteriors of any scale
+(tested for |mu0| <= 1e4 and 1e-6 <= sigma0 <= 1e3 from a fixed start).
+Sigma is kept nonnegative by projection and
+convergence is declared only by the projected-gradient (KKT) test: at
+sigma = 0 a nonnegative sigma slope counts as stationary.  Positivity of
 sigma arises naturally near the optimum of the combined objective, so a
 projection firing late in the run would indicate a bug; the report
 records every projection event to let tests assert that.
+
+Resolution limit: the gradient is a function of ``(mu - mu0) / s``, and
+float64 spaces ``mu`` near ``mu0`` by about ``2.2e-16 |mu0|``.  Once
+``|mu0| / sigma0`` exceeds about 1e6 that spacing, divided by ``s``, is
+no longer small against the default ``grad_tol``, and the report may
+say ``converged=False`` there.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .regularizers import (
-    RegKind,
-    RegularizerKind,
-    beta_sd_nominal,
-    closed_form_j,
-    closed_form_j_grad,
-    closed_form_l2p,
-    closed_form_l2varp,
-    folded_normal_abs_mean,
-)
+from .regularizers import CLOSED_FORMS, RegKind, RegularizerKind
 from .toy import GeneratorParams, ToyPosterior
 
 __all__ = [
@@ -44,31 +47,28 @@ __all__ = [
     "steepness_probe",
 ]
 
-# |dJ/dsigma| below which a direction is reported as flat (non-identifiable).
-_FLAT_SIGMA_TOL = 1e-10
+# Trust-region radius (in units of s) at the start, and the factor by which
+# it grows after an accepted step that hit the boundary and shrinks after a
+# rejected step.
+_INITIAL_RADIUS = 1.0
+_RADIUS_FACTOR = 4.0
 
 
 @dataclass(frozen=True)
 class OptimizerSettings:
-    """Gradient-descent controls.
+    """Trust-region Newton controls.
 
-    Convergence is declared when the max-abs gradient falls below
-    ``grad_tol``, or when the objective has decreased by less than
-    ``stall_tol * max(1, |f|)`` over the last ``stall_window`` accepted
-    iterations *and* the gradient is already below ``stall_grad_gate``
-    (the float64 floor of the objective makes gradients much below that
-    unreachable through function-value comparisons).
+    Convergence is declared when the max-abs projected gradient falls
+    below ``grad_tol``: the mu components and, for each dimension, the
+    sigma component, except that at sigma = 0 only a negative sigma slope
+    counts (the KKT condition of the bound sigma >= 0).  Every trial step,
+    accepted or rejected, counts against ``max_iterations``.  Beyond
+    ``|mu0| / sigma0`` of about 1e6 float64 cannot resolve ``(mu - mu0) / s``
+    to the default ``grad_tol``; the run then ends with ``converged=False``.
     """
 
     max_iterations: int = 20_000
     grad_tol: float = 1e-8
-    stall_window: int = 10
-    stall_tol: float = 1e-14
-    stall_grad_gate: float = 1e-6
-    initial_step: float = 1.0
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1e-4
-    min_step: float = 1e-18
     record_trace: bool = True
 
 
@@ -84,49 +84,47 @@ class OptimizationReport:
     projection_iterations: list = field(default_factory=list)
     grad_norm: float = float("nan")
     converged_by: str = ""
+    evaluations: int = 0  # closed-form table calls (value, gradient, Hessian)
+    rejected_steps: int = 0  # trial steps that did not decrease f (radius shrinks)
 
 
-def _objective_and_grad(
-    kind: RegularizerKind, post: ToyPosterior, context: int
-) -> Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray, np.ndarray]]:
-    """Closed-form objective and gradient for one regularizer kind."""
-    mu0, _ = post.context_params(context)
+def _trust_region_step(grad, hess, sigma, sigma0, P: int, radius: float, sigma_flat: bool):
+    """Per-dimension trial step inside a trust region of radius ``radius * s``.
 
-    if kind.kind is RegKind.L1_SD:
-        beta = float(kind.beta_sd)
+    Each dimension's 2x2 Newton system is solved in closed form.  The full
+    Newton step is taken where it fits; elsewhere the step has length
+    ``radius * s`` along the Newton direction, or along -sign(g) where the
+    Hessian underflows far from the optimum.  Such a boundary step is also
+    shortened so that ``s`` shrinks by at most the radius factor: a long
+    step along a poor direction could otherwise land on sigma = 0, where
+    ``s`` collapses to ``sigma0`` and the region with it.
 
-        def fg(mu, sigma):
-            params = GeneratorParams(mu, sigma)
-            f = closed_form_j(params, post, context, kind.P, beta)
-            gm, gs = closed_form_j_grad(params, post, context, kind.P, beta)
-            return f, gm, gs
-
-    elif kind.kind is RegKind.L2:
-
-        def fg(mu, sigma):
-            params = GeneratorParams(mu, sigma)
-            f = closed_form_l2p(params, post, context, kind.P)
-            return f, 2.0 * (mu - mu0), 2.0 * sigma / kind.P
-
-    elif kind.kind is RegKind.L2_VAR:
-
-        def fg(mu, sigma):
-            params = GeneratorParams(mu, sigma)
-            f = closed_form_l2varp(params, post, context, kind.P)
-            return f, 2.0 * (mu - mu0), np.zeros_like(sigma)
-
-    else:  # pragma: no cover - enum is exhaustive
-        raise ValueError(f"unknown regularizer kind {kind.kind}")
-    return fg
-
-
-def _sigma_is_flat(fg, mu: np.ndarray, sigma_scale: float, dim: int) -> bool:
-    """Probe |dJ/dsigma| across the sigma range; True if flat everywhere."""
-    for s in np.linspace(0.0, max(3.0 * sigma_scale, 1.0), 7):
-        _, _, gs = fg(mu, np.full(dim, s))
-        if np.max(np.abs(gs)) > _FLAT_SIGMA_TOL:
-            return False
-    return True
+    Returns (step_mu, step_sigma, hit_boundary).
+    """
+    g_mu, g_sigma = grad
+    h_mm, h_ms, h_ss = hess
+    s = np.sqrt(sigma0**2 + sigma**2 / P)
+    bound = radius * s
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if sigma_flat:
+            d_mu, d_sigma = -g_mu / h_mm, np.zeros_like(g_sigma)
+            newton = np.isfinite(d_mu)
+        else:
+            det = h_mm * h_ss - h_ms * h_ms
+            d_mu = (h_ms * g_sigma - h_ss * g_mu) / det
+            d_sigma = (h_ms * g_mu - h_mm * g_sigma) / det
+            newton = (det > 0) & np.isfinite(d_mu) & np.isfinite(d_sigma)
+            d_mu = np.where(newton, d_mu, -np.sign(g_mu))
+            d_sigma = np.where(newton, d_sigma, -np.sign(g_sigma))
+        length = np.hypot(d_mu, d_sigma)
+        fits = newton & (length <= bound)
+        t = np.where(fits, 1.0, bound / length)
+        sigma_floor_sq = P * ((s / _RADIUS_FACTOR) ** 2 - sigma0**2)
+        sigma_floor = np.sqrt(np.maximum(sigma_floor_sq, 0.0))
+        too_low = ~fits & (sigma_floor_sq > 0) & (sigma + t * d_sigma < sigma_floor)
+        t = np.where(too_low, (sigma - sigma_floor) / -d_sigma, t)
+        t = np.where(np.isfinite(t), t, 0.0)
+    return t * d_mu, t * d_sigma, bool(np.any(~fits))
 
 
 def minimize_regularizer(
@@ -138,81 +136,81 @@ def minimize_regularizer(
 ) -> OptimizationReport:
     """Minimize a closed-form objective over (mu, sigma) from ``init``.
 
-    Non-convergence within the iteration budget is reported through
-    ``converged=False``, never silently.
+    A trust-region Newton method (see :func:`_trust_region_step`) whose
+    radius is measured in units of ``s`` per dimension.  A step is
+    accepted only if it decreases the objective; the radius grows 4x
+    after an accepted step that hit the boundary and shrinks 4x after a
+    rejected one.  Sigma is projected onto [0, inf).
+
+    Non-convergence within the iteration budget, or a step too small to
+    move any parameter, is reported through ``converged=False``, never
+    silently.
     """
     settings = settings or OptimizerSettings()
     if np.any(init.sigma <= 0) and kind.kind is not RegKind.L2_VAR:
         raise ValueError("init.sigma must be > 0")
-    fg = _objective_and_grad(kind, post, context)
+    if init.dim != post.dim:
+        raise ValueError(f"dimension mismatch: generator {init.dim}, posterior {post.dim}")
+    mu0, sigma0 = post.context_params(context)
+    table = CLOSED_FORMS[kind.kind]
+    # A flat sigma direction cannot be optimized; flag it and solve mu only.
+    sigma_flat = kind.kind is RegKind.L2_VAR
+
+    def value(mu, sigma) -> float:
+        return float(table.value(mu - mu0, sigma, sigma0, kind).sum())
+
+    def derivatives(mu, sigma):
+        g_mu, g_sigma = table.grad(mu - mu0, sigma, sigma0, kind)
+        # KKT at the bound: at sigma = 0 only a negative slope is a violation.
+        g_sigma = np.where(sigma > 0, g_sigma, np.minimum(g_sigma, 0.0))
+        return (g_mu, g_sigma), table.hess(mu - mu0, sigma, sigma0, kind)
+
+    def max_abs(grad) -> float:
+        return float(max(np.max(np.abs(grad[0])), np.max(np.abs(grad[1]))))
 
     mu = init.mu.copy()
     sigma = init.sigma.copy()
-    dim = mu.shape[0]
-
-    # A flat sigma direction cannot be optimized; flag it and solve mu only.
-    sigma_flat = kind.kind is RegKind.L2_VAR and _sigma_is_flat(
-        fg, mu, float(np.max(init.sigma)) if np.max(init.sigma) > 0 else 1.0, dim
-    )
-
+    f = value(mu, sigma)
+    grad, hess = derivatives(mu, sigma)
+    evaluations = 3
+    rejected = 0
+    radius = _INITIAL_RADIUS
     trace: list = []
     projections: list[int] = []
-    recent_f: list[float] = []
-    f, gm, gs = fg(mu, sigma)
-    if sigma_flat:
-        gs = np.zeros_like(gs)
     converged = False
-    converged_by = ""
-    iterations = 0
-    step = settings.initial_step
+    iterations = settings.max_iterations
 
     for iteration in range(settings.max_iterations):
-        iterations = iteration
         if settings.record_trace:
             trace.append((GeneratorParams(mu, sigma), f))
-        grad_norm = max(np.max(np.abs(gm)), np.max(np.abs(gs)))
-        if grad_norm <= settings.grad_tol:
+        if max_abs(grad) <= settings.grad_tol:
             converged = True
-            converged_by = "gradient"
+            iterations = iteration
             break
-        recent_f.append(f)
-        if len(recent_f) > settings.stall_window:
-            decrease = recent_f[-settings.stall_window - 1] - f
-            if (
-                decrease <= settings.stall_tol * max(1.0, abs(f))
-                and grad_norm <= settings.stall_grad_gate
-            ):
-                converged = True
-                converged_by = "stall"
-                break
-
-        # Backtracking line search along the negative gradient; sigma is
-        # projected onto [0, inf) after each trial point.
-        descent = float(gm @ gm + gs @ gs)
-        t = min(settings.initial_step, 4.0 * step)
-        accepted = False
-        while t >= settings.min_step:
-            mu_try = mu - t * gm
-            sigma_try = sigma - t * gs
-            clipped = sigma_try < 0
+        d_mu, d_sigma, hit_boundary = _trust_region_step(
+            grad, hess, sigma, sigma0, kind.P, radius, sigma_flat
+        )
+        mu_try = mu + d_mu
+        sigma_try = sigma + d_sigma
+        clipped = sigma_try < 0
+        if np.any(clipped):
+            sigma_try = np.maximum(sigma_try, 0.0)
+        if np.array_equal(mu_try, mu) and np.array_equal(sigma_try, sigma):
+            iterations = iteration
+            break  # the step no longer moves any parameter
+        f_try = value(mu_try, sigma_try)
+        evaluations += 1
+        if f_try < f:
             if np.any(clipped):
-                sigma_try = np.maximum(sigma_try, 0.0)
-            f_try, gm_try, gs_try = fg(mu_try, sigma_try)
-            if sigma_flat:
-                gs_try = np.zeros_like(gs_try)
-            if f_try <= f - settings.armijo_c * t * descent:
-                if np.any(clipped):
-                    projections.append(iteration)
-                mu, sigma, f, gm, gs = mu_try, sigma_try, f_try, gm_try, gs_try
-                step = t
-                accepted = True
-                break
-            t *= settings.backtrack_factor
-        if not accepted:
-            # Step size underflow: no further progress possible.
-            break
-    else:
-        iterations = settings.max_iterations
+                projections.append(iteration)
+            mu, sigma, f = mu_try, sigma_try, f_try
+            grad, hess = derivatives(mu, sigma)
+            evaluations += 2
+            if hit_boundary:
+                radius *= _RADIUS_FACTOR
+        else:
+            rejected += 1
+            radius /= _RADIUS_FACTOR
 
     if settings.record_trace:
         trace.append((GeneratorParams(mu, sigma), f))
@@ -225,8 +223,10 @@ def minimize_regularizer(
         trace=trace,
         sigma_indeterminate=sigma_flat,
         projection_iterations=projections,
-        grad_norm=float(max(np.max(np.abs(gm)), np.max(np.abs(gs)))),
-        converged_by=converged_by,
+        grad_norm=max_abs(grad),
+        converged_by="gradient" if converged else "",
+        evaluations=evaluations,
+        rejected_steps=rejected,
     )
 
 
@@ -278,21 +278,6 @@ class ContourGrid:
         return out.getvalue()
 
 
-def _grid_values(
-    kind: RegularizerKind, mu0: float, sigma0: float, mu_grid, sigma_grid
-) -> np.ndarray:
-    """Vectorized closed-form objective over a scalar parameter grid."""
-    delta = mu_grid - mu0
-    if kind.kind is RegKind.L1_SD:
-        s = np.sqrt(sigma0**2 + sigma_grid**2 / kind.P)
-        return folded_normal_abs_mean(delta, s) - float(kind.beta_sd) * sigma_grid
-    if kind.kind is RegKind.L2:
-        return delta**2 + sigma_grid**2 / kind.P + sigma0**2
-    if kind.kind is RegKind.L2_VAR:
-        return delta**2 + sigma0**2 + 0.0 * sigma_grid
-    raise ValueError(f"unknown regularizer kind {kind.kind}")  # pragma: no cover
-
-
 def contour_grid(
     kind: RegularizerKind,
     post: ToyPosterior,
@@ -321,7 +306,7 @@ def contour_grid(
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     sigma_axis = np.linspace(s_lo, s_hi, resolution)
     mu_grid, sigma_grid = np.meshgrid(mu_axis, sigma_axis)
-    values = _grid_values(kind, mu0, sigma0, mu_grid, sigma_grid)
+    values = CLOSED_FORMS[kind.kind].value(mu_grid - mu0, sigma_grid, sigma0, kind)
     return ContourGrid(mu_axis, sigma_axis, values, kind, (mu0, sigma0))
 
 
@@ -330,30 +315,20 @@ def steepness_probe(
     context: int,
     P_list: list[int],
     beta_rule: str = "nominal",
-    relative_step: float = 1e-3,
 ) -> list[tuple[int, float]]:
-    """Second difference of the combined objective along sigma at the optimum.
+    """Curvature of the combined objective along sigma at the optimum.
 
-    Returns (P, curvature) pairs; the curvature shrinks as P grows, i.e.
-    small P gives the sharpest basin around the true spread.
+    Returns (P, curvature) pairs, the curvature being the analytic
+    d^2 J / d sigma^2 at the true parameters summed over dimensions; it
+    shrinks as P grows, i.e. small P gives the sharpest basin around the
+    true spread.
     """
     if beta_rule != "nominal":
         raise ValueError(f"unknown beta rule {beta_rule!r}")
     mu0, sigma0 = post.context_params(context)
+    hess = CLOSED_FORMS[RegKind.L1_SD].hess
     results = []
     for P in P_list:
-        if P < 2:
-            raise ValueError(f"P must be >= 2, got {P}")
-        beta = beta_sd_nominal(P)
-        h = relative_step * float(np.max(sigma0))
-
-        def j_at(sigma_vec):
-            return closed_form_j(
-                GeneratorParams(mu0, sigma_vec), post, context, P, beta
-            )
-
-        center = j_at(sigma0)
-        up = j_at(sigma0 + h)
-        down = j_at(np.maximum(sigma0 - h, 0.0))
-        results.append((P, (up - 2.0 * center + down) / h**2))
+        _, _, h_sigma = hess(np.zeros_like(mu0), sigma0, sigma0, RegularizerKind.l1_sd(P))
+        results.append((P, float(h_sigma.sum())))
     return results

@@ -45,7 +45,7 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.special import erf
@@ -65,6 +65,8 @@ __all__ = [
     "mc_lvarp",
     "closed_form_j",
     "closed_form_j_grad",
+    "ClosedForm",
+    "CLOSED_FORMS",
     "closed_form_l2p",
     "closed_form_l2varp",
     "assemble_generator_loss",
@@ -375,17 +377,105 @@ def closed_form_j_grad(
     cancel exactly, leaving only the erf).  At sigma = 0 the sigma part
     is the right-sided derivative, which equals -beta_sd.
     """
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
-    if beta_sd < 0:
-        raise ValueError(f"beta_sd must be >= 0, got {beta_sd}")
-    delta, s = _delta_and_s(params, post, context, P)
+    kind = RegularizerKind(RegKind.L1_SD, P, beta_sd)
+    mu0, sigma0 = post.context_params(context)
+    if params.dim != post.dim:
+        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
+    return CLOSED_FORMS[RegKind.L1_SD].grad(params.mu - mu0, params.sigma, sigma0, kind)
+
+
+# ---------------------------------------------------------------------------
+# One table of per-dimension closed forms: value, gradient, Hessian by kind
+# ---------------------------------------------------------------------------
+
+
+class ClosedForm(NamedTuple):
+    """Elementwise closed forms of one objective kind.
+
+    Every entry is called as ``f(delta, sigma, sigma0, kind)`` with
+    ``delta = mu - mu0`` and acts per dimension, since all objectives are
+    separable: ``value`` is the objective, ``grad`` the pair
+    (d/dmu, d/dsigma) and ``hess`` the triple (mu mu, mu sigma,
+    sigma sigma); constant entries may be returned as scalars, which
+    broadcast.  Summing ``value`` over dimensions gives the objective of a
+    vector posterior.
+    """
+
+    value: Callable
+    grad: Callable
+    hess: Callable
+
+
+def _l1sd_terms(delta, sigma, sigma0, P):
+    """s, r = delta / s and phi = sqrt(2/pi) exp(-r^2/2)."""
+    s = np.sqrt(sigma0**2 + sigma**2 / P)
     ratio = delta / s
     with np.errstate(under="ignore"):
-        gauss = np.exp(-0.5 * ratio**2)
+        phi = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * ratio**2)
+    return s, ratio, phi
+
+
+def _l1sd_value(delta, sigma, sigma0, kind):
+    s = np.sqrt(sigma0**2 + sigma**2 / kind.P)
+    return folded_normal_abs_mean(delta, s) - kind.beta_sd * sigma
+
+
+def _l1sd_grad(delta, sigma, sigma0, kind):
+    """See :func:`closed_form_j_grad`."""
+    s, ratio, phi = _l1sd_terms(delta, sigma, sigma0, kind.P)
     grad_mu = erf(ratio / math.sqrt(2.0))
-    grad_sigma = math.sqrt(2.0 / math.pi) * gauss * params.sigma / (P * s) - beta_sd
+    grad_sigma = phi * sigma / (kind.P * s) - kind.beta_sd
     return np.asarray(grad_mu, dtype=np.float64), np.asarray(grad_sigma, dtype=np.float64)
+
+
+def _l1sd_hess(delta, sigma, sigma0, kind):
+    """The 2x2 Hessian per dimension, with a = sigma / (P s):
+
+        H_mumu = phi / s,  H_musigma = -phi r a / s,
+        H_sigmasigma = phi (r^2 a^2 / s + sigma0^2 / (P s^3)).
+
+    Far from the optimum (|r| beyond about 38) phi underflows to 0.
+    """
+    s, ratio, phi = _l1sd_terms(delta, sigma, sigma0, kind.P)
+    a = sigma / (kind.P * s)
+    return (
+        phi / s,
+        -phi * ratio * a / s,
+        phi * (ratio**2 * a**2 / s + sigma0**2 / (kind.P * s**3)),
+    )
+
+
+def _l2_value(delta, sigma, sigma0, kind):
+    return delta**2 + sigma**2 / kind.P + sigma0**2
+
+
+def _l2_grad(delta, sigma, sigma0, kind):
+    return 2.0 * delta, 2.0 * sigma / kind.P
+
+
+def _l2_hess(delta, sigma, sigma0, kind):
+    return 2.0, 0.0, 2.0 / kind.P
+
+
+def _l2var_value(delta, sigma, sigma0, kind):
+    return delta**2 + sigma0**2 + 0.0 * sigma
+
+
+def _l2var_grad(delta, sigma, sigma0, kind):
+    return 2.0 * delta, 0.0 * sigma
+
+
+def _l2var_hess(delta, sigma, sigma0, kind):
+    return 2.0, 0.0, 0.0
+
+
+# The squared-error-plus-variance objective is flat in sigma by construction:
+# its sigma gradient and Hessian are identically zero.
+CLOSED_FORMS: dict[RegKind, ClosedForm] = {
+    RegKind.L1_SD: ClosedForm(_l1sd_value, _l1sd_grad, _l1sd_hess),
+    RegKind.L2: ClosedForm(_l2_value, _l2_grad, _l2_hess),
+    RegKind.L2_VAR: ClosedForm(_l2var_value, _l2var_grad, _l2var_hess),
+}
 
 
 def closed_form_l2p(

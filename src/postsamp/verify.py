@@ -74,6 +74,7 @@ def check_posterior_recovery(
                     "sigma_star": float(report.theta_star.sigma[0]),
                     "rel_error": max(mu_err, sigma_err),
                     "converged": report.converged,
+                    "iterations": report.iterations,
                     "ok": ok,
                 }
             )
@@ -120,6 +121,7 @@ def check_mode_collapse(
                     "mu_star": float(report.theta_star.mu[0]),
                     "sigma_star": sigma_star,
                     "converged": report.converged,
+                    "iterations": report.iterations,
                     "ok": ok,
                 }
             )

@@ -64,13 +64,17 @@ class TestVerifyCommands:
         artifact = json.loads(out.read_text())
         assert artifact["results"]["passed"] is True
         assert artifact["seed"] == 5
+        runs = artifact["results"]["details"]["runs"]
+        assert all(0 < run["iterations"] <= 50 for run in runs)
 
     def test_collapse_passes(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
         code, summary = run_cli(
-            capsys, "verify-prop2", "--seed", "5", "--trials", "3",
-            "--out", str(tmp_path / "r.json"),
+            capsys, "verify-prop2", "--seed", "5", "--trials", "3", "--out", str(out),
         )
         assert code == 0
+        runs = json.loads(out.read_text())["results"]["details"]["runs"]
+        assert all(0 < run["iterations"] <= 50 for run in runs)
 
     def test_ratio_passes(self, tmp_path, capsys):
         code, summary = run_cli(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from postsamp import (
     GeneratorParams,
@@ -11,6 +13,7 @@ from postsamp import (
     SeededStream,
     ToyPosterior,
     beta_sd_nominal,
+    closed_form_j_grad,
 )
 from postsamp.proplab import (
     OptimizerSettings,
@@ -119,11 +122,114 @@ class TestNonConvergence:
         report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT, settings)
         assert not report.converged
 
+    def test_unreachable_tolerance_is_reported_not_hidden(self):
+        """Once steps stop moving any parameter the run ends, unconverged."""
+        settings = OptimizerSettings(grad_tol=0.0, record_trace=False)
+        report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT, settings)
+        assert not report.converged and report.converged_by == ""
+        assert report.iterations < settings.max_iterations
+        assert abs(report.theta_star.sigma[0] - 1.0) <= 1e-12
+
     def test_invalid_init(self):
         with pytest.raises(ValueError):
             minimize_regularizer(
                 RegularizerKind.l1_sd(2), STD_POST, 0, GeneratorParams(0.0, 0.0)
             )
+
+
+def _relative_errors(report, mu0, sigma0):
+    mu_err = abs(float(report.theta_star.mu[0]) - mu0) / max(1.0, abs(mu0))
+    sigma_err = abs(float(report.theta_star.sigma[0]) - sigma0) / sigma0
+    return mu_err, sigma_err
+
+
+class TestScaleRange:
+    """The solver converges by its gradient test whatever the posterior scale.
+
+    The domain stops at |mu0| / sigma0 = 1e6: beyond it float64 spaces mu
+    near mu0 too coarsely to resolve (mu - mu0) / s to the 1e-8 test.
+    """
+
+    @settings(deadline=None, derandomize=True, max_examples=150)
+    @given(
+        mu0=st.floats(-1e4, 1e4),
+        sigma0=st.floats(1e-6, 1e3),
+        P=st.integers(2, 64),
+    )
+    def test_converges_by_gradient(self, mu0, sigma0, P):
+        assume(abs(mu0) <= 1e6 * sigma0)
+        post = ToyPosterior.single(mu0, sigma0)
+        report = minimize_regularizer(RegularizerKind.l1_sd(P), post, 0, INIT)
+        assert report.converged and report.converged_by == "gradient"
+        assert report.iterations <= 50
+        assert max(_relative_errors(report, mu0, sigma0)) <= 1e-3
+
+        report = minimize_regularizer(RegularizerKind.l2(P), post, 0, INIT)
+        assert report.converged and report.converged_by == "gradient"
+        assert report.theta_star.sigma[0] <= 1e-4 * sigma0
+        assert _relative_errors(report, mu0, sigma0)[0] <= 1e-3
+
+    @pytest.mark.parametrize(
+        "kind, mu0, sigma0, P",
+        [
+            # Points where gradient descent with backtracking ran out of its
+            # 20,000 iterations, or stopped by a stall test at sigma* ~ 8e-7.
+            ("l1sd", 1e4, 1.0, 2),
+            ("l1sd", 0.0, 1e3, 2),
+            ("l1sd", 0.0, 1e3, 8),
+            ("l2", 0.0, 1e-6, 64),
+        ],
+    )
+    def test_former_sweep_failures(self, kind, mu0, sigma0, P):
+        reg = RegularizerKind.l1_sd(P) if kind == "l1sd" else RegularizerKind.l2(P)
+        report = minimize_regularizer(reg, ToyPosterior.single(mu0, sigma0), 0, INIT)
+        assert report.converged and report.converged_by == "gradient"
+        assert report.iterations <= 50
+        mu_err, sigma_err = _relative_errors(report, mu0, sigma0)
+        assert mu_err <= 1e-3
+        if kind == "l1sd":
+            assert sigma_err <= 1e-3
+        else:
+            assert report.theta_star.sigma[0] <= 1e-4 * sigma0
+
+    def test_beyond_resolution_never_claims_false_convergence(self):
+        """At |mu0| / sigma0 = 1e10 convergence is claimed only where it holds.
+
+        Near mu0 = 1e4 the float64 spacing of mu is 1.8e-12, i.e. 1.8e-6 in
+        units of s here, so the gradient test can pass only with mu exactly
+        on mu0.  Whatever the solver reports must agree with an independent
+        gradient evaluation at the returned point.
+        """
+        mu0, sigma0, P = 1e4, 1e-6, 2
+        post = ToyPosterior.single(mu0, sigma0)
+        settings_ = OptimizerSettings()
+        report = minimize_regularizer(RegularizerKind.l1_sd(P), post, 0, INIT, settings_)
+        grad = closed_form_j_grad(report.theta_star, post, 0, P, beta_sd_nominal(P))
+        gradient_holds = max(np.max(np.abs(g)) for g in grad) <= settings_.grad_tol
+        assert report.converged == gradient_holds
+        if report.converged:
+            assert max(_relative_errors(report, mu0, sigma0)) <= 1e-3
+
+
+class TestObservability:
+    def test_counts(self):
+        report = minimize_regularizer(
+            RegularizerKind.l1_sd(2), ToyPosterior.single(1e4, 1.0), 0, INIT
+        )
+        assert report.converged
+        # One value call per trial step, a gradient and a Hessian call per
+        # accepted step, and the three calls at the start.
+        accepted = report.iterations - report.rejected_steps
+        assert report.evaluations == 3 + report.iterations + 2 * accepted
+        assert 0 < report.rejected_steps < report.iterations
+
+    def test_budget_exhaustion_counts_every_trial(self):
+        settings_ = OptimizerSettings(max_iterations=5, record_trace=False)
+        report = minimize_regularizer(
+            RegularizerKind.l1_sd(2), ToyPosterior.single(1e4, 1.0), 0, INIT, settings_
+        )
+        assert not report.converged and report.converged_by == ""
+        assert report.iterations == 5
 
 
 class TestContourGrid:

@@ -29,6 +29,7 @@ from postsamp import (
     mc_lsdp,
     mc_lvarp,
 )
+from postsamp.regularizers import CLOSED_FORMS
 
 STREAM = SeededStream(911, ("regularizer-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
@@ -271,6 +272,82 @@ class TestClosedFormJGrad:
                 1.0, np.linalg.norm(ga), np.linalg.norm(gf)
             )
             assert rel <= 1e-6, (trial, rel)
+
+
+def _random_kind(reg, rng):
+    P = int(rng.integers(2, 17))
+    if reg is RegKind.L1_SD:
+        return RegularizerKind(reg, P, float(rng.uniform(0.0, 0.3)))
+    return RegularizerKind(reg, P)
+
+
+class TestClosedFormTable:
+    POST = ToyPosterior.single([0.5, -1.0], [1.2, 0.7])
+
+    @pytest.mark.parametrize("reg", list(RegKind))
+    def test_hessian_matches_central_differences(self, reg):
+        """Table Hessian vs central differences of the analytic gradient, 20 points."""
+        rng = np.random.default_rng(2024)
+        mu0, sigma0 = self.POST.context_params(0)
+        table = CLOSED_FORMS[reg]
+        for trial in range(20):
+            mu, sigma = rng.uniform(-3, 3, 2), rng.uniform(0.1, 10.0, 2)
+            kind = _random_kind(reg, rng)
+            hess = table.hess(mu - mu0, sigma, sigma0, kind)
+            h_mm, h_ms, h_ss = np.broadcast_arrays(*hess, mu)[:3]
+            analytic = np.concatenate([h_mm, h_ms, h_ms, h_ss])
+            # The objectives are separable, so every dimension is stepped at once.
+            h = 1e-6 * np.maximum(1.0, np.abs(mu))
+            up = table.grad(mu + h - mu0, sigma, sigma0, kind)
+            down = table.grad(mu - h - mu0, sigma, sigma0, kind)
+            d_mu = [(u - d) / (2 * h) for u, d in zip(up, down)]
+            h = 1e-6 * np.maximum(1.0, sigma)
+            up = table.grad(mu - mu0, sigma + h, sigma0, kind)
+            down = table.grad(mu - mu0, sigma - h, sigma0, kind)
+            d_sigma = [(u - d) / (2 * h) for u, d in zip(up, down)]
+            numeric = np.concatenate([d_mu[0], d_mu[1], d_sigma[0], d_sigma[1]])
+            rel = np.linalg.norm(analytic - numeric) / max(
+                1.0, np.linalg.norm(analytic), np.linalg.norm(numeric)
+            )
+            assert rel <= 1e-6, (trial, rel)
+
+    def test_values_match_closed_forms(self):
+        rng = np.random.default_rng(5)
+        mu0, sigma0 = self.POST.context_params(0)
+        for _ in range(20):
+            params = GeneratorParams(rng.uniform(-3, 3, 2), rng.uniform(0.0, 10.0, 2))
+            P = int(rng.integers(2, 17))
+            beta = float(rng.uniform(0.0, 0.3))
+            expected = {
+                RegKind.L1_SD: closed_form_j(params, self.POST, 0, P, beta),
+                RegKind.L2: closed_form_l2p(params, self.POST, 0, P),
+                RegKind.L2_VAR: closed_form_l2varp(params, self.POST, 0, P),
+            }
+            for reg, value in expected.items():
+                kind = RegularizerKind(reg, P, beta if reg is RegKind.L1_SD else None)
+                table_value = CLOSED_FORMS[reg].value(
+                    params.mu - mu0, params.sigma, sigma0, kind
+                ).sum()
+                assert table_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+    def test_l1sd_hessian_at_optimum(self):
+        """At the truth with nominal weight: H = diag(1/s, sigma0^2 / (P s^3)) sqrt(2/pi)."""
+        P, sigma0 = 4, 1.7
+        s = sigma0 * math.sqrt(1.0 + 1.0 / P)
+        h_mm, h_ms, h_ss = CLOSED_FORMS[RegKind.L1_SD].hess(
+            0.0, sigma0, sigma0, RegularizerKind.l1_sd(P)
+        )
+        c = math.sqrt(2.0 / math.pi)
+        assert h_mm == pytest.approx(c / s, rel=1e-14)
+        assert h_ms == 0.0
+        assert h_ss == pytest.approx(c * sigma0**2 / (P * s**3), rel=1e-14)
+
+    def test_variance_reward_is_flat_in_sigma(self):
+        table = CLOSED_FORMS[RegKind.L2_VAR]
+        sigma = np.linspace(0.0, 3.0, 7)
+        _, g_sigma = table.grad(np.full(7, 0.4), sigma, 1.0, RegularizerKind.l2_var(4))
+        _, h_ms, h_ss = table.hess(np.full(7, 0.4), sigma, 1.0, RegularizerKind.l2_var(4))
+        assert not np.any(g_sigma) and h_ms == 0.0 and h_ss == 0.0
 
 
 class TestClosedFormL2:
