@@ -340,10 +340,6 @@ def _add_common(sub, seed_required: bool | None) -> None:
     sub.add_argument(
         "--force", action="store_true", help="overwrite an existing artifact"
     )
-    sub.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for Monte Carlo chunks (results are identical)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -450,6 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--beta", default="nominal")
     p.add_argument("--n-outer", type=int, default=100_000)
+    p.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads for Monte Carlo chunks (results are identical)",
+    )
     _add_common(p, seed_required=True)
     p.set_defaults(handler=_cmd_losses)
 

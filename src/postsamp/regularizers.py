@@ -34,9 +34,16 @@ variant cannot see the generated spread.
 
 Monte Carlo estimators pair one fresh true draw with P fresh generated
 draws per outer replicate; the standard error is the empirical SD of the
-per-replicate loss terms divided by sqrt(n_outer).  Replicates are
-partitioned into fixed-size chunks with independent substreams, so the
-result is identical no matter how many workers process the chunks.
+per-replicate loss terms divided by sqrt(n_outer).
+
+Memory model: replicates are partitioned into fixed chunks of 32768
+(``_CHUNK``), and chunk ``i`` draws from its own substream, so the result
+is identical no matter how many workers process the chunks.  Within a
+chunk the true draws ``x`` (count x dim) are drawn first; the generated
+draws are then drawn into one reused block of about 1 MiB (``_BLOCK``
+float64 values, a whole number of replicates, at least one) and each
+block is reduced to its replicates' terms before the next is drawn.
+Per worker, memory is O(chunk * dim + block), independent of P.
 """
 
 from __future__ import annotations
@@ -45,13 +52,13 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 from scipy.special import erf
 
 from .streams import SeededStream
-from .toy import GeneratorParams, ToyPosterior
+from .toy import GeneratorParams, ToyPosterior, affine_normals
 
 __all__ = [
     "LossEstimate",
@@ -76,6 +83,10 @@ __all__ = [
 # Replicates per substream chunk; fixed so that results never depend on how
 # chunks are distributed over workers.
 _CHUNK = 1 << 15
+
+# Float64 values per block of generated draws (1 MiB, so a block stays in
+# L2); a block always holds at least one whole replicate.
+_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -176,6 +187,10 @@ def _chunked_terms(
 
     Chunk ``i`` always uses substream ``stream.child(i)``, so splitting the
     chunks over any number of workers cannot change the assembled array.
+    Chunks hold 32768 replicates (the last may be shorter); ``term_fn``
+    reduces its generated draws in blocks of about 1 MiB
+    (:func:`_xhat_blocks`), so each worker holds O(chunk * dim + block)
+    values whatever P is.
     """
     if n_outer < 2:
         raise ValueError(f"n_outer must be >= 2, got {n_outer}")
@@ -210,6 +225,85 @@ def _check_mc_args(P: int, n_outer: int) -> None:
         raise ValueError(f"n_outer must be >= 2, got {n_outer}")
 
 
+def _context_params(
+    params: GeneratorParams, post: ToyPosterior, context: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mu0, sigma0) of one context, checked against the generator's dimension."""
+    mu0, sigma0 = post.context_params(context)
+    if params.dim != post.dim:
+        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
+    return mu0, sigma0
+
+
+def _xhat_blocks(
+    g: np.random.Generator, params: GeneratorParams, count: int, P: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield ``(start, xhat)`` covering the generated draws of one chunk.
+
+    ``xhat`` is a ``(rows, P, dim)`` view of one reused buffer of about
+    ``_BLOCK`` values, holding ``mu + sigma * z`` for replicates
+    ``start .. start + rows``; the next block overwrites it, so reduce it
+    before advancing.  Successive draws continue ``g``'s variate sequence,
+    so the blocks replay one ``(count, P, dim)`` draw exactly.
+    """
+    per_row = P * params.dim
+    rows = max(1, min(count, _BLOCK // per_row))
+    buffer = np.empty(rows * per_row)
+    for start in range(0, count, rows):
+        n = min(rows, count - start)
+        xhat = buffer[: n * per_row].reshape(n, P, params.dim)
+        yield start, affine_normals(g, params.mu, params.sigma, xhat)
+
+
+def _residual_sums(
+    params: GeneratorParams,
+    post: ToyPosterior,
+    context: int,
+    P: int,
+    n_outer: int,
+    stream: SeededStream,
+    threads: int,
+    elementwise: np.ufunc,
+) -> np.ndarray:
+    """Per replicate, ``elementwise(x - xhat_bar)`` summed over dimensions."""
+    _check_mc_args(P, n_outer)
+    mu0, sigma0 = _context_params(params, post, context)
+
+    def term(count: int, sub: SeededStream) -> np.ndarray:
+        g = sub.generator()
+        x = affine_normals(g, mu0, sigma0, np.empty((count, post.dim)))
+        terms = np.empty(count)
+        for start, xhat in _xhat_blocks(g, params, count, P):
+            rows = slice(start, start + xhat.shape[0])
+            residual = xhat.mean(axis=1)
+            np.subtract(x[rows], residual, out=residual)
+            terms[rows] = elementwise(residual, out=residual).sum(axis=1)
+        return terms
+
+    return _chunked_terms(n_outer, stream, term, threads)
+
+
+def _spread_sums(
+    params: GeneratorParams,
+    P: int,
+    n_outer: int,
+    stream: SeededStream,
+    threads: int,
+    elementwise: np.ufunc,
+) -> np.ndarray:
+    """Per replicate, ``elementwise(xhat_i - xhat_bar)`` summed over i and dimensions."""
+    _check_mc_args(P, n_outer)
+
+    def term(count: int, sub: SeededStream) -> np.ndarray:
+        terms = np.empty(count)
+        for start, xhat in _xhat_blocks(sub.generator(), params, count, P):
+            np.subtract(xhat, xhat.mean(axis=1, keepdims=True), out=xhat)
+            terms[start : start + xhat.shape[0]] = elementwise(xhat, out=xhat).sum(axis=(1, 2))
+        return terms
+
+    return _chunked_terms(n_outer, stream, term, threads)
+
+
 def mc_l1p(
     params: GeneratorParams,
     post: ToyPosterior,
@@ -224,18 +318,8 @@ def mc_l1p(
     Each outer replicate pairs one fresh posterior draw with P fresh
     generator draws.
     """
-    _check_mc_args(P, n_outer)
-    mu0, sigma0 = post.context_params(context)
-    if params.dim != post.dim:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
-
-    def term(count: int, sub: SeededStream) -> np.ndarray:
-        g = sub.generator()
-        x = mu0 + sigma0 * g.standard_normal((count, post.dim))
-        xhat = params.mu + params.sigma * g.standard_normal((count, P, post.dim))
-        return np.abs(x - xhat.mean(axis=1)).sum(axis=1)
-
-    return _estimate(_chunked_terms(n_outer, stream, term, threads), P)
+    terms = _residual_sums(params, post, context, P, n_outer, stream, threads, np.abs)
+    return _estimate(terms, P)
 
 
 def mc_lsdp(
@@ -250,17 +334,8 @@ def mc_lsdp(
     For the Gaussian toy generator its expectation is exactly
     ``sum(sigma)``, independent of P.
     """
-    _check_mc_args(P, n_outer)
-    coeff = gamma_p(P) / P
-
-    def term(count: int, sub: SeededStream) -> np.ndarray:
-        xhat = params.mu + params.sigma * sub.generator().standard_normal(
-            (count, P, params.dim)
-        )
-        deviations = np.abs(xhat - xhat.mean(axis=1, keepdims=True))
-        return coeff * deviations.sum(axis=(1, 2))
-
-    return _estimate(_chunked_terms(n_outer, stream, term, threads), P)
+    terms = _spread_sums(params, P, n_outer, stream, threads, np.abs)
+    return _estimate(gamma_p(P) / P * terms, P)
 
 
 def mc_l2p(
@@ -273,18 +348,8 @@ def mc_l2p(
     threads: int = 1,
 ) -> LossEstimate:
     """Monte Carlo estimate of E ||x - xhat_bar||_2^2."""
-    _check_mc_args(P, n_outer)
-    mu0, sigma0 = post.context_params(context)
-    if params.dim != post.dim:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
-
-    def term(count: int, sub: SeededStream) -> np.ndarray:
-        g = sub.generator()
-        x = mu0 + sigma0 * g.standard_normal((count, post.dim))
-        xhat = params.mu + params.sigma * g.standard_normal((count, P, post.dim))
-        return ((x - xhat.mean(axis=1)) ** 2).sum(axis=1)
-
-    return _estimate(_chunked_terms(n_outer, stream, term, threads), P)
+    terms = _residual_sums(params, post, context, P, n_outer, stream, threads, np.square)
+    return _estimate(terms, P)
 
 
 def mc_lvarp(
@@ -300,16 +365,8 @@ def mc_lvarp(
     over dimensions, so its expectation is ``sum(sigma^2)`` for any
     P >= 2.
     """
-    _check_mc_args(P, n_outer)
-
-    def term(count: int, sub: SeededStream) -> np.ndarray:
-        xhat = params.mu + params.sigma * sub.generator().standard_normal(
-            (count, P, params.dim)
-        )
-        deviations = xhat - xhat.mean(axis=1, keepdims=True)
-        return (deviations**2).sum(axis=(1, 2)) / (P - 1)
-
-    return _estimate(_chunked_terms(n_outer, stream, term, threads), P)
+    terms = _spread_sums(params, P, n_outer, stream, threads, np.square)
+    return _estimate(terms / (P - 1), P)
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +392,7 @@ def folded_normal_abs_mean(delta, s):
 def _delta_and_s(
     params: GeneratorParams, post: ToyPosterior, context: int, P: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    mu0, sigma0 = post.context_params(context)
-    if params.dim != post.dim:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
+    mu0, sigma0 = _context_params(params, post, context)
     delta = params.mu - mu0
     s = np.sqrt(sigma0**2 + params.sigma**2 / P)
     return delta, s
@@ -378,9 +433,7 @@ def closed_form_j_grad(
     is the right-sided derivative, which equals -beta_sd.
     """
     kind = RegularizerKind(RegKind.L1_SD, P, beta_sd)
-    mu0, sigma0 = post.context_params(context)
-    if params.dim != post.dim:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
+    mu0, sigma0 = _context_params(params, post, context)
     return CLOSED_FORMS[RegKind.L1_SD].grad(params.mu - mu0, params.sigma, sigma0, kind)
 
 
@@ -484,9 +537,7 @@ def closed_form_l2p(
     """Exact P-sample squared-error loss: bias^2 + variance/P + noise floor."""
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    mu0, sigma0 = post.context_params(context)
-    if params.dim != post.dim:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
+    mu0, sigma0 = _context_params(params, post, context)
     bias = params.mu - mu0
     return float((bias**2).sum() + (params.sigma**2).sum() / P + (sigma0**2).sum())
 
@@ -501,9 +552,7 @@ def closed_form_l2varp(
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    mu0, sigma0 = post.context_params(context)
-    if params.dim != post.dim:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, posterior {post.dim}")
+    mu0, sigma0 = _context_params(params, post, context)
     bias = params.mu - mu0
     return float((bias**2).sum() + (sigma0**2).sum())
 

@@ -156,6 +156,20 @@ class SampleBatch:
         return self.values.shape[1]
 
 
+def affine_normals(
+    g: np.random.Generator, mu: np.ndarray, sigma: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with ``mu + sigma * z``, ``z`` standard normal, in place.
+
+    The draws are the next ``out.size`` variates of ``g``, and the result
+    equals the out-of-place expression bit for bit (IEEE products and
+    sums commute), without its two temporaries of ``out``'s size.
+    """
+    g.standard_normal(out=out)
+    np.multiply(out, sigma, out=out)
+    return np.add(out, mu, out=out)
+
+
 def sample_posterior(
     post: ToyPosterior, context: int, n: int, stream: SeededStream
 ) -> SampleBatch:
@@ -163,8 +177,8 @@ def sample_posterior(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     mu0, sigma0 = post.context_params(context)
-    z = stream.generator().standard_normal((int(n), post.dim))
-    return SampleBatch(mu0 + sigma0 * z, "posterior", stream)
+    values = affine_normals(stream.generator(), mu0, sigma0, np.empty((int(n), post.dim)))
+    return SampleBatch(values, "posterior", stream)
 
 
 def sample_generator(
@@ -173,8 +187,10 @@ def sample_generator(
     """Draw ``n`` i.i.d. rows from the affine generator."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    z = stream.generator().standard_normal((int(n), params.dim))
-    return SampleBatch(params.mu + params.sigma * z, "generator", stream)
+    values = affine_normals(
+        stream.generator(), params.mu, params.sigma, np.empty((int(n), params.dim))
+    )
+    return SampleBatch(values, "generator", stream)
 
 
 def p_sample_average(batch: SampleBatch, P: int) -> np.ndarray:

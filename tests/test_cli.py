@@ -282,6 +282,11 @@ class TestReproducibilityAndErrors:
         assert summary["status"] == "error"
         assert summary["error"]["type"] == "FileNotFoundError"
 
+    def test_threads_belongs_to_losses_only(self, tmp_path, capsys):
+        out = str(tmp_path / "c.csv")
+        assert main(["psnr-curve", "--pmax", "4", "--threads", "2", "--out", out]) == 2
+        capsys.readouterr()
+
     def test_usage_error_exit_code(self, capsys):
         assert main(["no-such-command"]) == 2
         assert main([]) == 2

@@ -6,7 +6,9 @@ the bias/variance/floor split for the squared-error loss, and exact
 unbiasedness of the spread and variance rewards.
 """
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,3 +446,110 @@ class TestBiasVarianceGrid:
                 assert est.within(
                     closed_form_l2p(params, STD_POST, 0, 3), n_se=4.0
                 ), (offset, sigma)
+
+
+# ---------------------------------------------------------------------------
+# Blocked draws: bit-exact pins and memory bounds
+# ---------------------------------------------------------------------------
+
+# Configurations chosen to exercise the block layout inside 32768-replicate
+# chunks: one block per chunk with a ragged last chunk (d1), several blocks
+# per chunk with a ragged last block (d64), a zero generator spread (d3) and
+# a replicate larger than a block, so one replicate per block (d3000).
+PIN_CONFIGS = {
+    "d1-p2": (GeneratorParams(0.3, 1.2), ToyPosterior.single(0.0, 1.0), 2, 70_001),
+    "d64-p8": (
+        GeneratorParams(np.linspace(-1.0, 1.0, 64), np.linspace(0.5, 2.0, 64)),
+        ToyPosterior.single(np.linspace(0.5, -0.5, 64), np.linspace(2.0, 0.5, 64)),
+        8,
+        40_000,
+    ),
+    "d3-p5-zero": (
+        GeneratorParams([0.1, -0.2, 0.3], [1.0, 0.0, 3.0]),
+        ToyPosterior.single([0.0, 0.5, -1.0], [1.0, 2.0, 0.5]),
+        5,
+        50_000,
+    ),
+    "d3000-p64": (
+        GeneratorParams(np.linspace(-1.0, 1.0, 3000), np.linspace(0.5, 2.0, 3000)),
+        ToyPosterior.single(np.linspace(0.5, -0.5, 3000), np.linspace(2.0, 0.5, 3000)),
+        64,
+        70,
+    ),
+}
+
+# float.hex of (value, std_error), computed by the unblocked kernels that
+# built each chunk's draws as whole (count, P, dim) arrays.
+PINNED = {
+    "d1-p2": {
+        "l1p": ("0x1.1188c7abca6acp+0", "0x1.90035c2202c01p-9"),
+        "lsdp": ("0x1.340875d357a62p+0", "0x1.c273c9d2d8b9bp-9"),
+        "l2p": ("0x1.cd8c2769df46ap+0", "0x1.3aab3a25a08d6p-7"),
+        "lvarp": ("0x1.6ff229f8efde5p+0", "0x1.fa248797e74f6p-8"),
+    },
+    "d64-p8": {
+        "l1p": ("0x1.503789fae6d7ap+6", "0x1.3c4f2dad3096cp-5"),
+        "lsdp": ("0x1.400d2aa74a254p+6", "0x1.ebf641c9b4a7fp-7"),
+        "l2p": ("0x1.601e5dee58a0ap+7", "0x1.4b15cf6729223p-3"),
+        "lvarp": ("0x1.c171f082f6b24p+6", "0x1.6c0afc14a1846p-5"),
+    },
+    "d3-p5-zero": {
+        "l1p": ("0x1.09babf5ac4557p+2", "0x1.0a518e5ffcc6ap-7"),
+        "lsdp": ("0x1.ff200803027c3p+1", "0x1.59441bf9606b1p-8"),
+        "l2p": ("0x1.2dead4452c1efp+3", "0x1.26bfe7388d0d5p-5"),
+        "lvarp": ("0x1.3ef71bb606983p+3", "0x1.d0d2b498d47e7p-6"),
+    },
+    "d3000-p64": {
+        "l1p": ("0x1.d8b6d35524b42p+11", "0x1.8f50929bcafdbp+2"),
+        "lsdp": ("0x1.d4b24f3bbdb68p+11", "0x1.8eed5f94537f0p-1"),
+        "l2p": ("0x1.dd1597d9a28c9p+12", "0x1.86c2d2ccadd40p+4"),
+        "lvarp": ("0x1.484ea4bf666c5p+12", "0x1.1a479cd1f1e6ep+1"),
+    },
+}
+
+
+def _run_kernels(params, post, P, n_outer, stream, threads=1) -> dict:
+    return {
+        "l1p": mc_l1p(params, post, 0, P, n_outer, stream.child("l1p"), threads),
+        "lsdp": mc_lsdp(params, P, n_outer, stream.child("lsdp"), threads),
+        "l2p": mc_l2p(params, post, 0, P, n_outer, stream.child("l2p"), threads),
+        "lvarp": mc_lvarp(params, P, n_outer, stream.child("lvarp"), threads),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _pinned_run(name: str, threads: int) -> dict:
+    estimates = _run_kernels(*PIN_CONFIGS[name], STREAM.child("pins", name), threads)
+    return {k: (e.value.hex(), e.std_error.hex()) for k, e in estimates.items()}
+
+
+class TestBlockedDraws:
+    @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
+    def test_bit_exact_against_unblocked_kernels(self, name):
+        assert _pinned_run(name, 1) == PINNED[name]
+
+    def test_all_kernels_thread_invariant(self):
+        """40,000 replicates are two chunks, so two threads really split them."""
+        assert _pinned_run("d64-p8", 2) == _pinned_run("d64-p8", 1)
+
+    def test_memory_bounded_independent_of_p(self):
+        """dim 4096, P 32: one chunk of full draws would be 64 MiB per array."""
+        dim = 4096
+        params = GeneratorParams(np.zeros(dim), np.ones(dim))
+        post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
+        stream = STREAM.child("memory")
+        calls = {
+            "l1p": lambda: mc_l1p(params, post, 0, 32, 64, stream),
+            "lsdp": lambda: mc_lsdp(params, 32, 64, stream),
+            "l2p": lambda: mc_l2p(params, post, 0, 32, 64, stream),
+            "lvarp": lambda: mc_lvarp(params, 32, 64, stream),
+        }
+        for name, call in calls.items():
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2**20, (name, peak)

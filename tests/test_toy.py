@@ -1,5 +1,7 @@
 """Sampler correctness for the Gaussian toy model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -38,6 +40,24 @@ class TestSamplePosterior:
         batch = sample_posterior(post, 0, 100, STREAM.child("deg"))
         assert np.all(np.abs(batch.values - 5.0) <= 1e-10)
 
+    def test_affine_map_matches_out_of_place_expression(self):
+        mu0, sigma0 = np.array([1.0, -2.0, 0.0]), np.array([0.5, 3.0, 1e-12])
+        batch = sample_posterior(ToyPosterior.single(mu0, sigma0), 0, 1000, STREAM.child("aff"))
+        z = STREAM.child("aff").generator().standard_normal((1000, 3))
+        assert batch.values.tobytes() == (mu0 + sigma0 * z).tobytes()
+
+    def test_peak_memory_close_to_output(self):
+        """Drawing 1e6 x 2 rows holds little beyond the 16 MB result."""
+        post = ToyPosterior.single([1.0, -2.0], [0.5, 3.0])
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            batch = sample_posterior(post, 0, 1_000_000, STREAM.child("mem"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * batch.values.nbytes
+
     def test_context_selection(self):
         post = ToyPosterior.from_contexts([(0.0, 1.0), (10.0, 0.01)])
         batch = sample_posterior(post, 1, 50, STREAM.child("ctx"))
@@ -67,6 +87,13 @@ class TestSampleGenerator:
         a = sample_generator(params, 32, STREAM.child("replay"))
         b = sample_generator(params, 32, STREAM.child("replay"))
         assert a.values.tobytes() == b.values.tobytes()
+
+    def test_affine_map_matches_out_of_place_expression(self):
+        """Bit for bit, signed zeros included, with a collapsed dimension."""
+        mu, sigma = np.array([0.0, 1.0, -3.0]), np.array([1.0, 0.0, 2.0])
+        batch = sample_generator(GeneratorParams(mu, sigma), 1000, STREAM.child("aff"))
+        z = STREAM.child("aff").generator().standard_normal((1000, 3))
+        assert batch.values.tobytes() == (mu + sigma * z).tobytes()
 
 
 class TestGaussianity:
