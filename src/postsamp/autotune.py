@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .regularizers import beta_sd_nominal
+from .regularizers import beta_sd_nominal, closed_form_l2p
 from .streams import SeededStream
 from .toy import GeneratorParams, SampleBatch, Sampler, ToyPosterior, generator_sampler, sample_posterior
 
@@ -224,15 +224,6 @@ class AutotuneTrace:
         return out.getvalue()
 
 
-def _closed_form_ratio_db(sigma0: np.ndarray, sigma: float, p_val: int) -> float:
-    """Exact error ratio for a spread-sigma generator centered on the truth."""
-    floor = float((sigma0**2).sum())
-    n = sigma0.shape[0]
-    e1 = floor + n * sigma**2
-    ep = floor + n * sigma**2 / p_val
-    return db(e1 / ep)
-
-
 def simulate_autotune(
     plant: Callable[[float], float],
     post: ToyPosterior,
@@ -247,7 +238,6 @@ def simulate_autotune(
     beta0: float | None = None,
     tol_db: float = 0.1,
     use_mc: bool = False,
-    frozen_codes: bool = False,
 ) -> AutotuneTrace:
     """Run the spread-weight feedback loop against an analytic plant.
 
@@ -258,13 +248,14 @@ def simulate_autotune(
     flags non-convergence at the epoch cap.
 
     With ``use_mc`` the observed ratio comes from validation-set
-    estimates of size ``V`` (fresh codes each epoch unless
-    ``frozen_codes``); otherwise it is computed exactly, which is what
-    the convergence guarantees are stated for.
+    estimates of size ``V`` (fresh codes each epoch); otherwise it is
+    the exact ratio of :func:`closed_form_l2p` at P = 1 and ``p_val``,
+    which is what the convergence guarantees are stated for.  Each step
+    is :func:`update_beta`.
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    mu0, sigma0 = post.context_params(context)
+    mu0, _ = post.context_params(context)
     nominal = beta_sd_nominal(p_train)
 
     # Monotonicity probe over multiples of the nominal weight.
@@ -286,27 +277,23 @@ def simulate_autotune(
     rows: list[TraceRow] = []
     converged = False
     for epoch in range(epochs):
+        # The generator sits on the posterior mean with the plant's spread.
         sigma = max(float(plant(state.beta_sd)), 0.0)
+        params = GeneratorParams(mu0, np.full(post.dim, sigma))
         if use_mc:
-            codes = stream.child("codes", 0 if frozen_codes else epoch)
-            sampler = generator_sampler(
-                GeneratorParams(mu0, np.full(post.dim, sigma))
-            )
+            codes = stream.child("codes", epoch)
+            sampler = generator_sampler(params)
             e1 = e_hat(sampler, val, 1, codes.child("one"))
             ep = e_hat(sampler, val, p_val, codes.child("avg"))
-            ratio_db_now = db(e1 / ep)
         else:
-            ratio_db_now = _closed_form_ratio_db(sigma0, sigma, p_val)
+            e1 = closed_form_l2p(params, post, context, 1)
+            ep = closed_form_l2p(params, post, context, p_val)
+        ratio_db_now = db(e1 / ep)
         rows.append(TraceRow(epoch, state.beta_sd, ratio_db_now, target))
         if abs(ratio_db_now - target) <= tol_db:
             converged = True
             break
-        # Same arithmetic as update_beta, expressed on the dB error directly.
-        state = replace(
-            state,
-            beta_sd=state.beta_sd - state.mu_sd * (ratio_db_now - target) * nominal,
-            epoch=state.epoch + 1,
-        )
+        state = update_beta(state, e1, ep)
     return AutotuneTrace(rows=rows, target_db=target, converged=converged)
 
 

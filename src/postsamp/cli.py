@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .autotune import psnr_gain_curve, simulate_autotune
 from .cfid import EmbeddingSet, cfid_decompose_from_stats, compute_stats, fid, read_embeddings
-from .detect import detection_probability, logistic_classifier, plug_in_gap, threshold_classifier
+from .detect import logistic_classifier, plug_in_gap, threshold_classifier
 from .linops import (
     complex_from_interleaved,
     data_consistency,
@@ -289,14 +289,14 @@ def _cmd_detect(args) -> tuple[int, dict, list]:
         classifier = logistic_classifier(args.coordinate, args.tau, args.scale)
     stream = SeededStream(args.seed, ("detect",))
     samples = sample_posterior(post, 0, args.p, stream)
-    probability = detection_probability(classifier, samples)
-    avg_of_c, c_of_avg = plug_in_gap(classifier, samples)
+    # plug_in_gap's first value is the detection probability itself.
+    probability, c_of_avg = plug_in_gap(classifier, samples)
     results = {
         "classifier": classifier.descriptor,
         "samples": args.p,
         "probability": probability,
         "plug_in_estimate": c_of_avg,
-        "plug_in_gap": avg_of_c - c_of_avg,
+        "plug_in_gap": probability - c_of_avg,
     }
     artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
     return 0, results, artifacts

@@ -27,7 +27,6 @@ __all__ = [
     "logistic_classifier",
     "detection_probability",
     "plug_in_gap",
-    "kary_probabilities",
 ]
 
 
@@ -55,6 +54,9 @@ class Classifier:
 
 def threshold_classifier(coordinate: int = 0, tau: float = 0.0) -> Classifier:
     """Indicator of one coordinate exceeding a threshold."""
+    # A negative index would silently pick a coordinate counted from the end.
+    if coordinate < 0:
+        raise ValueError(f"coordinate must be >= 0, got {coordinate}")
 
     def fn(values: np.ndarray) -> np.ndarray:
         return (values[:, coordinate] > tau).astype(np.float64)
@@ -66,6 +68,8 @@ def logistic_classifier(
     coordinate: int = 0, tau: float = 0.0, scale: float = 1.0
 ) -> Classifier:
     """Logistic squashing of one coordinate around a threshold."""
+    if coordinate < 0:
+        raise ValueError(f"coordinate must be >= 0, got {coordinate}")
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
 
@@ -92,19 +96,3 @@ def plug_in_gap(classifier: Classifier, samples: SampleBatch) -> tuple[float, fl
     c_of_avg = float(classifier(samples.values.mean(axis=0, keepdims=True))[0])
     return avg_of_c, c_of_avg
 
-
-def kary_probabilities(
-    classifiers: list[Classifier], samples: SampleBatch
-) -> np.ndarray:
-    """Convenience: K binary probabilities, renormalized to sum to one.
-
-    Useful when K calibrated one-vs-rest classifiers cover an attribute;
-    not a substitute for a jointly calibrated K-ary classifier.
-    """
-    if not classifiers:
-        raise ValueError("need at least one classifier")
-    raw = np.array([detection_probability(c, samples) for c in classifiers])
-    total = raw.sum()
-    if total <= 0:
-        raise ValueError("all class probabilities are zero; cannot normalize")
-    return raw / total

@@ -19,11 +19,11 @@ needs.  The replacement forces ``A dc = y`` while leaving the nullspace
 component of ``x_raw`` untouched; it does nothing about measurement
 noise, so it belongs in low-noise settings.
 
-The DFT runs through a hand-rolled radix-2 FFT for power-of-two sizes and
-an explicit unitary DFT matrix otherwise; ``dense_matrix`` rebuilds any
-operator as a literal matrix and doubles as the test oracle for the fast
-paths.  Multi-channel signals are handled block-diagonally via a ``coils``
-count.
+The DFT is ``numpy.fft`` with ``norm="ortho"`` over the grid axes, for
+any grid size.  ``dense_dft_matrix`` and each operator's ``dense_matrix``
+rebuild the operator as a literal matrix; they are the test oracle for
+the FFT path.  Multi-channel signals are handled block-diagonally via a
+``coils`` count.
 """
 
 from __future__ import annotations
@@ -38,17 +38,15 @@ __all__ = [
     "MaskOperator",
     "FourierSubsampler",
     "data_consistency",
-    "unitary_dft",
     "dense_dft_matrix",
     "load_operator",
     "save_mask_file",
     "complex_from_interleaved",
-    "interleaved_from_complex",
 ]
 
 
 # ---------------------------------------------------------------------------
-# Unitary DFT: radix-2 fast path plus a dense fallback/oracle
+# Unitary DFT matrix: the dense oracle
 # ---------------------------------------------------------------------------
 
 
@@ -58,50 +56,6 @@ def dense_dft_matrix(n: int) -> np.ndarray:
         raise ValueError(f"n must be >= 1, got {n}")
     j = np.arange(n)
     return np.exp(-2j * math.pi * np.outer(j, j) / n) / math.sqrt(n)
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
-def _fft_radix2(values: np.ndarray, inverse: bool) -> np.ndarray:
-    """Iterative radix-2 transform along axis 0, unitary normalization."""
-    n = values.shape[0]
-    # Bit-reversal permutation.
-    index = np.arange(n)
-    reversed_index = np.zeros(n, dtype=np.int64)
-    bits = n.bit_length() - 1
-    for _ in range(bits):
-        reversed_index = (reversed_index << 1) | (index & 1)
-        index >>= 1
-    out = np.ascontiguousarray(values[reversed_index], dtype=np.complex128)
-
-    sign = 1.0 if inverse else -1.0
-    size = 2
-    while size <= n:
-        half = size // 2
-        twiddle = np.exp(sign * 2j * math.pi * np.arange(half) / size)
-        blocks = out.reshape(n // size, size, *out.shape[1:])
-        even = blocks[:, :half].copy()
-        odd = blocks[:, half:] * twiddle.reshape(
-            (1, half) + (1,) * (out.ndim - 1)
-        )
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        size *= 2
-    return out / math.sqrt(n)
-
-
-def unitary_dft(values: np.ndarray, inverse: bool = False) -> np.ndarray:
-    """Unitary DFT along axis 0: radix-2 when possible, dense otherwise."""
-    values = np.asarray(values, dtype=np.complex128)
-    n = values.shape[0]
-    if _is_power_of_two(n):
-        return _fft_radix2(values, inverse)
-    matrix = dense_dft_matrix(n)
-    if inverse:
-        matrix = matrix.conj().T
-    return np.tensordot(matrix, values, axes=(1, 0))
 
 
 def _check_indices(indices, dim: int, what: str) -> tuple[int, ...]:
@@ -129,10 +83,6 @@ class MaskOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kept", _check_indices(self.kept, self.dim, "mask"))
-
-    @property
-    def in_dim(self) -> int:
-        return self.dim
 
     @property
     def out_dim(self) -> int:
@@ -202,9 +152,6 @@ class FourierSubsampler:
     def dim(self) -> int:
         return self.grid_size * self.coils
 
-    in_dim = dim
-    out_dim = dim
-
     @cached_property
     def _keep_weights(self) -> np.ndarray:
         weights = np.zeros(self.grid_size)
@@ -212,13 +159,9 @@ class FourierSubsampler:
         return weights.reshape(self.shape)
 
     def _spectrum(self, blocks: np.ndarray, inverse: bool) -> np.ndarray:
-        # blocks: (coils, *shape); transform each grid axis in turn.
-        out = blocks
-        for axis in range(1, out.ndim):
-            out = np.moveaxis(
-                unitary_dft(np.moveaxis(out, axis, 0), inverse=inverse), 0, axis
-            )
-        return out
+        # blocks: (coils, *shape); transform over the grid axes only.
+        transform = np.fft.ifftn if inverse else np.fft.fftn
+        return transform(blocks, axes=range(1, blocks.ndim), norm="ortho")
 
     def _check_input(self, x: np.ndarray, what: str) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
@@ -259,7 +202,7 @@ def data_consistency(operator, x_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Interleaved real/imaginary helpers for the file-facing complex vectors
+# Interleaved real/imaginary input for the file-facing complex vectors
 # ---------------------------------------------------------------------------
 
 
@@ -268,16 +211,6 @@ def complex_from_interleaved(values: np.ndarray) -> np.ndarray:
     if values.ndim != 1 or values.size % 2 != 0:
         raise ValueError("interleaved vector must be 1-D with even length")
     return values[0::2] + 1j * values[1::2]
-
-
-def interleaved_from_complex(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.complex128)
-    if values.ndim != 1:
-        raise ValueError("complex vector must be 1-D")
-    out = np.empty(2 * values.size, dtype=np.float64)
-    out[0::2] = values.real
-    out[1::2] = values.imag
-    return out
 
 
 # ---------------------------------------------------------------------------

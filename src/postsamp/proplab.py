@@ -69,7 +69,6 @@ class OptimizerSettings:
 
     max_iterations: int = 20_000
     grad_tol: float = 1e-8
-    record_trace: bool = True
 
 
 @dataclass
@@ -79,7 +78,6 @@ class OptimizationReport:
     objective_star: float
     iterations: int
     converged: bool
-    trace: list = field(default_factory=list)
     sigma_indeterminate: bool = False
     projection_iterations: list = field(default_factory=list)
     grad_norm: float = float("nan")
@@ -175,14 +173,11 @@ def minimize_regularizer(
     evaluations = 3
     rejected = 0
     radius = _INITIAL_RADIUS
-    trace: list = []
     projections: list[int] = []
     converged = False
     iterations = settings.max_iterations
 
     for iteration in range(settings.max_iterations):
-        if settings.record_trace:
-            trace.append((GeneratorParams(mu, sigma), f))
         if max_abs(grad) <= settings.grad_tol:
             converged = True
             iterations = iteration
@@ -212,15 +207,12 @@ def minimize_regularizer(
             rejected += 1
             radius /= _RADIUS_FACTOR
 
-    if settings.record_trace:
-        trace.append((GeneratorParams(mu, sigma), f))
     return OptimizationReport(
         kind=kind,
         theta_star=GeneratorParams(mu, sigma),
         objective_star=f,
         iterations=iterations,
         converged=converged,
-        trace=trace,
         sigma_indeterminate=sigma_flat,
         projection_iterations=projections,
         grad_norm=max_abs(grad),
@@ -314,17 +306,15 @@ def steepness_probe(
     post: ToyPosterior,
     context: int,
     P_list: list[int],
-    beta_rule: str = "nominal",
 ) -> list[tuple[int, float]]:
     """Curvature of the combined objective along sigma at the optimum.
 
     Returns (P, curvature) pairs, the curvature being the analytic
-    d^2 J / d sigma^2 at the true parameters summed over dimensions; it
+    d^2 J / d sigma^2 at the true parameters and the nominal weight
+    ``beta_sd_nominal(P)``, summed over dimensions; it
     shrinks as P grows, i.e. small P gives the sharpest basin around the
     true spread.
     """
-    if beta_rule != "nominal":
-        raise ValueError(f"unknown beta rule {beta_rule!r}")
     mu0, sigma0 = post.context_params(context)
     hess = CLOSED_FORMS[RegKind.L1_SD].hess
     results = []

@@ -76,7 +76,6 @@ __all__ = [
     "CLOSED_FORMS",
     "closed_form_l2p",
     "closed_form_l2varp",
-    "assemble_generator_loss",
     "folded_normal_abs_mean",
 ]
 
@@ -556,13 +555,3 @@ def closed_form_l2varp(
     bias = params.mu - mu0
     return float((bias**2).sum() + (sigma0**2).sum())
 
-
-def assemble_generator_loss(
-    beta_adv: float, l_adv: float, l1: float, beta_sd: float, lsd: float
-) -> float:
-    """Total generator loss: beta_adv * l_adv + l1 - beta_sd * lsd.
-
-    The adversarial term is caller-supplied; with beta_adv = 0 this is
-    just the combined supervision objective.
-    """
-    return float(beta_adv * l_adv + l1 - beta_sd * lsd)

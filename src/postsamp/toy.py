@@ -15,7 +15,7 @@ ignores its code vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -131,11 +131,9 @@ class GeneratorParams:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A matrix of draws plus where they came from."""
+    """A finite ``(n, dim)`` matrix of draws."""
 
     values: np.ndarray
-    origin: Literal["posterior", "generator"]
-    stream: SeededStream
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -143,8 +141,6 @@ class SampleBatch:
             raise ValueError(f"values must be an (n, dim) matrix with n >= 1, got {values.shape}")
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
-        if self.origin not in ("posterior", "generator"):
-            raise ValueError(f"unknown origin {self.origin!r}")
         object.__setattr__(self, "values", values)
 
     @property
@@ -178,7 +174,7 @@ def sample_posterior(
         raise ValueError(f"n must be >= 1, got {n}")
     mu0, sigma0 = post.context_params(context)
     values = affine_normals(stream.generator(), mu0, sigma0, np.empty((int(n), post.dim)))
-    return SampleBatch(values, "posterior", stream)
+    return SampleBatch(values)
 
 
 def sample_generator(
@@ -190,7 +186,7 @@ def sample_generator(
     values = affine_normals(
         stream.generator(), params.mu, params.sigma, np.empty((int(n), params.dim))
     )
-    return SampleBatch(values, "generator", stream)
+    return SampleBatch(values)
 
 
 def p_sample_average(batch: SampleBatch, P: int) -> np.ndarray:

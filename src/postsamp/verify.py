@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .autotune import e_hat_items, make_validation_set, ratio_with_se
 from .proplab import minimize_regularizer
@@ -28,6 +29,12 @@ __all__ = [
     "check_mode_collapse",
     "check_average_error_ratio",
 ]
+
+# Fixed acceptance tolerances; each report records its own in ``details``.
+_REL_TOL = 1e-3  # recovery: relative error of mu* and sigma*
+_SIGMA_FACTOR = 1e-4  # collapse: sigma* <= _SIGMA_FACTOR * sigma0
+_MU_REL_TOL = 1e-3  # collapse: relative error of mu*
+_N_SE = 4.0  # averaging ratio: combined standard errors around 2P/(P+1)
 
 
 @dataclass
@@ -43,112 +50,100 @@ def _random_posterior(stream: SeededStream) -> tuple[float, float]:
     return float(rng.uniform(-10.0, 10.0)), float(rng.uniform(0.1, 10.0))
 
 
-def check_posterior_recovery(
+def _minimization_check(
+    name: str,
+    label: str,
     seed: int,
-    p_values: tuple = (2, 3, 8),
-    trials: int = 10,
-    rel_tol: float = 1e-3,
+    p_values: tuple,
+    trials: int,
+    kind_of: Callable[[int], RegularizerKind],
+    judge: Callable[[float, float, float], tuple[bool, dict]],
+    tolerances: dict,
 ) -> VerificationReport:
-    """Recovery of (mu0, sigma0) over random posteriors and P values."""
+    """Minimize ``kind_of(P)`` from a fixed start over random posteriors.
+
+    ``judge(mu_err, sigma_star, sigma0)`` returns a run's verdict (besides
+    convergence) and any extra fields for its record; ``tolerances`` go
+    into ``details`` next to the runs.
+    """
     start = time.perf_counter()
-    stream = SeededStream(seed, ("recovery",))
+    stream = SeededStream(seed, (label,))
     init = GeneratorParams(5.0, 5.0)
     runs = []
-    passed = True
     for trial in range(trials):
         mu0, sigma0 = _random_posterior(stream.child(trial))
         post = ToyPosterior.single(mu0, sigma0)
         for P in p_values:
-            report = minimize_regularizer(RegularizerKind.l1_sd(P), post, 0, init)
-            mu_err = abs(float(report.theta_star.mu[0]) - mu0) / max(1.0, abs(mu0))
-            sigma_err = abs(float(report.theta_star.sigma[0]) - sigma0) / sigma0
-            ok = report.converged and mu_err <= rel_tol and sigma_err <= rel_tol
-            passed = passed and ok
+            report = minimize_regularizer(kind_of(P), post, 0, init)
+            mu_star = float(report.theta_star.mu[0])
+            sigma_star = float(report.theta_star.sigma[0])
+            mu_err = abs(mu_star - mu0) / max(1.0, abs(mu0))
+            ok, extra = judge(mu_err, sigma_star, sigma0)
             runs.append(
                 {
                     "trial": trial,
                     "P": P,
                     "mu0": mu0,
                     "sigma0": sigma0,
-                    "mu_star": float(report.theta_star.mu[0]),
-                    "sigma_star": float(report.theta_star.sigma[0]),
-                    "rel_error": max(mu_err, sigma_err),
+                    "mu_star": mu_star,
+                    "sigma_star": sigma_star,
+                    **extra,
                     "converged": report.converged,
                     "iterations": report.iterations,
-                    "ok": ok,
+                    "ok": report.converged and ok,
                 }
             )
     return VerificationReport(
-        name="posterior-recovery",
-        passed=passed,
+        name=name,
+        passed=all(run["ok"] for run in runs),
         wall_time_s=time.perf_counter() - start,
-        details={"rel_tol": rel_tol, "runs": runs},
+        details={**tolerances, "runs": runs},
+    )
+
+
+def _recovered(mu_err: float, sigma_star: float, sigma0: float) -> tuple[bool, dict]:
+    sigma_err = abs(sigma_star - sigma0) / sigma0
+    ok = mu_err <= _REL_TOL and sigma_err <= _REL_TOL
+    return ok, {"rel_error": max(mu_err, sigma_err)}
+
+
+def _collapsed(mu_err: float, sigma_star: float, sigma0: float) -> tuple[bool, dict]:
+    return sigma_star <= _SIGMA_FACTOR * sigma0 and mu_err <= _MU_REL_TOL, {}
+
+
+def check_posterior_recovery(
+    seed: int, p_values: tuple = (2, 3, 8), trials: int = 10
+) -> VerificationReport:
+    """Recovery of (mu0, sigma0) over random posteriors and P values."""
+    return _minimization_check(
+        "posterior-recovery", "recovery", seed, p_values, trials,
+        RegularizerKind.l1_sd, _recovered, {"rel_tol": _REL_TOL},
     )
 
 
 def check_mode_collapse(
-    seed: int,
-    p_values: tuple = (2, 3, 8),
-    trials: int = 10,
-    sigma_factor: float = 1e-4,
-    mu_rel_tol: float = 1e-3,
+    seed: int, p_values: tuple = (2, 3, 8), trials: int = 10
 ) -> VerificationReport:
     """Squared-error minimization collapses the spread but keeps the mean."""
-    start = time.perf_counter()
-    stream = SeededStream(seed, ("collapse",))
-    init = GeneratorParams(5.0, 5.0)
-    runs = []
-    passed = True
-    for trial in range(trials):
-        mu0, sigma0 = _random_posterior(stream.child(trial))
-        post = ToyPosterior.single(mu0, sigma0)
-        for P in p_values:
-            report = minimize_regularizer(RegularizerKind.l2(P), post, 0, init)
-            mu_err = abs(float(report.theta_star.mu[0]) - mu0) / max(1.0, abs(mu0))
-            sigma_star = float(report.theta_star.sigma[0])
-            ok = (
-                report.converged
-                and sigma_star <= sigma_factor * sigma0
-                and mu_err <= mu_rel_tol
-            )
-            passed = passed and ok
-            runs.append(
-                {
-                    "trial": trial,
-                    "P": P,
-                    "mu0": mu0,
-                    "sigma0": sigma0,
-                    "mu_star": float(report.theta_star.mu[0]),
-                    "sigma_star": sigma_star,
-                    "converged": report.converged,
-                    "iterations": report.iterations,
-                    "ok": ok,
-                }
-            )
-    return VerificationReport(
-        name="mode-collapse",
-        passed=passed,
-        wall_time_s=time.perf_counter() - start,
-        details={"sigma_factor": sigma_factor, "mu_rel_tol": mu_rel_tol, "runs": runs},
+    return _minimization_check(
+        "mode-collapse", "collapse", seed, p_values, trials,
+        RegularizerKind.l2, _collapsed,
+        {"sigma_factor": _SIGMA_FACTOR, "mu_rel_tol": _MU_REL_TOL},
     )
 
 
 def check_average_error_ratio(
-    seed: int,
-    p_values: tuple = (2, 4, 8, 32),
-    validation_size: int = 100_000,
-    n_se: float = 4.0,
-    mu0: float = 0.0,
-    sigma0: float = 1.0,
+    seed: int, p_values: tuple = (2, 4, 8, 32), validation_size: int = 100_000
 ) -> VerificationReport:
     """Single-vs-P-average error ratio for true posterior samples.
 
-    The observed ratio must bracket 2P/(P+1) within ``n_se`` combined
-    standard errors (delta method on the paired per-item errors).
+    The posterior is standard normal.  The observed ratio must bracket
+    2P/(P+1) within ``_N_SE`` combined standard errors (delta method on
+    the paired per-item errors).
     """
     start = time.perf_counter()
     stream = SeededStream(seed, ("ratio",))
-    post = ToyPosterior.single(mu0, sigma0)
+    post = ToyPosterior.single(0.0, 1.0)
     sampler = posterior_sampler(post)
     val = make_validation_set(post, validation_size, stream.child("val"))
     runs = []
@@ -158,7 +153,7 @@ def check_average_error_ratio(
         averaged = e_hat_items(sampler, val, P, stream.child("averaged", P))
         ratio, se = ratio_with_se(single, averaged)
         target = 2.0 * P / (P + 1)
-        ok = abs(ratio - target) <= n_se * se
+        ok = abs(ratio - target) <= _N_SE * se
         passed = passed and ok
         runs.append(
             {
@@ -174,5 +169,5 @@ def check_average_error_ratio(
         name="average-error-ratio",
         passed=passed,
         wall_time_s=time.perf_counter() - start,
-        details={"validation_size": validation_size, "n_se": n_se, "runs": runs},
+        details={"validation_size": validation_size, "n_se": _N_SE, "runs": runs},
     )

@@ -64,8 +64,9 @@ class TestVerifyCommands:
         artifact = json.loads(out.read_text())
         assert artifact["results"]["passed"] is True
         assert artifact["seed"] == 5
-        runs = artifact["results"]["details"]["runs"]
-        assert all(0 < run["iterations"] <= 50 for run in runs)
+        details = artifact["results"]["details"]
+        assert details["rel_tol"] == 1e-3
+        assert all(0 < run["iterations"] <= 50 for run in details["runs"])
 
     def test_collapse_passes(self, tmp_path, capsys):
         out = tmp_path / "r.json"
@@ -73,8 +74,9 @@ class TestVerifyCommands:
             capsys, "verify-prop2", "--seed", "5", "--trials", "3", "--out", str(out),
         )
         assert code == 0
-        runs = json.loads(out.read_text())["results"]["details"]["runs"]
-        assert all(0 < run["iterations"] <= 50 for run in runs)
+        details = json.loads(out.read_text())["results"]["details"]
+        assert details["sigma_factor"] == 1e-4 and details["mu_rel_tol"] == 1e-3
+        assert all(0 < run["iterations"] <= 50 for run in details["runs"])
 
     def test_ratio_passes(self, tmp_path, capsys):
         code, summary = run_cli(
@@ -83,6 +85,7 @@ class TestVerifyCommands:
         )
         assert code == 0
         assert summary["results"]["passed"] is True
+        assert summary["results"]["details"]["n_se"] == 4.0
 
     def test_seed_is_required(self, tmp_path, capsys):
         code = main(["verify-prop1", "--out", str(tmp_path / "r.json")])
@@ -208,6 +211,19 @@ class TestDetect:
         phi1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         assert abs(summary["results"]["probability"] - phi1) <= 4 * 0.5 / math.sqrt(200000)
         assert summary["results"]["plug_in_estimate"] == 1.0
+
+    @pytest.mark.parametrize("classifier", ["threshold", "logistic"])
+    def test_negative_coordinate_rejected(self, tmp_path, capsys, classifier):
+        out = tmp_path / "d.json"
+        code, summary = run_cli(
+            capsys,
+            "detect", "--mu0", "1,0", "--sigma0", "1,2", "--coordinate", "-1",
+            "--classifier", classifier, "--p", "1000", "--seed", "3", "--out", str(out),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValueError"
+        assert not out.exists()
 
 
 class TestLosses:

@@ -16,7 +16,7 @@ from postsamp import (
     sample_posterior,
     threshold_classifier,
 )
-from postsamp.detect import kary_probabilities, logistic_classifier
+from postsamp.detect import logistic_classifier
 
 STREAM = SeededStream(606, ("detect-tests",))
 
@@ -87,14 +87,8 @@ class TestPlugInGap:
             plug_in_gap(threshold_classifier(), batch)
 
 
-class TestKary:
-    def test_probabilities_normalize(self):
-        batch = sample_posterior(ToyPosterior.single(0.0, 1.0), 0, 10_000, STREAM.child("k"))
-        classes = [
-            threshold_classifier(0, -0.5),
-            threshold_classifier(0, 0.5),
-        ]
-        probs = kary_probabilities(classes, batch)
-        assert probs.shape == (2,)
-        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
-        assert probs[0] > probs[1]
+class TestBuiltinClassifiers:
+    @pytest.mark.parametrize("make", [threshold_classifier, logistic_classifier])
+    def test_negative_coordinate_rejected(self, make):
+        with pytest.raises(ValueError, match="coordinate"):
+            make(-1)

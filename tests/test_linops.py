@@ -1,6 +1,6 @@
-"""Operator families, the unitary DFT, and exact data consistency.
+"""Operator families and exact data consistency.
 
-Every fast path is checked against an explicitly constructed dense
+Every FFT path is checked against an explicitly constructed dense
 matrix; the dense path is the oracle throughout.
 """
 
@@ -16,10 +16,8 @@ from postsamp.linops import (
     complex_from_interleaved,
     data_consistency,
     dense_dft_matrix,
-    interleaved_from_complex,
     load_operator,
     save_mask_file,
-    unitary_dft,
 )
 
 RNG = np.random.default_rng(20240818)
@@ -27,39 +25,6 @@ RNG = np.random.default_rng(20240818)
 
 def _random_complex(n):
     return RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-
-
-class TestUnitaryDft:
-    @pytest.mark.parametrize("n", [2, 4, 8, 16, 32, 64, 128])
-    def test_radix2_matches_dense_matrix(self, n):
-        x = _random_complex(n)
-        np.testing.assert_allclose(
-            unitary_dft(x), dense_dft_matrix(n) @ x, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("n", [3, 5, 6, 7, 12, 63])
-    def test_non_power_of_two_uses_dense_path(self, n):
-        x = _random_complex(n)
-        np.testing.assert_allclose(
-            unitary_dft(x), dense_dft_matrix(n) @ x, atol=1e-12
-        )
-
-    @pytest.mark.parametrize("n", [4, 7, 64])
-    def test_round_trip(self, n):
-        x = _random_complex(n)
-        np.testing.assert_allclose(unitary_dft(unitary_dft(x), inverse=True), x, atol=1e-12)
-
-    def test_unitarity_preserves_energy(self):
-        x = _random_complex(64)
-        assert np.linalg.norm(unitary_dft(x)) == pytest.approx(
-            np.linalg.norm(x), rel=1e-13
-        )
-
-    def test_batched_transform_matches_columnwise(self):
-        x = RNG.standard_normal((16, 5)) + 1j * RNG.standard_normal((16, 5))
-        batched = unitary_dft(x)
-        for j in range(5):
-            np.testing.assert_allclose(batched[:, j], unitary_dft(x[:, j]), atol=1e-12)
 
 
 class TestMaskOperator:
@@ -145,7 +110,11 @@ class TestFourierSubsampler:
         np.testing.assert_allclose(op.apply(e0), expected, atol=1e-12)
 
     @pytest.mark.parametrize(
-        "shape,coils", [((8,), 1), ((16,), 1), ((4, 4), 1), ((4, 8), 2), ((6,), 1)]
+        "shape,coils",
+        [
+            ((8,), 1), ((16,), 1), ((4, 4), 1), ((4, 8), 2), ((6,), 1),
+            ((6, 10), 2), ((5, 3), 1), ((8, 12), 3),
+        ],
     )
     def test_dense_equivalence(self, shape, coils):
         grid = int(np.prod(shape))
@@ -154,7 +123,9 @@ class TestFourierSubsampler:
         a = op.dense_matrix()
         x = _random_complex(grid * coils)
         np.testing.assert_allclose(op.apply(x), a @ x, atol=1e-10)
-        projector = np.eye(grid * coils) - np.linalg.pinv(a) @ a
+        # A's singular values are 0 or 1; the cutoff drops the rounding noise
+        # on the zeros, which at 288 rows exceeds pinv's default 1e-15.
+        projector = np.eye(grid * coils) - np.linalg.pinv(a, rcond=1e-10) @ a
         np.testing.assert_allclose(op.nullspace_project(x), projector @ x, atol=1e-10)
 
     def test_operator_is_orthogonal_projection(self):
@@ -166,7 +137,7 @@ class TestFourierSubsampler:
     def test_projection_removes_kept_frequencies(self):
         op = FourierSubsampler(16, (0, 3, 9))
         x = _random_complex(16)
-        spectrum = unitary_dft(op.nullspace_project(x))
+        spectrum = np.fft.fft(op.nullspace_project(x), norm="ortho")
         assert np.abs(spectrum[[0, 3, 9]]).max() <= 1e-12
 
     def test_dc_only_consistency_scenario(self):
@@ -175,9 +146,11 @@ class TestFourierSubsampler:
         x_true = _random_complex(8)
         x_raw = _random_complex(8)
         result = data_consistency(op, x_raw, op.apply(x_true))
-        spectrum_result = unitary_dft(result)
-        np.testing.assert_allclose(spectrum_result[0], unitary_dft(x_true)[0], atol=1e-12)
-        np.testing.assert_allclose(spectrum_result[1:], unitary_dft(x_raw)[1:], atol=1e-12)
+        spectrum_result = np.fft.fft(result, norm="ortho")
+        spectrum_true = np.fft.fft(x_true, norm="ortho")
+        spectrum_raw = np.fft.fft(x_raw, norm="ortho")
+        np.testing.assert_allclose(spectrum_result[0], spectrum_true[0], atol=1e-12)
+        np.testing.assert_allclose(spectrum_result[1:], spectrum_raw[1:], atol=1e-12)
 
 
 class TestDataConsistencyInvariants:
@@ -231,13 +204,9 @@ class TestDataConsistencyInvariants:
 
 
 class TestInterleaved:
-    def test_round_trip(self):
-        z = _random_complex(9)
-        np.testing.assert_array_equal(complex_from_interleaved(interleaved_from_complex(z)), z)
-
     def test_layout(self):
-        flat = interleaved_from_complex(np.array([1 + 2j, 3 - 4j]))
-        np.testing.assert_array_equal(flat, [1.0, 2.0, 3.0, -4.0])
+        z = complex_from_interleaved(np.array([1.0, 2.0, 3.0, -4.0]))
+        np.testing.assert_array_equal(z, [1 + 2j, 3 - 4j])
 
     def test_odd_length_rejected(self):
         with pytest.raises(ValueError):

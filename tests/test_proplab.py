@@ -118,13 +118,13 @@ class TestBetaSensitivity:
 
 class TestNonConvergence:
     def test_budget_exhaustion_is_reported_not_hidden(self):
-        settings = OptimizerSettings(max_iterations=3, record_trace=False)
+        settings = OptimizerSettings(max_iterations=3)
         report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT, settings)
         assert not report.converged
 
     def test_unreachable_tolerance_is_reported_not_hidden(self):
         """Once steps stop moving any parameter the run ends, unconverged."""
-        settings = OptimizerSettings(grad_tol=0.0, record_trace=False)
+        settings = OptimizerSettings(grad_tol=0.0)
         report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT, settings)
         assert not report.converged and report.converged_by == ""
         assert report.iterations < settings.max_iterations
@@ -224,7 +224,7 @@ class TestObservability:
         assert 0 < report.rejected_steps < report.iterations
 
     def test_budget_exhaustion_counts_every_trial(self):
-        settings_ = OptimizerSettings(max_iterations=5, record_trace=False)
+        settings_ = OptimizerSettings(max_iterations=5)
         report = minimize_regularizer(
             RegularizerKind.l1_sd(2), ToyPosterior.single(1e4, 1.0), 0, INIT, settings_
         )

@@ -19,7 +19,6 @@ from postsamp import (
     RegularizerKind,
     SeededStream,
     ToyPosterior,
-    assemble_generator_loss,
     beta_sd_nominal,
     closed_form_j,
     closed_form_j_grad,
@@ -190,7 +189,7 @@ class TestClosedFormJ:
         exact = closed_form_j(params, STD_POST, 0, 2, beta)
         l1 = mc_l1p(params, STD_POST, 0, 2, 400_000, STREAM.child("dual-l1"))
         lsd = mc_lsdp(params, 2, 400_000, STREAM.child("dual-lsd"))
-        combined = assemble_generator_loss(0.0, 0.0, l1.value, beta, lsd.value)
+        combined = l1.value - beta * lsd.value
         se = math.hypot(l1.std_error, beta * lsd.std_error)
         assert abs(combined - exact) <= 4.0 * se
 
@@ -390,16 +389,6 @@ class TestClosedFormL2:
         observed = l2.value - lv.value / 4
         se = math.hypot(l2.std_error, lv.std_error / 4)
         assert abs(observed - expected) <= 4.0 * se
-
-
-class TestAssembleGeneratorLoss:
-    def test_arithmetic(self):
-        assert assemble_generator_loss(0.0, 123.0, 3.0, 0.5, 2.0) == 2.0
-        assert assemble_generator_loss(1e-5, 10.0, 0.0, 0.0, 0.0) == pytest.approx(1e-4)
-
-    def test_beta_adv_zero_reduces_to_combined_objective(self):
-        l1, beta, lsd = 1.7, 0.3, 0.9
-        assert assemble_generator_loss(0.0, 5.0, l1, beta, lsd) == l1 - beta * lsd
 
 
 class TestEstimatorContracts:
