@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .autotune import psnr_gain_curve, simulate_autotune
-from .cfid import EmbeddingSet, cfid_decompose_from_stats, compute_stats, fid, read_embeddings
+from .cfid import cfid_decompose_files, fid_files
 from .detect import logistic_classifier, plug_in_gap, threshold_classifier
 from .linops import (
     complex_from_interleaved,
@@ -100,39 +100,32 @@ def _json_artifact(args, results: dict) -> str:
 
 
 def _read_vector_csv(path: str) -> np.ndarray:
-    """One value per line (real) or 're,im' per line (complex)."""
-    rows = []
-    complex_any = False
+    """One value per line (real) or 're,im' per line (complex), one column
+    count per file; blank, whitespace-only and '#' lines are skipped."""
     with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [float(p) for p in line.split(",")]
-            if len(parts) == 1:
-                rows.append((parts[0], 0.0))
-            elif len(parts) == 2:
-                rows.append((parts[0], parts[1]))
-                complex_any = True
-            else:
-                raise ValueError(f"{path}: expected 1 or 2 columns per line")
-    if not rows:
+        text = handle.read()
+    lines = [line for line in text.splitlines() if line.strip()[:1] not in ("", "#")]
+    if not lines:
         raise ValueError(f"{path}: empty vector file")
-    arr = np.array(rows, dtype=np.float64)
-    if complex_any:
-        return arr[:, 0] + 1j * arr[:, 1]
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if arr.shape[1] == 2:
+        # A view keeps each part as parsed: re + 1j*im would turn -0.0 into
+        # 0.0 and spread a NaN imaginary part into the real part.
+        return np.ascontiguousarray(arr).view(np.complex128)[:, 0]
+    if arr.shape[1] != 1:
+        raise ValueError(f"{path}: expected 1 or 2 columns per line")
     return arr[:, 0]
 
 
 def _vector_csv(values: np.ndarray) -> str:
-    out = io.StringIO()
+    """One repr per line, or 're,im' reprs per line for complex values."""
     if np.iscomplexobj(values):
-        for v in values:
-            out.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-    else:
-        for v in values:
-            out.write(f"{float(v)!r}\n")
-    return out.getvalue()
+        parts = np.column_stack((values.real, values.imag)).ravel().tolist()
+        return ("%r,%r\n" * len(values)) % tuple(parts)
+    return ("%r\n" * len(values)) % tuple(np.asarray(values, dtype=np.float64).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -242,28 +235,27 @@ def _cmd_psnr_curve(args) -> tuple[int, dict, list]:
 
 
 def _cmd_cfid(args) -> tuple[int, dict, list]:
-    embeddings = EmbeddingSet(
-        read_embeddings(args.x),
-        read_embeddings(args.y),
-        read_embeddings(args.xhat),
-        P=args.p,
-    )
-    mean_part, cov_part = cfid_decompose_from_stats(compute_stats(embeddings))
+    mean_part, cov_part, diagnostics = cfid_decompose_files(args.x, args.y, args.xhat, args.p)
     results = {
         "cfid": mean_part + cov_part,
         "cfid_mean": mean_part,
         "cfid_cov": cov_part,
-        "rows": embeddings.rows,
+        "rows": diagnostics["rows"],
         "P": args.p,
+        "diagnostics": diagnostics,
     }
     artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
     return 0, results, artifacts
 
 
 def _cmd_fid(args) -> tuple[int, dict, list]:
-    x = read_embeddings(args.x)
-    xhat = read_embeddings(args.xhat)
-    results = {"fid": fid(x, xhat), "rows_x": x.shape[0], "rows_xhat": xhat.shape[0]}
+    value, diagnostics = fid_files(args.x, args.xhat)
+    results = {
+        "fid": value,
+        "rows_x": diagnostics["rows_x"],
+        "rows_xhat": diagnostics["rows_xhat"],
+        "diagnostics": diagnostics,
+    }
     artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
     return 0, results, artifacts
 

@@ -45,9 +45,10 @@ class Classifier:
                 f"classifier {self.descriptor!r} returned shape {out.shape}, "
                 f"expected ({values.shape[0]},)"
             )
-        if np.any(out < 0) or np.any(out > 1):
+        # min/max propagate NaN, so a NaN output fails this test too.
+        if not (np.min(out, initial=0.0) >= 0.0 and np.max(out, initial=1.0) <= 1.0):
             raise ValueError(
-                f"classifier {self.descriptor!r} produced outputs outside [0, 1]"
+                f"classifier {self.descriptor!r} produced outputs outside [0, 1] or NaN"
             )
         return out
 

@@ -11,25 +11,32 @@ computed here without touching the engine's Schur/pinv/sqrtm path.
 """
 
 import math
+import os
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from postsamp import cfid as cfid_module
 from postsamp.cfid import (
     EmbeddingSet,
     JointGaussianStats,
     cfid,
     cfid_decompose,
+    cfid_decompose_files,
     cfid_decompose_from_stats,
     cfid_from_stats,
     compute_stats,
     conditional_stats,
     fid,
+    fid_files,
     gaussian_w2_squared,
     read_embeddings,
     sqrtm_psd,
     write_embeddings,
 )
+from postsamp.cli import main
 
 
 def _stats_1d(mu_x, var_x, mu_xhat, var_xhat, cov_xy=0.0, cov_xhaty=0.0, var_y=1.0):
@@ -369,3 +376,291 @@ class TestEmbeddingIO:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError):
             read_embeddings(path)
+
+
+# ---------------------------------------------------------------------------
+# Streamed statistics
+# ---------------------------------------------------------------------------
+
+
+def _plain_stats(x, y, xhat):
+    """Two-pass statistics over all rows at once, the pre-streaming formula."""
+    n = x.shape[0]
+    xc, yc, hc = x - x.mean(axis=0), y - y.mean(axis=0), xhat - xhat.mean(axis=0)
+    return JointGaussianStats(
+        mu_x=x.mean(axis=0),
+        mu_y=y.mean(axis=0),
+        mu_xhat=xhat.mean(axis=0),
+        s_xx=xc.T @ xc / n,
+        s_yy=yc.T @ yc / n,
+        s_xhatxhat=hc.T @ hc / n,
+        s_xy=xc.T @ yc / n,
+        s_xhaty=hc.T @ yc / n,
+    )
+
+
+def _sqrtm_gap(a, b):
+    root_a = sqrtm_psd(a)
+    inner = root_a @ b @ root_a
+    return float(np.trace(a) + np.trace(b) - 2.0 * np.trace(sqrtm_psd(0.5 * (inner + inner.T))))
+
+
+def _sqrtm_oracle(joint):
+    """(mean part, covariance part) through pinv(S_yy) and two sqrtm_psd calls."""
+    pinv = np.linalg.pinv(joint.s_yy, rcond=1e-10, hermitian=True)
+    a = joint.s_xx - joint.s_xy @ pinv @ joint.s_xy.T
+    b = joint.s_xhatxhat - joint.s_xhaty @ pinv @ joint.s_xhaty.T
+    gap = joint.mu_x - joint.mu_xhat
+    cross_gap = joint.s_xy - joint.s_xhaty
+    mean_part = float(gap @ gap) + float(np.trace(cross_gap @ pinv @ cross_gap.T))
+    return mean_part, _sqrtm_gap(0.5 * (a + a.T), 0.5 * (b + b.T))
+
+
+def _sqrtm_fid(x, xhat):
+    gap = x.mean(axis=0) - xhat.mean(axis=0)
+    xc, hc = x - x.mean(axis=0), xhat - xhat.mean(axis=0)
+    return float(gap @ gap) + _sqrtm_gap(xc.T @ xc / x.shape[0], hc.T @ hc / xhat.shape[0])
+
+
+def _cfid_cases():
+    """The embedding sets of the TestCfid cases: (x, y, xhat, P)."""
+    cases = {}
+    rng = np.random.default_rng(5)
+    x, y = rng.standard_normal((400, 5)), rng.standard_normal((400, 3))
+    cases["identical"] = (x, y, x.copy(), 1)
+    rng = np.random.default_rng(7)
+    for i in range(3):
+        y = rng.standard_normal((120, 2))
+        x = y @ rng.standard_normal((2, 4)) + rng.standard_normal((120, 4))
+        xhat = y @ rng.standard_normal((2, 4)) + rng.standard_normal((120, 4))
+        cases[f"random-{i}"] = (x, y, xhat, 1)
+    rng = np.random.default_rng(8)
+    x, y = rng.standard_normal((600, 4)), rng.standard_normal((600, 2))
+    cases["mean-shift"] = (x, y, x + 3.0, 1)
+    rng = np.random.default_rng(9)
+    y = rng.standard_normal((600, 2))
+    x = y @ rng.standard_normal((2, 4)) + rng.standard_normal((600, 4))
+    cases["shuffle"] = (x, y, 0.5 * x + rng.standard_normal((600, 4)), 1)
+    rng = np.random.default_rng(10)
+    y = np.repeat(rng.standard_normal((60, 5)), 4, axis=0)
+    x = np.repeat(rng.standard_normal((60, 3)), 4, axis=0)
+    cases["repetition"] = (x, y, x + rng.standard_normal((240, 3)), 4)
+    rng = np.random.default_rng(1000)
+    b = rng.standard_normal((4, 8))
+    for n in (100, 100_000):
+        y = rng.standard_normal((n, 4))
+        cases[f"bias-{n}"] = (y @ b + rng.standard_normal((n, 8)), y,
+                              y @ b + rng.standard_normal((n, 8)), 1)
+    return cases
+
+
+CFID_CASES = _cfid_cases()
+
+
+def _write_set(tmp_path, x, y, xhat):
+    paths = []
+    for name, matrix in (("x", x), ("y", y), ("xhat", xhat)):
+        paths.append(str(tmp_path / f"{name}.emb"))
+        write_embeddings(paths[-1], matrix)
+    return paths
+
+
+def _raw_emb(matrix, tag=1, reserved=b"\x00\x00\x00"):
+    """Embedding file bytes written without write_embeddings' checks."""
+    rows, cols = matrix.shape
+    header = b"EMB1" + struct.pack("<IIB", rows, cols, tag) + reserved
+    return header + np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+
+
+class TestStreamedAgreement:
+    """In-memory and streamed results against the sqrtm_psd evaluation.
+
+    Agreement is to 1e-10 relative; the absolute floor of 1e-10 only matters
+    for the cases whose distance is rounding noise around zero.
+    """
+
+    @pytest.mark.parametrize("name", sorted(CFID_CASES))
+    def test_cfid_matches_sqrtm_oracle(self, name, tmp_path, monkeypatch):
+        x, y, xhat, P = CFID_CASES[name]
+        want = _sqrtm_oracle(_plain_stats(x, y, xhat))
+        paths = _write_set(tmp_path, x, y, xhat)
+        got = {
+            "in-memory": cfid_decompose(EmbeddingSet(x, y, xhat, P=P)),
+            "streamed": cfid_decompose_files(*paths, P=P)[:2],
+        }
+        # 7-row blocks: many Chan merges and a partial last block.
+        monkeypatch.setattr(cfid_module, "_BUDGET", 7 * 8 * (2 * x.shape[1] + y.shape[1]))
+        got["7-row blocks"] = cfid_decompose_files(*paths, P=P)[:2]
+        for how, parts in got.items():
+            assert parts == pytest.approx(want, rel=1e-10, abs=1e-10), how
+
+    @pytest.mark.parametrize(
+        "joint",
+        [
+            _stats_1d(0.0, 1.0, 1.0, 1.0),
+            _stats_1d(0.0, 1.0, 0.0, 4.0),
+            _stats_1d(1.0, 2.0, -1.0, 3.0, cov_xy=1.0, cov_xhaty=0.5),
+            *(_linear_model_stats(np.random.default_rng(6 + i), 5, 3)[0] for i in range(3)),
+        ],
+    )
+    def test_from_stats_matches_sqrtm_oracle(self, joint):
+        got = cfid_decompose_from_stats(joint)
+        assert got == pytest.approx(_sqrtm_oracle(joint), rel=1e-10, abs=1e-10)
+
+    @pytest.mark.parametrize("name", ["random-0", "shuffle", "repetition"])
+    def test_fid_matches_sqrtm_oracle(self, name, tmp_path, monkeypatch):
+        x, _, xhat, _ = CFID_CASES[name]
+        want = _sqrtm_fid(x, xhat[: x.shape[0] // 2])
+        paths = _write_set(tmp_path, x, x, xhat[: x.shape[0] // 2])
+        assert fid(x, xhat[: x.shape[0] // 2]) == pytest.approx(want, rel=1e-10)
+        assert fid_files(paths[0], paths[2])[0] == pytest.approx(want, rel=1e-10)
+        monkeypatch.setattr(cfid_module, "_BUDGET", 1)
+        assert fid_files(paths[0], paths[2])[0] == pytest.approx(want, rel=1e-10)
+
+
+class TestBlockBoundaries:
+    @pytest.mark.parametrize("rows_per_block", [1, 7, 99, 100])
+    def test_blocked_stats_match_one_block(self, rows_per_block, monkeypatch):
+        """100 rows: 1-row blocks, a partial last block, one short, exact fit."""
+        rng = np.random.default_rng(14)
+        y = rng.standard_normal((100, 3)) + 5.0
+        x = y @ rng.standard_normal((3, 4)) + rng.standard_normal((100, 4)) - 2.0
+        xhat = 0.5 * x + rng.standard_normal((100, 4))
+        embeddings = EmbeddingSet(x, y, xhat, P=1)
+        whole = compute_stats(embeddings)
+        monkeypatch.setattr(cfid_module, "_BUDGET", rows_per_block * 8 * 11)
+        blocked = compute_stats(embeddings)
+        for field in ("mu_x", "mu_y", "mu_xhat", "s_xx", "s_yy", "s_xhatxhat", "s_xy", "s_xhaty"):
+            np.testing.assert_allclose(
+                getattr(blocked, field), getattr(whole, field), rtol=1e-12, atol=1e-13,
+                err_msg=field,
+            )
+        assert cfid(embeddings) == pytest.approx(cfid_from_stats(whole), rel=1e-10)
+
+    def test_merge_is_deterministic(self, tmp_path, monkeypatch):
+        x, y, xhat, P = CFID_CASES["repetition"]
+        paths = _write_set(tmp_path, x, y, xhat)
+        monkeypatch.setattr(cfid_module, "_BUDGET", 13 * 8 * 11)
+        first = cfid_decompose_files(*paths, P=P)
+        assert cfid_decompose_files(*paths, P=P) == first
+
+
+class TestStreamedValidation:
+    CORRUPTIONS = {
+        "truncated header": lambda raw: raw[:10],
+        "short payload": lambda raw: raw[:-8],
+        "long payload": lambda raw: raw + b"\x00" * 8,
+        "dtype tag": lambda raw: raw[:12] + b"\x07" + raw[13:],
+        "reserved bytes": lambda raw: raw[:14] + b"\x01" + raw[15:],
+        "zero rows": lambda raw: raw[:4] + struct.pack("<I", 0) + raw[8:16],
+    }
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_bad_file_rejected_by_every_reader(self, corruption, tmp_path):
+        rng = np.random.default_rng(15)
+        x, y, xhat = (rng.standard_normal((20, 3)) for _ in range(3))
+        paths = _write_set(tmp_path, x, y, xhat)
+        target = tmp_path / "xhat.emb"
+        target.write_bytes(self.CORRUPTIONS[corruption](target.read_bytes()))
+        with pytest.raises(ValueError):
+            read_embeddings(paths[2])
+        with pytest.raises(ValueError):
+            cfid_decompose_files(*paths)
+        with pytest.raises(ValueError):
+            fid_files(paths[0], paths[2])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_in_a_later_block_rejected(self, bad, tmp_path, monkeypatch):
+        rng = np.random.default_rng(16)
+        x, y, xhat = (rng.standard_normal((50, 2)) for _ in range(3))
+        paths = _write_set(tmp_path, x, y, xhat)
+        xhat[47, 1] = bad
+        (tmp_path / "xhat.emb").write_bytes(_raw_emb(xhat))
+        monkeypatch.setattr(cfid_module, "_BUDGET", 5 * 8 * 6)  # 10 blocks of 5 rows
+        with pytest.raises(ValueError, match="finite"):
+            cfid_decompose_files(*paths)
+        with pytest.raises(ValueError, match="finite"):
+            fid_files(paths[0], paths[2])
+        with pytest.raises(ValueError, match="finite"):
+            read_embeddings(paths[2])
+
+    def test_shape_checks_match_embedding_set(self, tmp_path):
+        rng = np.random.default_rng(17)
+        x, y = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
+        paths = _write_set(tmp_path, x, y, rng.standard_normal((12, 3)))
+        with pytest.raises(ValueError, match="column count"):
+            cfid_decompose_files(*paths)
+        with pytest.raises(ValueError, match="column counts"):
+            fid_files(paths[0], paths[2])
+        paths = _write_set(tmp_path, x, y[:6], x)
+        with pytest.raises(ValueError, match="row counts"):
+            cfid_decompose_files(*paths)
+        paths = _write_set(tmp_path, x, y, x)
+        with pytest.raises(ValueError, match="multiple of P"):
+            cfid_decompose_files(*paths, P=5)
+
+
+class TestDiagnostics:
+    def test_rank_deficient_s_yy_is_reported(self, tmp_path):
+        x, y, xhat, P = CFID_CASES["repetition"]
+        # Two copies of y: S_yy has rank 5 of 10.
+        paths = _write_set(tmp_path, x, np.hstack([y, y]), xhat)
+        mean_part, cov_part, diagnostics = cfid_decompose_files(*paths, P=P)
+        assert diagnostics["rows"] == 240
+        assert diagnostics["rank_deficient"] is False
+        assert diagnostics["s_yy"]["kept"] == 5
+        assert diagnostics["s_yy"]["dropped"] == 5
+        assert 0.0 <= diagnostics["s_yy"]["clamped_mass"] <= 1e-10
+        for report in (diagnostics["a"], diagnostics["cross"]):
+            assert report["min_eigenvalue"] > 0.0
+            assert report["clamped_mass"] == 0.0
+        assert (mean_part, cov_part) == pytest.approx(
+            cfid_decompose(EmbeddingSet(x, y, xhat, P=P)), rel=1e-10
+        )
+
+    def test_few_rows_flag_rank_deficiency_and_clamps(self, tmp_path):
+        rng = np.random.default_rng(18)
+        x, y = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+        paths = _write_set(tmp_path, x, y, x + rng.standard_normal((5, 4)))
+        _, _, diagnostics = cfid_decompose_files(*paths)
+        assert diagnostics["rank_deficient"] is True
+        # 5 rows leave S_xx|y with rank <= 1 of 4: its zero eigenvalues round
+        # either way, and the negative ones are what the clamp removed.
+        assert diagnostics["a"]["min_eigenvalue"] <= 1e-12
+        assert diagnostics["a"]["clamped_mass"] >= 0.0
+        _, diagnostics = fid_files(paths[0], paths[2])
+        assert diagnostics["rank_deficient"] is True
+        assert (diagnostics["rows_x"], diagnostics["rows_xhat"]) == (5, 5)
+
+
+class TestMemory:
+    def test_cli_peak_is_one_block_not_the_file(self, tmp_path, monkeypatch, capsys):
+        """With a 1 MiB block budget, CLI cfid and fid hold O(block + D^2)."""
+        monkeypatch.setattr(cfid_module, "_BUDGET", 2**20)
+        rng = np.random.default_rng(19)
+
+        def peaks(rows):
+            y = rng.standard_normal((rows, 2))
+            x = y @ rng.standard_normal((2, 4)) + rng.standard_normal((rows, 4))
+            paths = _write_set(tmp_path, x, y, x + rng.standard_normal((rows, 4)))
+            del x, y
+            out = {}
+            for command, argv in (
+                ("cfid", ["cfid", "--x", paths[0], "--y", paths[1], "--xhat", paths[2]]),
+                ("fid", ["fid", "--x", paths[0], "--xhat", paths[2]]),
+            ):
+                tracemalloc.start()
+                try:
+                    code = main(argv + ["--out", str(tmp_path / f"{command}.json"), "--force"])
+                    out[command] = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert code == 0, capsys.readouterr().out
+            return out, os.path.getsize(paths[0])
+
+        small, file_size = peaks(200_000)
+        large, _ = peaks(400_000)
+        capsys.readouterr()
+        for command in ("cfid", "fid"):
+            assert small[command] < file_size, command
+            assert large[command] - small[command] < 2**20, command

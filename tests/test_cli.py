@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from postsamp.cfid import write_embeddings
-from postsamp.cli import main
+from postsamp.cli import _read_vector_csv, _vector_csv, main
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +197,71 @@ class TestDc:
         )
         assert code == 0
         assert summary["results"]["max_residual"] <= 1e-10
+
+
+def _loop_vector_csv(values):
+    """The per-value f-string formatting that _vector_csv must reproduce byte for byte."""
+    if np.iscomplexobj(values):
+        return "".join(f"{float(v.real)!r},{float(v.imag)!r}\n" for v in values)
+    return "".join(f"{float(v)!r}\n" for v in values)
+
+
+SPECIAL_VALUES = [
+    -0.0, 1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 5e-324,
+    float("nan"), float("inf"), -float("inf"), 0.1, -2.5, 123456789.0,
+]
+
+
+class TestVectorCsv:
+    def test_real_formatting_matches_loop(self):
+        values = np.array(SPECIAL_VALUES)
+        assert _vector_csv(values) == _loop_vector_csv(values)
+
+    def test_complex_formatting_matches_loop(self):
+        values = np.empty(len(SPECIAL_VALUES), dtype=np.complex128)
+        values.real, values.imag = SPECIAL_VALUES, SPECIAL_VALUES[::-1]
+        assert _vector_csv(values) == _loop_vector_csv(values)
+
+    def test_random_round_trip(self, tmp_path):
+        rng = np.random.default_rng(2)
+        for values in (rng.standard_normal(1000), rng.standard_normal(1000) * 1j + 1e-300):
+            path = tmp_path / "v.csv"
+            path.write_text(_vector_csv(values))
+            assert _vector_csv(values) == _loop_vector_csv(values)
+            np.testing.assert_array_equal(_read_vector_csv(str(path)), values)
+
+    def test_reader_skips_blank_whitespace_and_comment_lines(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("# header\n1.5\n\n   \n\t\n  # indented comment\n-2\n3 # trailing\n  4\n")
+        got = _read_vector_csv(str(path))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [1.5, -2.0, 3.0, 4.0])
+        path.write_text("# re,im\n1,2\n \n-0.0, 4\n\n5e-324,nan\n")
+        got = _read_vector_csv(str(path))
+        assert got.dtype == np.complex128
+        np.testing.assert_array_equal(got.real, [1.0, -0.0, 5e-324])
+        np.testing.assert_array_equal(got.imag, [2.0, 4.0, np.nan])
+        assert math.copysign(1.0, got[1].real) == -1.0
+
+    @pytest.mark.parametrize(
+        "text", ["1\n2,3\n", "1,2\n3\n", "1,2,3\n", "", "\n  \n# only comments\n", "1\nx\n"]
+    )
+    def test_bad_vector_files_exit_1(self, tmp_path, capsys, text):
+        mask = tmp_path / "m.txt"
+        mask.write_text("N=2\n0\n")
+        (tmp_path / "xr.csv").write_text(text)
+        (tmp_path / "y.csv").write_text("1\n")
+        out = tmp_path / "dc.csv"
+        code, summary = run_cli(
+            capsys,
+            "dc", "--mask", str(mask), "--x-raw", str(tmp_path / "xr.csv"),
+            "--y", str(tmp_path / "y.csv"), "--out", str(out),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValueError"
+        assert "xr.csv" in summary["error"]["message"]
+        assert not out.exists()
 
 
 class TestDetect:

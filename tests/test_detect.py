@@ -53,6 +53,16 @@ class TestDetectionProbability:
         with pytest.raises(ValueError):
             detection_probability(bad, batch)
 
+    def test_nan_classifier_rejected(self):
+        """NaN compares False both ways, so a range test must not let it through."""
+        batch = sample_posterior(ToyPosterior.single(0.0, 1.0), 0, 10, STREAM)
+        for values in ([np.nan] * 10, [0.5] * 9 + [np.nan]):
+            bad = Classifier(lambda v, values=values: np.array(values), "nan")
+            with pytest.raises(ValueError, match="NaN"):
+                detection_probability(bad, batch)
+            with pytest.raises(ValueError, match="NaN"):
+                plug_in_gap(bad, batch)
+
 
 class TestPlugInGap:
     def test_threshold_gap_at_unit_mean(self):
