@@ -12,9 +12,7 @@ from .streams import SeededStream
 from .toy import (
     GeneratorParams,
     ToyPosterior,
-    generator_sampler,
     p_sample_average,
-    posterior_sampler,
     sample_generator,
     sample_posterior,
 )
@@ -52,8 +50,6 @@ __all__ = [
     "sample_posterior",
     "sample_generator",
     "p_sample_average",
-    "posterior_sampler",
-    "generator_sampler",
     "RegKind",
     "RegularizerKind",
     "gamma_p",

@@ -15,8 +15,10 @@ analytic "plant", a monotone map from ``beta_sd`` to the generated
 spread; that abstraction is the point of the module, since it exercises
 the controller without any training dynamics.  The observed ratio inside
 the loop is computed from the exact squared-error split
-``sum(sigma0^2) + sum(sigma^2) / P`` (a Monte Carlo mode is available
-for validation-set experiments).
+``sum(sigma0^2) + sum(sigma^2) / P``.  Its Monte Carlo mode scores the
+generator on a fixed validation set: :func:`e_hat_items` runs the blocked
+kernel of the P-sample losses on chunks of 4096 truths (``_CHUNK``), so
+beyond the truths memory is O(block) whatever P and the dimension are.
 
 ``beta_sd`` is deliberately not clamped at zero: if the error signal
 demands a negative weight, the trace shows it.
@@ -24,16 +26,15 @@ demands a negative weight, the trace shows it.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .regularizers import beta_sd_nominal, closed_form_l2p
+from .regularizers import _residual_terms, beta_sd_nominal, closed_form_l2p
 from .streams import SeededStream
-from .toy import GeneratorParams, SampleBatch, Sampler, ToyPosterior, generator_sampler, sample_posterior
+from .toy import GeneratorParams, SampleBatch, ToyPosterior, sample_posterior
 
 __all__ = [
     "AutotuneState",
@@ -85,22 +86,17 @@ class AutotuneState:
 
 @dataclass(frozen=True)
 class ValidationSet:
-    """Held-out truths paired with their measurement contexts."""
+    """Held-out truths of one measurement context."""
 
     x: np.ndarray  # (V, dim)
-    contexts: np.ndarray  # (V,) int
 
     def __post_init__(self) -> None:
         x = np.asarray(self.x, dtype=np.float64)
-        contexts = np.asarray(self.contexts, dtype=np.int64)
         if x.ndim != 2 or x.shape[0] < 1:
             raise ValueError("validation set must be a nonempty (V, dim) matrix")
-        if contexts.shape != (x.shape[0],):
-            raise ValueError("contexts must have one entry per validation item")
         if not np.all(np.isfinite(x)):
             raise ValueError("validation items must be finite")
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "contexts", contexts)
 
     @property
     def size(self) -> int:
@@ -111,38 +107,35 @@ def make_validation_set(
     post: ToyPosterior, V: int, stream: SeededStream, context: int = 0
 ) -> ValidationSet:
     """Draw V truths from one posterior context."""
-    batch = sample_posterior(post, context, V, stream)
-    return ValidationSet(batch.values, np.full(V, context, dtype=np.int64))
+    return ValidationSet(sample_posterior(post, context, V, stream).values)
 
 
 def e_hat_items(
-    generator: Sampler, val: ValidationSet, P: int, stream: SeededStream
+    params: GeneratorParams, val: ValidationSet, P: int, stream: SeededStream
 ) -> np.ndarray:
-    """Per-item squared error of the P-sample average against each truth.
+    """Per-item squared error of the generator's P-sample average against each truth.
 
-    Fresh codes are drawn for every (sample, item) pair.  Items are
-    processed per context in fixed chunks so that results do not depend
-    on worker scheduling.
+    Fresh codes are drawn for every (sample, item) pair; chunk ``i`` draws
+    from ``stream.child("ctx", 0, i)``.  To score the true posterior, pass
+    its own ``(mu0, sigma0)`` as ``params``.
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
+    if params.dim != val.x.shape[1]:
+        raise ValueError(f"dimension mismatch: generator {params.dim}, truths {val.x.shape[1]}")
     out = np.empty(val.size, dtype=np.float64)
-    for context in np.unique(val.contexts):
-        positions = np.flatnonzero(val.contexts == context)
-        for chunk_index, start in enumerate(range(0, positions.size, _CHUNK)):
-            pos = positions[start : start + _CHUNK]
-            sub = stream.child("ctx", int(context), chunk_index)
-            draws = generator(int(context), pos.size * P, sub)
-            averaged = draws.reshape(pos.size, P, -1).mean(axis=1)
-            out[pos] = ((averaged - val.x[pos]) ** 2).sum(axis=1)
+    for chunk_index, start in enumerate(range(0, val.size, _CHUNK)):
+        x = val.x[start : start + _CHUNK]
+        g = stream.child("ctx", 0, chunk_index).generator()
+        out[start : start + x.shape[0]] = _residual_terms(g, params, x, P, np.square)
     return out
 
 
 def e_hat(
-    generator: Sampler, val: ValidationSet, P: int, stream: SeededStream
+    params: GeneratorParams, val: ValidationSet, P: int, stream: SeededStream
 ) -> float:
     """Mean squared error of the P-sample average over a validation set."""
-    return float(e_hat_items(generator, val, P, stream).mean())
+    return float(e_hat_items(params, val, P, stream).mean())
 
 
 def ratio_with_se(numer_items: np.ndarray, denom_items: np.ndarray) -> tuple[float, float]:
@@ -214,15 +207,6 @@ class AutotuneTrace:
     def final_beta(self) -> float:
         return self.rows[-1].beta_sd
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("epoch,beta_sd,ratio_db,target_db\n")
-        for row in self.rows:
-            out.write(
-                f"{row.epoch},{row.beta_sd!r},{row.ratio_db!r},{row.target_db!r}\n"
-            )
-        return out.getvalue()
-
 
 def simulate_autotune(
     plant: Callable[[float], float],
@@ -282,9 +266,8 @@ def simulate_autotune(
         params = GeneratorParams(mu0, np.full(post.dim, sigma))
         if use_mc:
             codes = stream.child("codes", epoch)
-            sampler = generator_sampler(params)
-            e1 = e_hat(sampler, val, 1, codes.child("one"))
-            ep = e_hat(sampler, val, p_val, codes.child("avg"))
+            e1 = e_hat(params, val, 1, codes.child("one"))
+            ep = e_hat(params, val, p_val, codes.child("avg"))
         else:
             e1 = closed_form_l2p(params, post, context, 1)
             ep = closed_form_l2p(params, post, context, p_val)

@@ -2,7 +2,9 @@
 
 Figures are data here: grids, curves, and traces land in CSV, scalar
 results in JSON, and identical argv (seed included) produces
-byte-identical files.  Timing lives only in the stdout run summary so it
+byte-identical files.  Every CSV artifact (grids, traces, the gain curve,
+``dc`` vectors) goes through one writer, :func:`_csv`, one ``repr`` per
+value.  Timing lives only in the stdout run summary so it
 cannot break artifact reproducibility.  Existing outputs are never
 overwritten without --force.
 
@@ -13,11 +15,11 @@ error object on stdout), 2 usage error.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 import time
 from dataclasses import asdict
+from itertools import chain
 
 import numpy as np
 
@@ -112,20 +114,48 @@ def _read_vector_csv(path: str) -> np.ndarray:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     if arr.shape[1] == 2:
-        # A view keeps each part as parsed: re + 1j*im would turn -0.0 into
-        # 0.0 and spread a NaN imaginary part into the real part.
-        return np.ascontiguousarray(arr).view(np.complex128)[:, 0]
+        return complex_from_interleaved(arr.ravel())
     if arr.shape[1] != 1:
         raise ValueError(f"{path}: expected 1 or 2 columns per line")
     return arr[:, 0]
 
 
+def _csv(chunks, columns: int, header: str = "") -> str:
+    """``header``, then each chunk's values row-major, ``columns`` per line.
+
+    Every value is written as its ``repr``, one ``%`` format per chunk;
+    chunks hold Python scalars (``tolist``) and whole lines, and only one
+    chunk is held as Python objects at a time.  The header goes into the
+    one join, so the text is not copied again.
+    """
+    line = ",".join(["%r"] * columns) + "\n"
+    body = ((line * (len(c) // columns)) % tuple(c) for c in chunks)
+    return "".join(chain((header,), body))
+
+
 def _vector_csv(values: np.ndarray) -> str:
-    """One repr per line, or 're,im' reprs per line for complex values."""
+    """One value per line, or 're,im' per line for complex values."""
     if np.iscomplexobj(values):
-        parts = np.column_stack((values.real, values.imag)).ravel().tolist()
-        return ("%r,%r\n" * len(values)) % tuple(parts)
-    return ("%r\n" * len(values)) % tuple(np.asarray(values, dtype=np.float64).tolist())
+        return _csv([np.column_stack((values.real, values.imag)).ravel().tolist()], 2)
+    return _csv([np.asarray(values, dtype=np.float64).tolist()], 1)
+
+
+def _contour_csv(grid) -> str:
+    """The documented two header lines, then one row per sigma value."""
+    kind = grid.kind
+    beta = kind.beta_sd if kind.beta_sd is not None else 0.0
+    header = "# kind=%s mu0=%r sigma0=%r P=%s beta_sd=%r\n" % (
+        kind.kind.value, grid.truth[0], grid.truth[1], kind.P, beta,
+    )
+    columns = grid.mu_axis.size
+    header += "sigma\\mu," + _csv([grid.mu_axis.tolist()], columns)
+    rows = ((s, *row.tolist()) for s, row in zip(grid.sigma_axis.tolist(), grid.values))
+    return _csv(rows, columns + 1, header)
+
+
+def _trace_csv(trace) -> str:
+    values = [v for r in trace.rows for v in (r.epoch, r.beta_sd, r.ratio_db, r.target_db)]
+    return _csv([values], 4, "epoch,beta_sd,ratio_db,target_db\n")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +177,7 @@ def _cmd_contours(args) -> tuple[int, dict, list]:
         (args.sigma_min, args.sigma_max),
         args.resolution,
     )
-    path = _write_artifact(args.out, grid.to_csv(), args.force)
+    path = _write_artifact(args.out, _contour_csv(grid), args.force)
     mu_star, sigma_star = grid.argmin_point()
     results = {
         "argmin_mu": mu_star,
@@ -213,7 +243,7 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, list]:
         tol_db=args.tol_db,
         use_mc=args.mc,
     )
-    path = _write_artifact(args.out, trace.to_csv(), args.force)
+    path = _write_artifact(args.out, _trace_csv(trace), args.force)
     results = {
         "converged": trace.converged,
         "epochs": len(trace.rows),
@@ -226,11 +256,8 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, list]:
 
 def _cmd_psnr_curve(args) -> tuple[int, dict, list]:
     curve = psnr_gain_curve(args.pmax)
-    out = io.StringIO()
-    out.write("P,gain_db\n")
-    for P, gain in curve:
-        out.write(f"{P},{gain!r}\n")
-    path = _write_artifact(args.out, out.getvalue(), args.force)
+    values = [v for point in curve for v in point]
+    path = _write_artifact(args.out, _csv([values], 2, "P,gain_db\n"), args.force)
     return 0, {"pmax": args.pmax, "final_gain_db": curve[-1][1]}, [path]
 
 
@@ -265,8 +292,8 @@ def _cmd_dc(args) -> tuple[int, dict, list]:
     x_raw = _read_vector_csv(args.x_raw)
     y = _read_vector_csv(args.y)
     if args.interleaved:
-        x_raw = complex_from_interleaved(np.asarray(x_raw, dtype=np.float64))
-        y = complex_from_interleaved(np.asarray(y, dtype=np.float64))
+        x_raw = complex_from_interleaved(x_raw)
+        y = complex_from_interleaved(y)
     result = data_consistency(operator, x_raw, y)
     residual = float(np.max(np.abs(operator.apply(result) - y)))
     path = _write_artifact(args.out, _vector_csv(result), args.force)

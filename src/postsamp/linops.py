@@ -207,10 +207,17 @@ def data_consistency(operator, x_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def complex_from_interleaved(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.float64)
+    """Complex vector from alternating real/imaginary parts, each kept as given.
+
+    A view of a copy, since ``re + 1j*im`` turns a ``-0.0`` real part into ``0.0``
+    and spreads a NaN imaginary part into the real part.
+    """
+    if np.iscomplexobj(values):
+        raise ValueError("interleaved vector must be real, one part per value")
+    values = np.array(values, dtype=np.float64)
     if values.ndim != 1 or values.size % 2 != 0:
         raise ValueError("interleaved vector must be 1-D with even length")
-    return values[0::2] + 1j * values[1::2]
+    return values.view(np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ say ``converged=False`` there.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,20 +253,6 @@ class ContourGrid:
         dmu = float(self.mu_axis[1] - self.mu_axis[0])
         dsigma = float(self.sigma_axis[1] - self.sigma_axis[0])
         return abs(mu - amu) <= dmu and abs(sigma - asigma) <= dsigma
-
-    def to_csv(self) -> str:
-        """Serialize row-major with the documented two-line header."""
-        beta = self.kind.beta_sd if self.kind.beta_sd is not None else 0.0
-        out = io.StringIO()
-        out.write(
-            f"# kind={self.kind.kind.value} mu0={self.truth[0]!r} "
-            f"sigma0={self.truth[1]!r} P={self.kind.P} beta_sd={beta!r}\n"
-        )
-        out.write("sigma\\mu," + ",".join(repr(float(m)) for m in self.mu_axis) + "\n")
-        for i, s in enumerate(self.sigma_axis):
-            row = ",".join(repr(float(v)) for v in self.values[i])
-            out.write(f"{float(s)!r},{row}\n")
-        return out.getvalue()
 
 
 def contour_grid(

@@ -43,7 +43,9 @@ chunk the true draws ``x`` (count x dim) are drawn first; the generated
 draws are then drawn into one reused block of about 1 MiB (``_BLOCK``
 float64 values, a whole number of replicates, at least one) and each
 block is reduced to its replicates' terms before the next is drawn.
-Per worker, memory is O(chunk * dim + block), independent of P.
+Per worker, memory is O(chunk * dim + block), independent of P.  One
+kernel, ``_residual_terms``, gives every P-sample error: the L1/L2 terms
+here and :func:`postsamp.autotune.e_hat_items` on fixed validation truths.
 """
 
 from __future__ import annotations
@@ -191,8 +193,6 @@ def _chunked_terms(
     (:func:`_xhat_blocks`), so each worker holds O(chunk * dim + block)
     values whatever P is.
     """
-    if n_outer < 2:
-        raise ValueError(f"n_outer must be >= 2, got {n_outer}")
     n_chunks = -(-n_outer // _CHUNK)
     sizes = [min(_CHUNK, n_outer - i * _CHUNK) for i in range(n_chunks)]
 
@@ -217,11 +217,13 @@ def _estimate(terms: np.ndarray, P: int) -> LossEstimate:
     )
 
 
-def _check_mc_args(P: int, n_outer: int) -> None:
+def _check_mc_args(P: int, n_outer: int, threads: int) -> None:
     if P < 2:
         raise ValueError(f"P must be >= 2, got {P}")
     if n_outer < 2:
         raise ValueError(f"n_outer must be >= 2, got {n_outer}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
 
 
 def _context_params(
@@ -254,6 +256,23 @@ def _xhat_blocks(
         yield start, affine_normals(g, params.mu, params.sigma, xhat)
 
 
+def _residual_terms(
+    g: np.random.Generator, params: GeneratorParams, x: np.ndarray, P: int, elementwise: np.ufunc
+) -> np.ndarray:
+    """Per row of the truths ``x``, ``elementwise(x - xhat_bar)`` summed over dimensions.
+
+    ``xhat_bar`` averages P generator draws per row, drawn from ``g`` and
+    reduced block by block (:func:`_xhat_blocks`), so memory is O(block).
+    """
+    terms = np.empty(x.shape[0])
+    for start, xhat in _xhat_blocks(g, params, x.shape[0], P):
+        rows = slice(start, start + xhat.shape[0])
+        residual = xhat.mean(axis=1)
+        np.subtract(x[rows], residual, out=residual)
+        terms[rows] = elementwise(residual, out=residual).sum(axis=1)
+    return terms
+
+
 def _residual_sums(
     params: GeneratorParams,
     post: ToyPosterior,
@@ -265,19 +284,13 @@ def _residual_sums(
     elementwise: np.ufunc,
 ) -> np.ndarray:
     """Per replicate, ``elementwise(x - xhat_bar)`` summed over dimensions."""
-    _check_mc_args(P, n_outer)
+    _check_mc_args(P, n_outer, threads)
     mu0, sigma0 = _context_params(params, post, context)
 
     def term(count: int, sub: SeededStream) -> np.ndarray:
         g = sub.generator()
         x = affine_normals(g, mu0, sigma0, np.empty((count, post.dim)))
-        terms = np.empty(count)
-        for start, xhat in _xhat_blocks(g, params, count, P):
-            rows = slice(start, start + xhat.shape[0])
-            residual = xhat.mean(axis=1)
-            np.subtract(x[rows], residual, out=residual)
-            terms[rows] = elementwise(residual, out=residual).sum(axis=1)
-        return terms
+        return _residual_terms(g, params, x, P, elementwise)
 
     return _chunked_terms(n_outer, stream, term, threads)
 
@@ -291,7 +304,7 @@ def _spread_sums(
     elementwise: np.ufunc,
 ) -> np.ndarray:
     """Per replicate, ``elementwise(xhat_i - xhat_bar)`` summed over i and dimensions."""
-    _check_mc_args(P, n_outer)
+    _check_mc_args(P, n_outer, threads)
 
     def term(count: int, sub: SeededStream) -> np.ndarray:
         terms = np.empty(count)

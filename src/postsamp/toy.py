@@ -10,12 +10,17 @@ in :mod:`postsamp.regularizers` available in closed form.
 
 ``sigma = 0`` is legal everywhere and encodes a collapsed generator that
 ignores its code vector.
+
+Both samplers are the same affine draw, :func:`affine_normals`, with
+different parameters.  Code that scores a sampler therefore takes a
+:class:`GeneratorParams`; the true posterior of a context is scored as
+``GeneratorParams(*post.context_params(context))``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +33,6 @@ __all__ = [
     "sample_posterior",
     "sample_generator",
     "p_sample_average",
-    "posterior_sampler",
-    "generator_sampler",
 ]
 
 
@@ -197,27 +200,3 @@ def p_sample_average(batch: SampleBatch, P: int) -> np.ndarray:
         raise ValueError(f"P={P} exceeds batch size {batch.n}")
     return batch.values[:P].mean(axis=0)
 
-
-# Samplers share the signature (context, n, stream) -> (n, dim) array so the
-# validation machinery in `autotune` can treat the true posterior and any
-# generator interchangeably.
-Sampler = Callable[[int, int, SeededStream], np.ndarray]
-
-
-def posterior_sampler(post: ToyPosterior) -> Sampler:
-    """Adapter: the true posterior viewed as a conditional sampler."""
-
-    def draw(context: int, n: int, stream: SeededStream) -> np.ndarray:
-        return sample_posterior(post, context, n, stream).values
-
-    return draw
-
-
-def generator_sampler(params: GeneratorParams) -> Sampler:
-    """Adapter: a fixed-parameter generator viewed as a conditional sampler."""
-
-    def draw(context: int, n: int, stream: SeededStream) -> np.ndarray:
-        del context  # the affine toy generator is context-blind
-        return sample_generator(params, n, stream).values
-
-    return draw

@@ -21,7 +21,7 @@ from .autotune import e_hat_items, make_validation_set, ratio_with_se
 from .proplab import minimize_regularizer
 from .regularizers import RegularizerKind
 from .streams import SeededStream
-from .toy import GeneratorParams, ToyPosterior, posterior_sampler
+from .toy import GeneratorParams, ToyPosterior
 
 __all__ = [
     "VerificationReport",
@@ -144,13 +144,14 @@ def check_average_error_ratio(
     start = time.perf_counter()
     stream = SeededStream(seed, ("ratio",))
     post = ToyPosterior.single(0.0, 1.0)
-    sampler = posterior_sampler(post)
+    # The true posterior, scored as a generator with its own parameters.
+    truth = GeneratorParams(*post.context_params(0))
     val = make_validation_set(post, validation_size, stream.child("val"))
     runs = []
     passed = True
     for P in p_values:
-        single = e_hat_items(sampler, val, 1, stream.child("single", P))
-        averaged = e_hat_items(sampler, val, P, stream.child("averaged", P))
+        single = e_hat_items(truth, val, 1, stream.child("single", P))
+        averaged = e_hat_items(truth, val, P, stream.child("averaged", P))
         ratio, se = ratio_with_se(single, averaged)
         target = 2.0 * P / (P + 1)
         ok = abs(ratio - target) <= _N_SE * se

@@ -1,6 +1,7 @@
 """Feedback-law, averaging-ratio, and spread-statistic checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from postsamp import (
     SeededStream,
     ToyPosterior,
     beta_sd_nominal,
-    generator_sampler,
-    posterior_sampler,
     sample_generator,
 )
 from postsamp.autotune import (
@@ -29,9 +28,11 @@ from postsamp.autotune import (
     target_ratio_db,
     update_beta,
 )
+from postsamp.cli import _trace_csv
 
 STREAM = SeededStream(77, ("autotune-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
+STD_TRUTH = GeneratorParams(0.0, 1.0)  # STD_POST scored as a generator
 NOMINAL2 = beta_sd_nominal(2)
 
 
@@ -92,38 +93,87 @@ class TestUpdateBeta:
             update_beta(state, 1.0, -2.0)
 
 
+# float.hex of (mean, last item) of e_hat_items over 10,000 items, computed
+# when each chunk's draws were one whole (4096 * P, dim) array.
+E_HAT_PINNED = {
+    (1, 1): ("0x1.96eb1768541a8p-2", "0x1.06490adbeef80p-3"),
+    (1, 2): ("0x1.778f77c2ef6b1p-2", "0x1.935c8e8cc1c74p-8"),
+    (1, 8): ("0x1.46b4bdaddb004p-2", "0x1.6c391ea514039p-3"),
+    (1, 32): ("0x1.4813aae0439d3p-2", "0x1.768a7d4d3ed4fp-3"),
+    (3, 1): ("0x1.ecf3a71b3f5bcp+2", "0x1.a7ea60987030fp+0"),
+    (3, 2): ("0x1.6ce61dcde0e59p+2", "0x1.f26cbf2a76aa9p+2"),
+    (3, 8): ("0x1.0d2f01ac24c1ap+2", "0x1.30a170a74251bp+0"),
+    (3, 32): ("0x1.ea2e2fb602bf3p+1", "0x1.b01b52dc5cd37p+0"),
+    (64, 1): ("0x1.5d44f0bc609bap+7", "0x1.1b642c9c7d7a4p+7"),
+    (64, 2): ("0x1.eee7732359670p+6", "0x1.1d9e6ffb30660p+7"),
+    (64, 8): ("0x1.58a5e7f1f4e6ap+6", "0x1.528c292cc49d8p+6"),
+    (64, 32): ("0x1.331b5517d0d25p+6", "0x1.bef183317bb6ap+6"),
+}
+
+
 class TestEHat:
     def test_true_posterior_single_sample_doubles_floor(self):
         """E_1 = 2 * E_mmse when the generator is the true posterior."""
         val = make_validation_set(STD_POST, 50_000, STREAM.child("val-e1"))
-        items = e_hat_items(posterior_sampler(STD_POST), val, 1, STREAM.child("e1"))
+        items = e_hat_items(STD_TRUTH, val, 1, STREAM.child("e1"))
         se = items.std(ddof=1) / math.sqrt(items.size)
         assert abs(items.mean() - 2.0) <= 4 * se
 
     def test_collapsed_generator_measures_floor(self):
         post = ToyPosterior.single(1.5, 2.0)
         val = make_validation_set(post, 50_000, STREAM.child("val-floor"))
-        sampler = generator_sampler(GeneratorParams(1.5, 0.0))
-        items = e_hat_items(sampler, val, 8, STREAM.child("floor"))
+        items = e_hat_items(GeneratorParams(1.5, 0.0), val, 8, STREAM.child("floor"))
         se = items.std(ddof=1) / math.sqrt(items.size)
         assert abs(items.mean() - 4.0) <= 4 * se  # floor = sigma0^2
 
     def test_perfect_recovery_is_zero(self):
         post = ToyPosterior.single(3.0, 1e-12)
         val = make_validation_set(post, 100, STREAM.child("val-zero"))
-        value = e_hat(generator_sampler(GeneratorParams(3.0, 0.0)), val, 2, STREAM)
+        value = e_hat(GeneratorParams(3.0, 0.0), val, 2, STREAM)
         assert value <= 1e-20
 
     def test_deterministic(self):
         val = make_validation_set(STD_POST, 1000, STREAM.child("val-det"))
-        sampler = posterior_sampler(STD_POST)
-        a = e_hat(sampler, val, 4, STREAM.child("det"))
-        b = e_hat(sampler, val, 4, STREAM.child("det"))
+        a = e_hat(STD_TRUTH, val, 4, STREAM.child("det"))
+        b = e_hat(STD_TRUTH, val, 4, STREAM.child("det"))
         assert a == b
 
     def test_empty_validation_set_rejected(self):
         with pytest.raises(ValueError):
             make_validation_set(STD_POST, 0, STREAM)
+
+    def test_dimension_mismatch_rejected(self):
+        val = make_validation_set(STD_POST, 10, STREAM.child("val-dim"))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            e_hat_items(GeneratorParams([0.0, 0.0], [1.0, 1.0]), val, 2, STREAM)
+
+    @pytest.mark.parametrize("dim, P", sorted(E_HAT_PINNED))
+    def test_bit_exact_against_whole_chunk_draws(self, dim, P):
+        """10,000 items are three chunks of the validation set."""
+        mu0 = np.linspace(-1.0, 2.0, dim)
+        post = ToyPosterior.single(mu0, np.linspace(0.5, 1.5, dim))
+        sigma = np.linspace(0.3, 2.0, dim)
+        if dim == 3:
+            sigma[1] = 0.0
+        stream = SeededStream(2024, ("pins", dim, P))
+        val = make_validation_set(post, 10_000, stream.child("val"))
+        items = e_hat_items(GeneratorParams(mu0 + 0.25, sigma), val, P, stream.child("e"))
+        assert (items.mean().hex(), items[-1].hex()) == E_HAT_PINNED[dim, P]
+
+    def test_memory_bounded_independent_of_p(self):
+        """dim 64, P 32: one chunk of whole draws would be 64 MiB."""
+        dim = 64
+        post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
+        val = make_validation_set(post, 4096, STREAM.child("val-memory"))
+        params = GeneratorParams(np.zeros(dim), np.ones(dim))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            e_hat_items(params, val, 32, STREAM.child("memory"))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20, peak
 
 
 class TestAveragingRatio:
@@ -132,9 +182,8 @@ class TestAveragingRatio:
         """E_1 / E_P = 2P / (P+1) within 4 combined standard errors."""
         stream = SeededStream(1234, ("ratio-law", P))
         val = make_validation_set(STD_POST, 100_000, stream.child("val"))
-        sampler = posterior_sampler(STD_POST)
-        single = e_hat_items(sampler, val, 1, stream.child("single"))
-        averaged = e_hat_items(sampler, val, P, stream.child("avg"))
+        single = e_hat_items(STD_TRUTH, val, 1, stream.child("single"))
+        averaged = e_hat_items(STD_TRUTH, val, P, stream.child("avg"))
         ratio, se = ratio_with_se(single, averaged)
         assert abs(ratio - 2 * P / (P + 1)) <= 4 * se
 
@@ -198,7 +247,7 @@ class TestSimulation:
             lambda beta: max(beta, 0.0) / NOMINAL2,
             STD_POST, 0, 8, 50, 10, 0.2, SeededStream(0), beta0=2 * NOMINAL2,
         )
-        lines = trace.to_csv().splitlines()
+        lines = _trace_csv(trace).splitlines()
         assert lines[0] == "epoch,beta_sd,ratio_db,target_db"
         assert len(lines) == 1 + len(trace.rows)
         first = lines[1].split(",")

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from postsamp import RegularizerKind, SeededStream, ToyPosterior
+from postsamp.autotune import psnr_gain_curve, simulate_autotune
 from postsamp.cfid import write_embeddings
-from postsamp.cli import _read_vector_csv, _vector_csv, main
+from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
+from postsamp.proplab import contour_grid
 
 
 def run_cli(capsys, *argv):
@@ -198,6 +201,48 @@ class TestDc:
         assert code == 0
         assert summary["results"]["max_residual"] <= 1e-10
 
+    def test_interleaved_matches_two_column(self, tmp_path, capsys):
+        """The same complex vectors, interleaved and as 're,im' lines, give the same bytes.
+
+        Entry 1 is unmeasured, so its NaN imaginary part reaches the artifact.
+        """
+        mask = tmp_path / "m.txt"
+        mask.write_text("N=3\n0\n2\n")
+        x_raw = [(-0.0, 1.5), (2.0, float("nan")), (0.25, -0.0)]
+        y = [(-0.0, -0.0), (-3.0, 0.5)]
+        for name, parts in (("xr", x_raw), ("y", y)):
+            (tmp_path / f"{name}2.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in parts))
+            (tmp_path / f"{name}i.csv").write_text("".join(f"{v!r}\n" for p in parts for v in p))
+        artifacts = []
+        for layout, extra in (("2", []), ("i", ["--interleaved"])):
+            out = tmp_path / f"dc{layout}.csv"
+            code, _ = run_cli(
+                capsys,
+                "dc", "--mask", str(mask), "--x-raw", str(tmp_path / f"xr{layout}.csv"),
+                "--y", str(tmp_path / f"y{layout}.csv"), "--out", str(out), *extra,
+            )
+            assert code == 0
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1]
+        assert artifacts[0].decode().splitlines()[1] == "2.0,nan"
+
+    def test_interleaved_rejects_two_column_file(self, tmp_path, capsys):
+        """Casting 're,im' lines to real would drop every imaginary part."""
+        mask = tmp_path / "m.txt"
+        mask.write_text("N=1\n0\n")
+        (tmp_path / "xr.csv").write_text("1,2\n3,4\n")
+        (tmp_path / "y.csv").write_text("5,6\n7,8\n")
+        out = tmp_path / "dc.csv"
+        code, summary = run_cli(
+            capsys,
+            "dc", "--mask", str(mask), "--x-raw", str(tmp_path / "xr.csv"),
+            "--y", str(tmp_path / "y.csv"), "--interleaved", "--out", str(out),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert "real" in summary["error"]["message"]
+        assert not out.exists()
+
 
 def _loop_vector_csv(values):
     """The per-value f-string formatting that _vector_csv must reproduce byte for byte."""
@@ -264,6 +309,47 @@ class TestVectorCsv:
         assert not out.exists()
 
 
+def _loop_contour_csv(grid):
+    """The per-value loop that _contour_csv must reproduce byte for byte."""
+    beta = grid.kind.beta_sd if grid.kind.beta_sd is not None else 0.0
+    lines = [
+        f"# kind={grid.kind.kind.value} mu0={grid.truth[0]!r} "
+        f"sigma0={grid.truth[1]!r} P={grid.kind.P} beta_sd={beta!r}",
+        "sigma\\mu," + ",".join(repr(float(m)) for m in grid.mu_axis),
+    ]
+    for i, s in enumerate(grid.sigma_axis):
+        lines.append(f"{float(s)!r}," + ",".join(repr(float(v)) for v in grid.values[i]))
+    return "".join(line + "\n" for line in lines)
+
+
+class TestCsvWriters:
+    @pytest.mark.parametrize(
+        "kind", [RegularizerKind.l1_sd(2), RegularizerKind.l2(8), RegularizerKind.l2_var(3)]
+    )
+    def test_contour_csv_matches_loop(self, kind):
+        post = ToyPosterior.single(0.3, 1.1)
+        grid = contour_grid(kind, post, 0, (-2.5, 3.0), (0.0, 2.75), 37)
+        assert _contour_csv(grid) == _loop_contour_csv(grid)
+
+    @pytest.mark.parametrize("use_mc", [False, True])
+    def test_trace_csv_matches_loop(self, use_mc):
+        trace = simulate_autotune(
+            lambda beta: max(beta, 0.0) * 3.0, ToyPosterior.single(0.0, 1.0), 0, 8, 12, 500,
+            0.3, SeededStream(4), beta0=0.9, use_mc=use_mc,
+        )
+        expected = "epoch,beta_sd,ratio_db,target_db\n" + "".join(
+            f"{r.epoch},{r.beta_sd!r},{r.ratio_db!r},{r.target_db!r}\n" for r in trace.rows
+        )
+        assert _trace_csv(trace) == expected
+
+    def test_psnr_csv_matches_loop(self, tmp_path, capsys):
+        out = tmp_path / "c.csv"
+        code, _ = run_cli(capsys, "psnr-curve", "--pmax", "300", "--out", str(out))
+        assert code == 0
+        expected = "P,gain_db\n" + "".join(f"{P},{g!r}\n" for P, g in psnr_gain_curve(300))
+        assert out.read_text() == expected
+
+
 class TestDetect:
     def test_threshold_probability(self, tmp_path, capsys):
         out = tmp_path / "d.json"
@@ -316,6 +402,21 @@ class TestLosses:
         _, one = run_cli(capsys, *args, "--threads", "1", "--out", str(tmp_path / "a.json"))
         _, four = run_cli(capsys, *args, "--threads", "4", "--out", str(tmp_path / "b.json"))
         assert one["results"] == four["results"]
+
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_nonpositive_threads_rejected(self, tmp_path, capsys, threads):
+        out = tmp_path / "l.json"
+        code, summary = run_cli(
+            capsys,
+            "losses", "--mu", "0", "--sigma", "1", "--mu0", "0", "--sigma0", "1",
+            "--p", "2", "--n-outer", "100", f"--threads={threads}", "--seed", "9",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValueError"
+        assert "threads" in summary["error"]["message"]
+        assert not out.exists()
 
 
 class TestReproducibilityAndErrors:

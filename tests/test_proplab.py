@@ -15,6 +15,7 @@ from postsamp import (
     beta_sd_nominal,
     closed_form_j_grad,
 )
+from postsamp.cli import _contour_csv
 from postsamp.proplab import (
     OptimizerSettings,
     contour_grid,
@@ -257,7 +258,7 @@ class TestContourGrid:
 
     def test_csv_format(self):
         grid = contour_grid(RegularizerKind.l1_sd(2), STD_POST, 0, (-3, 3), (0, 3), 16)
-        lines = grid.to_csv().splitlines()
+        lines = _contour_csv(grid).splitlines()
         assert lines[0].startswith("# kind=l1sd mu0=0.0 sigma0=1.0 P=2 beta_sd=")
         assert lines[1].startswith("sigma\\mu,-3.0,")
         assert len(lines) == 2 + 16

@@ -398,6 +398,12 @@ class TestEstimatorContracts:
         with pytest.raises(ValueError):
             mc_lsdp(STD_PARAMS, 2, 1, STREAM)
 
+    def test_thread_count_floor(self):
+        with pytest.raises(ValueError, match="threads"):
+            mc_l1p(STD_PARAMS, STD_POST, 0, 2, 100, STREAM, threads=0)
+        with pytest.raises(ValueError, match="threads"):
+            mc_lvarp(STD_PARAMS, 2, 100, STREAM, threads=-1)
+
     def test_invalid_context(self):
         with pytest.raises(IndexError):
             mc_l2p(STD_PARAMS, STD_POST, 2, 2, 100, STREAM)
