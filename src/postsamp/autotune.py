@@ -16,9 +16,10 @@ spread; that abstraction is the point of the module, since it exercises
 the controller without any training dynamics.  The observed ratio inside
 the loop is computed from the exact squared-error split
 ``sum(sigma0^2) + sum(sigma^2) / P``.  Its Monte Carlo mode scores the
-generator on a fixed validation set: :func:`e_hat_items` runs the blocked
-kernel of the P-sample losses on chunks of 4096 truths (``_CHUNK``), so
-beyond the truths memory is O(block) whatever P and the dimension are.
+generator on a fixed validation set: :func:`e_hat_items` runs the Monte
+Carlo engine of :mod:`postsamp.regularizers` over the given truths, unit
+by unit, so beyond the truths and the per-item output memory is
+O(unit + block) whatever P and the dimension are.
 
 ``beta_sd`` is deliberately not clamped at zero: if the error signal
 demands a negative weight, the trace shows it.
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .regularizers import _residual_terms, beta_sd_nominal, closed_form_l2p
+from .regularizers import _residual_items, beta_sd_nominal, closed_form_l2p
 from .streams import SeededStream
 from .toy import GeneratorParams, SampleBatch, ToyPosterior, sample_posterior
 
@@ -53,10 +54,6 @@ __all__ = [
     "psnr_gain_curve",
     "apsd",
 ]
-
-# Validation items per substream chunk (same worker-count-invariance idea as
-# the Monte Carlo losses).
-_CHUNK = 1 << 12
 
 
 class NonMonotonePlantError(ValueError):
@@ -115,20 +112,15 @@ def e_hat_items(
 ) -> np.ndarray:
     """Per-item squared error of the generator's P-sample average against each truth.
 
-    Fresh codes are drawn for every (sample, item) pair; chunk ``i`` draws
-    from ``stream.child("ctx", 0, i)``.  To score the true posterior, pass
-    its own ``(mu0, sigma0)`` as ``params``.
+    Fresh codes are drawn for every (sample, item) pair; the items of draw
+    unit ``u`` take theirs from ``stream.child("codes", u)``.  To score the
+    true posterior, pass its own ``(mu0, sigma0)`` as ``params``.
     """
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
     if params.dim != val.x.shape[1]:
         raise ValueError(f"dimension mismatch: generator {params.dim}, truths {val.x.shape[1]}")
-    out = np.empty(val.size, dtype=np.float64)
-    for chunk_index, start in enumerate(range(0, val.size, _CHUNK)):
-        x = val.x[start : start + _CHUNK]
-        g = stream.child("ctx", 0, chunk_index).generator()
-        out[start : start + x.shape[0]] = _residual_terms(g, params, x, P, np.square)
-    return out
+    return _residual_items(params, val.x, P, stream)
 
 
 def e_hat(

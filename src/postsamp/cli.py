@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .autotune import psnr_gain_curve, simulate_autotune
 from .cfid import cfid_decompose_files, fid_files
-from .detect import logistic_classifier, plug_in_gap, threshold_classifier
+from .detect import logistic_classifier, streamed_plug_in_gap, threshold_classifier
 from .linops import (
     complex_from_interleaved,
     data_consistency,
@@ -40,13 +40,10 @@ from .regularizers import (
     closed_form_j,
     closed_form_l2p,
     closed_form_l2varp,
-    mc_l1p,
-    mc_l2p,
-    mc_lsdp,
-    mc_lvarp,
+    mc_losses,
 )
 from .streams import SeededStream
-from .toy import GeneratorParams, ToyPosterior, sample_posterior
+from .toy import GeneratorParams, ToyPosterior
 from .verify import (
     check_average_error_ratio,
     check_mode_collapse,
@@ -302,14 +299,17 @@ def _cmd_dc(args) -> tuple[int, dict, list]:
 
 def _cmd_detect(args) -> tuple[int, dict, list]:
     post = ToyPosterior.single(_parse_vector(args.mu0), _parse_vector(args.sigma0))
+    if args.coordinate >= post.dim:
+        raise ValueError(
+            f"coordinate {args.coordinate} is out of range for dimension {post.dim}"
+        )
     if args.classifier == "threshold":
         classifier = threshold_classifier(args.coordinate, args.tau)
     else:
         classifier = logistic_classifier(args.coordinate, args.tau, args.scale)
     stream = SeededStream(args.seed, ("detect",))
-    samples = sample_posterior(post, 0, args.p, stream)
-    # plug_in_gap's first value is the detection probability itself.
-    probability, c_of_avg = plug_in_gap(classifier, samples)
+    # The first value is the detection probability itself.
+    probability, c_of_avg = streamed_plug_in_gap(classifier, post, 0, args.p, stream)
     results = {
         "classifier": classifier.descriptor,
         "samples": args.p,
@@ -326,12 +326,7 @@ def _cmd_losses(args) -> tuple[int, dict, list]:
     post = ToyPosterior.single(_parse_vector(args.mu0), _parse_vector(args.sigma0))
     beta = _resolve_beta(args.beta, args.p)
     stream = SeededStream(args.seed, ("losses",))
-    estimates = {
-        "l1p": mc_l1p(params, post, 0, args.p, args.n_outer, stream.child("l1p"), args.threads),
-        "lsdp": mc_lsdp(params, args.p, args.n_outer, stream.child("lsdp"), args.threads),
-        "l2p": mc_l2p(params, post, 0, args.p, args.n_outer, stream.child("l2p"), args.threads),
-        "lvarp": mc_lvarp(params, args.p, args.n_outer, stream.child("lvarp"), args.threads),
-    }
+    estimates = mc_losses(params, post, 0, args.p, args.n_outer, stream, args.threads)
     results = {name: asdict(est) for name, est in estimates.items()}
     results["closed_form"] = {
         "j": closed_form_j(params, post, 0, args.p, beta),
@@ -467,7 +462,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-outer", type=int, default=100_000)
     p.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads for Monte Carlo chunks (results are identical)",
+        help="worker threads for Monte Carlo draw units, capped at the CPU count "
+        "and the unit count (results are identical for any N)",
     )
     _add_common(p, seed_required=True)
     p.set_defaults(handler=_cmd_losses)

@@ -10,6 +10,11 @@ returns both numbers so the mismatch can be observed.
 Classifiers are caller-supplied handles mapping an ``(n, dim)`` batch to
 ``n`` probabilities.  Two built-ins ship: a coordinate threshold
 indicator and a coordinate logistic.
+
+Memory model: :func:`plug_in_gap` scores a batch held in memory;
+:func:`streamed_plug_in_gap` reduces its draws block by block as the Monte
+Carlo engine of :mod:`postsamp.regularizers` makes them, so memory does
+not grow with the sample count.  Both reduce rows with one helper.
 """
 
 from __future__ import annotations
@@ -19,7 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .toy import SampleBatch
+from .regularizers import _blocks, _map_units
+from .streams import SeededStream
+from .toy import SampleBatch, ToyPosterior
 
 __all__ = [
     "Classifier",
@@ -27,6 +34,7 @@ __all__ = [
     "logistic_classifier",
     "detection_probability",
     "plug_in_gap",
+    "streamed_plug_in_gap",
 ]
 
 
@@ -85,6 +93,38 @@ def detection_probability(classifier: Classifier, samples: SampleBatch) -> float
     return float(classifier(samples.values).mean())
 
 
+def _gap_sums(
+    classifier: Classifier,
+    values: np.ndarray,
+    origin: np.ndarray | None = None,
+    carry: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``origin`` and ``sum of ([c(x_i), x_i] - origin)`` over the rows of ``values``.
+
+    Rows are summed one by one in order after ``carry`` (the sums of
+    earlier rows), so any split of the rows into calls gives the same bits.
+    Deviations from an origin (by default the first row's ``[c, x]``) sum
+    equal rows to exactly zero and lose less to cancellation.
+    """
+    table = np.empty((values.shape[1] + 1, values.shape[0]))
+    table[0] = classifier(values)
+    table[1:] = values.T
+    if origin is None:
+        origin = table[:, 0].copy()
+    table -= origin[:, None]
+    if carry is not None:
+        table[:, 0] += carry
+    return origin, np.add.accumulate(table, axis=1, out=table)[:, -1].copy()
+
+
+def _finish_gap(
+    classifier: Classifier, origin: np.ndarray, sums: np.ndarray, n: int
+) -> tuple[float, float]:
+    """(average of c, c at the average) from the :func:`_gap_sums` of ``n`` rows."""
+    mean = origin + sums / n
+    return float(mean[0]), float(classifier(mean[None, 1:])[0])
+
+
 def plug_in_gap(classifier: Classifier, samples: SampleBatch) -> tuple[float, float]:
     """(average of c over samples, c at the sample average).
 
@@ -93,7 +133,28 @@ def plug_in_gap(classifier: Classifier, samples: SampleBatch) -> tuple[float, fl
     """
     if samples.n < 2:
         raise ValueError("need at least 2 samples to compare against their average")
-    avg_of_c = detection_probability(classifier, samples)
-    c_of_avg = float(classifier(samples.values.mean(axis=0, keepdims=True))[0])
-    return avg_of_c, c_of_avg
+    return _finish_gap(classifier, *_gap_sums(classifier, samples.values), samples.n)
 
+
+def streamed_plug_in_gap(
+    classifier: Classifier, post: ToyPosterior, context: int, n: int, stream: SeededStream
+) -> tuple[float, float]:
+    """:func:`plug_in_gap` over ``n`` fresh draws from one posterior context.
+
+    Draws are reduced block by block as they are made, with the posterior
+    mean as the origin; draw unit ``u`` takes its samples from
+    ``stream.child("truths", u)``, and units are summed in order.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 samples to compare against their average")
+    mu0, sigma0 = post.context_params(context)
+    origin = np.concatenate((classifier(mu0), mu0))
+
+    def unit(u: int, count: int) -> np.ndarray:
+        carry = None
+        g = stream.child("truths", u).generator()
+        for _, block in _blocks(g, mu0, sigma0, count, mu0.shape):
+            carry = _gap_sums(classifier, block, origin, carry)[1]
+        return carry
+
+    return _finish_gap(classifier, origin, sum(_map_units(n, 1, unit)), n)

@@ -36,25 +36,30 @@ Monte Carlo estimators pair one fresh true draw with P fresh generated
 draws per outer replicate; the standard error is the empirical SD of the
 per-replicate loss terms divided by sqrt(n_outer).
 
-Memory model: replicates are partitioned into fixed chunks of 32768
-(``_CHUNK``), and chunk ``i`` draws from its own substream, so the result
-is identical no matter how many workers process the chunks.  Within a
-chunk the true draws ``x`` (count x dim) are drawn first; the generated
-draws are then drawn into one reused block of about 1 MiB (``_BLOCK``
-float64 values, a whole number of replicates, at least one) and each
-block is reduced to its replicates' terms before the next is drawn.
-Per worker, memory is O(chunk * dim + block), independent of P.  One
-kernel, ``_residual_terms``, gives every P-sample error: the L1/L2 terms
-here and :func:`postsamp.autotune.e_hat_items` on fixed validation truths.
+Memory model: one engine draws every Monte Carlo quantity of the package:
+these losses, :func:`postsamp.autotune.e_hat_items` and the streamed
+detection probability of :mod:`postsamp.detect`.  Work is split into
+fixed draw units of 16384 replicates (``_UNIT``); unit ``u`` draws its
+generator codes from ``stream.child("codes", u)`` and its truths from
+``stream.child("truths", u)``, each in reused blocks of about 1 MiB
+(``_BLOCK``) that are reduced before the next is drawn.  Blocks continue
+their substream, so neither the block size nor the worker count can
+change a result.  Units of losses are reduced to (count, mean, sum of
+squared deviations) per term and merged in unit order (Chan, Golub &
+LeVeque), so memory is O(unit + block) per worker whatever P, the
+dimension or ``n_outer`` is.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
+import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 from scipy.special import erf
@@ -68,6 +73,7 @@ __all__ = [
     "RegularizerKind",
     "gamma_p",
     "beta_sd_nominal",
+    "mc_losses",
     "mc_l1p",
     "mc_lsdp",
     "mc_l2p",
@@ -81,23 +87,30 @@ __all__ = [
     "folded_normal_abs_mean",
 ]
 
-# Replicates per substream chunk; fixed so that results never depend on how
-# chunks are distributed over workers.
-_CHUNK = 1 << 15
+# Replicates per draw unit.  Results are keyed to it: unit u draws from its
+# own substreams, so no block size or worker count can change them.
+_UNIT = 1 << 14
 
-# Float64 values per block of generated draws (1 MiB, so a block stays in
-# L2); a block always holds at least one whole replicate.
+# Float64 values per block of draws (1 MiB, so a block stays in L2); a block
+# always holds at least one whole replicate.
 _BLOCK = 1 << 17
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
 class LossEstimate:
-    """A Monte Carlo loss value with its standard error."""
+    """A Monte Carlo loss value with its standard error.
+
+    ``normals`` counts the standard normals drawn by the pass that produced
+    the estimate (one pass of :func:`mc_losses` gives four estimates).
+    """
 
     value: float
     std_error: float
     n_outer: int
     P: int
+    normals: int
 
     def __post_init__(self) -> None:
         if self.std_error < 0:
@@ -174,56 +187,89 @@ def beta_sd_nominal(P: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte Carlo estimators
+# Monte Carlo engine
 # ---------------------------------------------------------------------------
 
 
-def _chunked_terms(
-    n_outer: int,
-    stream: SeededStream,
-    term_fn: Callable[[int, SeededStream], np.ndarray],
-    threads: int = 1,
-) -> np.ndarray:
-    """Evaluate per-replicate loss terms chunk by chunk, deterministically.
+def _map_units(n: int, threads: int, unit: Callable[[int, int], _T]) -> Iterator[_T]:
+    """``unit(u, count)`` for the draw units of ``n`` items, yielded in unit order.
 
-    Chunk ``i`` always uses substream ``stream.child(i)``, so splitting the
-    chunks over any number of workers cannot change the assembled array.
-    Chunks hold 32768 replicates (the last may be shorter); ``term_fn``
-    reduces its generated draws in blocks of about 1 MiB
-    (:func:`_xhat_blocks`), so each worker holds O(chunk * dim + block)
-    values whatever P is.
+    At most ``min(threads, os.cpu_count(), units)`` workers run, with at
+    most two results per worker waiting, so memory does not grow with ``n``.
     """
-    n_chunks = -(-n_outer // _CHUNK)
-    sizes = [min(_CHUNK, n_outer - i * _CHUNK) for i in range(n_chunks)]
-
-    def run(i: int) -> np.ndarray:
-        return term_fn(sizes[i], stream.child(i))
-
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, range(n_chunks)))
-    else:
-        parts = [run(i) for i in range(n_chunks)]
-    return np.concatenate(parts)
-
-
-def _estimate(terms: np.ndarray, P: int) -> LossEstimate:
-    n = terms.shape[0]
-    return LossEstimate(
-        value=float(terms.mean()),
-        std_error=float(terms.std(ddof=1) / math.sqrt(n)),
-        n_outer=n,
-        P=P,
-    )
+    units = -(-n // _UNIT)
+    jobs = ((u, min(_UNIT, n - u * _UNIT)) for u in range(units))
+    workers = min(threads, os.cpu_count() or 1, units)
+    if workers <= 1:
+        yield from (unit(*job) for job in jobs)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending: deque = deque()
+        for job in jobs:
+            pending.append(pool.submit(unit, *job))
+            if len(pending) > 2 * workers:
+                yield pending.popleft().result()
+        yield from (future.result() for future in pending)
 
 
-def _check_mc_args(P: int, n_outer: int, threads: int) -> None:
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
-    if n_outer < 2:
-        raise ValueError(f"n_outer must be >= 2, got {n_outer}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+def _blocks(
+    g: np.random.Generator, mu, sigma, count: int, shape: tuple, width: int = 0
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(rows, mu + sigma * z)`` for ``count`` rows shaped ``shape``, block by block.
+
+    A block holds about ``_BLOCK`` values (at least one row) in one reused
+    buffer, so reduce it before advancing; ``width`` sizes the blocks as if
+    a row held that many values, to align the rows of two substreams.
+    Blocks continue ``g``'s sequence, so any split replays the same draws.
+    """
+    size = math.prod(shape)
+    step = max(1, min(count, _BLOCK // max(width, size)))
+    buffer = np.empty(step * size)
+    for start in range(0, count, step):
+        n = min(step, count - start)
+        out = buffer[: n * size].reshape(n, *shape)
+        yield slice(start, start + n), affine_normals(g, mu, sigma, out)
+
+
+def _unit_terms(count: int, codes: Iterator, truths: Callable | None, spread: bool) -> np.ndarray:
+    """Per-replicate loss terms of one unit: one row per term, one column per replicate.
+
+    ``codes`` yields ``(rows, xhat)`` blocks of shape ``(rows, P, dim)``.
+    With ``truths(rows)``, the first two rows are ``|x - xhat_bar|`` and
+    ``(x - xhat_bar)^2`` summed over dimensions; with ``spread``, the last
+    two are ``|xhat_i - xhat_bar|`` and ``(xhat_i - xhat_bar)^2`` summed
+    over samples and dimensions.
+    """
+    terms = np.empty((2 * (truths is not None) + 2 * spread, count))
+    for rows, xhat in codes:
+        # Sample by sample, elementwise: fast for small dimensions, and the
+        # same bits for any number of rows.
+        mean = xhat[:, 0].copy()
+        for i in range(1, xhat.shape[1]):
+            mean += xhat[:, i]
+        mean /= xhat.shape[1]
+        if spread:
+            np.subtract(xhat, mean[:, None], out=xhat)
+            terms[-2, rows] = np.abs(xhat, out=xhat).sum(axis=(1, 2))
+            terms[-1, rows] = np.square(xhat, out=xhat).sum(axis=(1, 2))
+        if truths is not None:
+            np.subtract(truths(rows), mean, out=mean)
+            terms[0, rows] = np.abs(mean, out=mean).sum(axis=1)
+            terms[1, rows] = np.square(mean, out=mean).sum(axis=1)
+    return terms
+
+
+def _moments(terms: np.ndarray) -> tuple:
+    """(count, means, sums of squared deviations) of the rows of ``terms``."""
+    mean = terms.mean(axis=1)
+    return terms.shape[1], mean, np.square(terms - mean[:, None]).sum(axis=1)
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Pooled :func:`_moments` of two disjoint samples (Chan, Golub & LeVeque)."""
+    (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
+    n, delta = n_a + n_b, mean_b - mean_a
+    return n, mean_a + delta * (n_b / n), m2_a + m2_b + delta**2 * (n_a * n_b / n)
 
 
 def _context_params(
@@ -236,84 +282,88 @@ def _context_params(
     return mu0, sigma0
 
 
-def _xhat_blocks(
-    g: np.random.Generator, params: GeneratorParams, count: int, P: int
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield ``(start, xhat)`` covering the generated draws of one chunk.
+def _mc_pass(
+    params: GeneratorParams,
+    truth: tuple | None,
+    P: int,
+    n_outer: int,
+    stream: SeededStream,
+    threads: int,
+    spread: bool,
+) -> dict[str, LossEstimate]:
+    """The losses that one pass over ``n_outer`` replicates gives, by name.
 
-    ``xhat`` is a ``(rows, P, dim)`` view of one reused buffer of about
-    ``_BLOCK`` values, holding ``mu + sigma * z`` for replicates
-    ``start .. start + rows``; the next block overwrites it, so reduce it
-    before advancing.  Successive draws continue ``g``'s variate sequence,
-    so the blocks replay one ``(count, P, dim)`` draw exactly.
+    Unit ``u`` draws its codes from ``stream.child("codes", u)`` and, when
+    ``truth`` is ``(mu0, sigma0)``, its truths from ``stream.child("truths", u)``.
     """
-    per_row = P * params.dim
-    rows = max(1, min(count, _BLOCK // per_row))
-    buffer = np.empty(rows * per_row)
-    for start in range(0, count, rows):
-        n = min(rows, count - start)
-        xhat = buffer[: n * per_row].reshape(n, P, params.dim)
-        yield start, affine_normals(g, params.mu, params.sigma, xhat)
+    if P < 2:
+        raise ValueError(f"P must be >= 2, got {P}")
+    if n_outer < 2:
+        raise ValueError(f"n_outer must be >= 2, got {n_outer}")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
+    dim = params.dim
+
+    def unit(u: int, count: int) -> tuple:
+        codes = _blocks(stream.child("codes", u).generator(), params.mu, params.sigma, count, (P, dim))
+        truths = None
+        if truth is not None:
+            draws = _blocks(stream.child("truths", u).generator(), *truth, count, (dim,), P * dim)
+            truths = lambda rows: next(draws)[1]  # noqa: E731
+        return _moments(_unit_terms(count, codes, truths, spread))
+
+    n, mean, m2 = functools.reduce(_merge, _map_units(n_outer, threads, unit))
+    names = ("l1p", "l2p") * (truth is not None) + ("lsdp", "lvarp") * spread
+    scale = {"l1p": 1.0, "l2p": 1.0, "lsdp": gamma_p(P) / P, "lvarp": 1.0 / (P - 1)}
+    normals = n * dim * (P + (truth is not None))
+    return {
+        name: LossEstimate(float(scale[name] * m), float(scale[name] * se), n, P, normals)
+        for name, m, se in zip(names, mean, np.sqrt(m2 / (n - 1) / n))
+    }
 
 
-def _residual_terms(
-    g: np.random.Generator, params: GeneratorParams, x: np.ndarray, P: int, elementwise: np.ufunc
+def _residual_items(
+    params: GeneratorParams, x: np.ndarray, P: int, stream: SeededStream
 ) -> np.ndarray:
-    """Per row of the truths ``x``, ``elementwise(x - xhat_bar)`` summed over dimensions.
+    """Per row of the truths ``x``, ``||x - xhat_bar||_2^2`` for a fresh P-sample average.
 
-    ``xhat_bar`` averages P generator draws per row, drawn from ``g`` and
-    reduced block by block (:func:`_xhat_blocks`), so memory is O(block).
+    The rows of unit ``u`` draw their codes from ``stream.child("codes", u)``.
     """
-    terms = np.empty(x.shape[0])
-    for start, xhat in _xhat_blocks(g, params, x.shape[0], P):
-        rows = slice(start, start + xhat.shape[0])
-        residual = xhat.mean(axis=1)
-        np.subtract(x[rows], residual, out=residual)
-        terms[rows] = elementwise(residual, out=residual).sum(axis=1)
-    return terms
+    out = np.empty(x.shape[0])
+
+    def unit(u: int, count: int) -> np.ndarray:
+        given = x[u * _UNIT : u * _UNIT + count]
+        g = stream.child("codes", u).generator()
+        codes = _blocks(g, params.mu, params.sigma, count, (P, params.dim))
+        return _unit_terms(count, codes, lambda rows: given[rows], False)[1]
+
+    for u, terms in enumerate(_map_units(x.shape[0], 1, unit)):
+        out[u * _UNIT : u * _UNIT + terms.size] = terms
+    return out
 
 
-def _residual_sums(
+# ---------------------------------------------------------------------------
+# Monte Carlo estimators
+# ---------------------------------------------------------------------------
+
+
+def mc_losses(
     params: GeneratorParams,
     post: ToyPosterior,
     context: int,
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int,
-    elementwise: np.ufunc,
-) -> np.ndarray:
-    """Per replicate, ``elementwise(x - xhat_bar)`` summed over dimensions."""
-    _check_mc_args(P, n_outer, threads)
-    mu0, sigma0 = _context_params(params, post, context)
+    threads: int = 1,
+) -> dict[str, LossEstimate]:
+    """``l1p``, ``l2p``, ``lsdp`` and ``lvarp`` from one set of draws.
 
-    def term(count: int, sub: SeededStream) -> np.ndarray:
-        g = sub.generator()
-        x = affine_normals(g, mu0, sigma0, np.empty((count, post.dim)))
-        return _residual_terms(g, params, x, P, elementwise)
-
-    return _chunked_terms(n_outer, stream, term, threads)
-
-
-def _spread_sums(
-    params: GeneratorParams,
-    P: int,
-    n_outer: int,
-    stream: SeededStream,
-    threads: int,
-    elementwise: np.ufunc,
-) -> np.ndarray:
-    """Per replicate, ``elementwise(xhat_i - xhat_bar)`` summed over i and dimensions."""
-    _check_mc_args(P, n_outer, threads)
-
-    def term(count: int, sub: SeededStream) -> np.ndarray:
-        terms = np.empty(count)
-        for start, xhat in _xhat_blocks(sub.generator(), params, count, P):
-            np.subtract(xhat, xhat.mean(axis=1, keepdims=True), out=xhat)
-            terms[start : start + xhat.shape[0]] = elementwise(xhat, out=xhat).sum(axis=(1, 2))
-        return terms
-
-    return _chunked_terms(n_outer, stream, term, threads)
+    Each estimate equals the one its single-loss function gives for the
+    same arguments, bit for bit; the pass draws ``n_outer * (P + 1) * dim``
+    normals once instead of once per loss.
+    """
+    truth = _context_params(params, post, context)
+    return _mc_pass(params, truth, P, n_outer, stream, threads, spread=True)
 
 
 def mc_l1p(
@@ -330,8 +380,8 @@ def mc_l1p(
     Each outer replicate pairs one fresh posterior draw with P fresh
     generator draws.
     """
-    terms = _residual_sums(params, post, context, P, n_outer, stream, threads, np.abs)
-    return _estimate(terms, P)
+    truth = _context_params(params, post, context)
+    return _mc_pass(params, truth, P, n_outer, stream, threads, spread=False)["l1p"]
 
 
 def mc_lsdp(
@@ -346,8 +396,7 @@ def mc_lsdp(
     For the Gaussian toy generator its expectation is exactly
     ``sum(sigma)``, independent of P.
     """
-    terms = _spread_sums(params, P, n_outer, stream, threads, np.abs)
-    return _estimate(gamma_p(P) / P * terms, P)
+    return _mc_pass(params, None, P, n_outer, stream, threads, spread=True)["lsdp"]
 
 
 def mc_l2p(
@@ -360,8 +409,8 @@ def mc_l2p(
     threads: int = 1,
 ) -> LossEstimate:
     """Monte Carlo estimate of E ||x - xhat_bar||_2^2."""
-    terms = _residual_sums(params, post, context, P, n_outer, stream, threads, np.square)
-    return _estimate(terms, P)
+    truth = _context_params(params, post, context)
+    return _mc_pass(params, truth, P, n_outer, stream, threads, spread=False)["l2p"]
 
 
 def mc_lvarp(
@@ -377,8 +426,7 @@ def mc_lvarp(
     over dimensions, so its expectation is ``sum(sigma^2)`` for any
     P >= 2.
     """
-    terms = _spread_sums(params, P, n_outer, stream, threads, np.square)
-    return _estimate(terms / (P - 1), P)
+    return _mc_pass(params, None, P, n_outer, stream, threads, spread=True)["lvarp"]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ Both samplers are the same affine draw, :func:`affine_normals`, with
 different parameters.  Code that scores a sampler therefore takes a
 :class:`GeneratorParams`; the true posterior of a context is scored as
 ``GeneratorParams(*post.context_params(context))``.
+
+Memory model: :func:`sample_posterior` and :func:`sample_generator` return
+whole ``(n, dim)`` batches.  The Monte Carlo engine of
+:mod:`postsamp.regularizers` instead calls :func:`affine_normals` on
+reused blocks of about 1 MiB, so its memory does not grow with the draw
+count.
 """
 
 from __future__ import annotations

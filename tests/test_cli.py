@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -376,6 +377,43 @@ class TestDetect:
         assert summary["error"]["type"] == "ValueError"
         assert not out.exists()
 
+    def test_coordinate_beyond_dimension_rejected_before_drawing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        draws = []
+        generator = SeededStream.generator
+        monkeypatch.setattr(
+            SeededStream, "generator", lambda self: draws.append(self) or generator(self)
+        )
+        out = tmp_path / "d.json"
+        code, summary = run_cli(
+            capsys,
+            "detect", "--mu0", "1,0", "--sigma0", "1,2", "--coordinate", "2",
+            "--seed", "3", "--out", str(out),
+        )
+        assert code == 1
+        assert summary["error"]["type"] == "ValueError"
+        assert "coordinate 2" in summary["error"]["message"]
+        assert "dimension 2" in summary["error"]["message"]
+        assert draws == []
+        assert not out.exists()
+
+    def test_streamed_draws_keep_memory_bounded(self, tmp_path, capsys):
+        """1e7 two-dimensional draws would be 153 MiB at once."""
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main([
+                "detect", "--mu0", "1,0", "--sigma0", "1,2", "--p", "10000000",
+                "--seed", "3", "--out", str(tmp_path / "d.json"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 64 * 2**20, peak
+
 
 class TestLosses:
     def test_monte_carlo_brackets_closed_forms(self, tmp_path, capsys):
@@ -393,6 +431,9 @@ class TestLosses:
         se = math.hypot(results["l1p"]["std_error"], beta * results["lsdp"]["std_error"])
         assert abs(combined - j) <= 4 * se
         assert abs(results["l2p"]["value"] - results["closed_form"]["l2p"]) <= 4 * results["l2p"]["std_error"]
+        # One fused pass draws (P + 1) * dim normals per replicate for all four.
+        for name in ("l1p", "lsdp", "l2p", "lvarp"):
+            assert results[name]["normals"] == 50000 * 3
 
     def test_threads_do_not_change_results(self, tmp_path, capsys):
         args = [

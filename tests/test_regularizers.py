@@ -8,7 +8,10 @@ unbiasedness of the spread and variance rewards.
 
 import functools
 import math
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -30,7 +33,10 @@ from postsamp import (
     mc_lsdp,
     mc_lvarp,
 )
-from postsamp.regularizers import CLOSED_FORMS
+from postsamp import detect, regularizers
+from postsamp.autotune import e_hat_items, make_validation_set
+from postsamp.detect import logistic_classifier, streamed_plug_in_gap
+from postsamp.regularizers import CLOSED_FORMS, mc_losses
 
 STREAM = SeededStream(911, ("regularizer-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
@@ -413,7 +419,7 @@ class TestEstimatorContracts:
             mc_l1p(GeneratorParams([0.0, 0.0], [1.0, 1.0]), STD_POST, 0, 2, 100, STREAM)
 
     def test_worker_count_does_not_change_estimates(self):
-        """Chunk partitioning makes thread counts invisible in the result."""
+        """Draw units make thread counts invisible in the result."""
         one = mc_l1p(STD_PARAMS, STD_POST, 0, 2, 100_000, STREAM.child("thr"), threads=1)
         four = mc_l1p(STD_PARAMS, STD_POST, 0, 2, 100_000, STREAM.child("thr"), threads=4)
         assert one.value == four.value
@@ -447,10 +453,11 @@ class TestBiasVarianceGrid:
 # Blocked draws: bit-exact pins and memory bounds
 # ---------------------------------------------------------------------------
 
-# Configurations chosen to exercise the block layout inside 32768-replicate
-# chunks: one block per chunk with a ragged last chunk (d1), several blocks
-# per chunk with a ragged last block (d64), a zero generator spread (d3) and
-# a replicate larger than a block, so one replicate per block (d3000).
+# Configurations chosen to exercise the block layout inside 16384-replicate
+# draw units: one block per unit with a ragged last unit (d1), several
+# blocks per unit with a ragged last block (d64), a zero generator spread
+# (d3) and a replicate larger than a block, so one replicate per block
+# (d3000).
 PIN_CONFIGS = {
     "d1-p2": (GeneratorParams(0.3, 1.2), ToyPosterior.single(0.0, 1.0), 2, 70_001),
     "d64-p8": (
@@ -473,32 +480,32 @@ PIN_CONFIGS = {
     ),
 }
 
-# float.hex of (value, std_error), computed by the unblocked kernels that
-# built each chunk's draws as whole (count, P, dim) arrays.
+# float.hex of (value, std_error) from the unit-keyed engine; each loss here
+# runs as its own single-loss pass on its own stream.
 PINNED = {
     "d1-p2": {
-        "l1p": ("0x1.1188c7abca6acp+0", "0x1.90035c2202c01p-9"),
-        "lsdp": ("0x1.340875d357a62p+0", "0x1.c273c9d2d8b9bp-9"),
-        "l2p": ("0x1.cd8c2769df46ap+0", "0x1.3aab3a25a08d6p-7"),
-        "lvarp": ("0x1.6ff229f8efde5p+0", "0x1.fa248797e74f6p-8"),
+        "l1p": ("0x1.1393ce6f1ac37p+0", "0x1.9365c49bba096p-9"),
+        "lsdp": ("0x1.32c041d108648p+0", "0x1.bfb81c4c85759p-9"),
+        "l2p": ("0x1.d36dfb3fb0c62p+0", "0x1.3f321078ca49fp-7"),
+        "lvarp": ("0x1.70d2c6f9b1e00p+0", "0x1.f96e47fdc290ap-8"),
     },
     "d64-p8": {
-        "l1p": ("0x1.503789fae6d7ap+6", "0x1.3c4f2dad3096cp-5"),
-        "lsdp": ("0x1.400d2aa74a254p+6", "0x1.ebf641c9b4a7fp-7"),
-        "l2p": ("0x1.601e5dee58a0ap+7", "0x1.4b15cf6729223p-3"),
-        "lvarp": ("0x1.c171f082f6b24p+6", "0x1.6c0afc14a1846p-5"),
+        "l1p": ("0x1.501d876fab59bp+6", "0x1.3cf1ba591edfcp-5"),
+        "lsdp": ("0x1.3ffb124a7bc5fp+6", "0x1.f0dd02b837ac7p-7"),
+        "l2p": ("0x1.5fb6dc425a8d3p+7", "0x1.4bb62428e76b1p-3"),
+        "lvarp": ("0x1.c1a5c0b2b8a40p+6", "0x1.6b6da13293a1cp-5"),
     },
     "d3-p5-zero": {
-        "l1p": ("0x1.09babf5ac4557p+2", "0x1.0a518e5ffcc6ap-7"),
-        "lsdp": ("0x1.ff200803027c3p+1", "0x1.59441bf9606b1p-8"),
-        "l2p": ("0x1.2dead4452c1efp+3", "0x1.26bfe7388d0d5p-5"),
-        "lvarp": ("0x1.3ef71bb606983p+3", "0x1.d0d2b498d47e7p-6"),
+        "l1p": ("0x1.0a6a5f44bdd2cp+2", "0x1.0a51936925b40p-7"),
+        "lsdp": ("0x1.009918405ae6ep+2", "0x1.59d74b2ec8a73p-8"),
+        "l2p": ("0x1.2e31312a71026p+3", "0x1.2860c70c40b0cp-5"),
+        "lvarp": ("0x1.410e6c98f4a48p+3", "0x1.d7dff85cfa54ep-6"),
     },
     "d3000-p64": {
-        "l1p": ("0x1.d8b6d35524b42p+11", "0x1.8f50929bcafdbp+2"),
-        "lsdp": ("0x1.d4b24f3bbdb68p+11", "0x1.8eed5f94537f0p-1"),
-        "l2p": ("0x1.dd1597d9a28c9p+12", "0x1.86c2d2ccadd40p+4"),
-        "lvarp": ("0x1.484ea4bf666c5p+12", "0x1.1a479cd1f1e6ep+1"),
+        "l1p": ("0x1.d942b8de5cef3p+11", "0x1.6f4ee35b51286p+2"),
+        "lsdp": ("0x1.d495df6f20a77p+11", "0x1.75414967192cdp-1"),
+        "l2p": ("0x1.dca98dd6fec54p+12", "0x1.6cb204a3ed0b7p+4"),
+        "lvarp": ("0x1.47f0e293c875bp+12", "0x1.281eb90f6f7a2p+1"),
     },
 }
 
@@ -521,14 +528,15 @@ def _pinned_run(name: str, threads: int) -> dict:
 class TestBlockedDraws:
     @pytest.mark.parametrize("name", sorted(PIN_CONFIGS))
     def test_bit_exact_against_unblocked_kernels(self, name):
+        """Every loss replays its recorded float.hex pins bit for bit."""
         assert _pinned_run(name, 1) == PINNED[name]
 
     def test_all_kernels_thread_invariant(self):
-        """40,000 replicates are two chunks, so two threads really split them."""
+        """40,000 replicates are three units, so two threads really split them."""
         assert _pinned_run("d64-p8", 2) == _pinned_run("d64-p8", 1)
 
     def test_memory_bounded_independent_of_p(self):
-        """dim 4096, P 32: one chunk of full draws would be 64 MiB per array."""
+        """dim 4096, P 32: one replicate's generated draws alone are 1 MiB."""
         dim = 4096
         params = GeneratorParams(np.zeros(dim), np.ones(dim))
         post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
@@ -548,3 +556,128 @@ class TestBlockedDraws:
             finally:
                 tracemalloc.stop()
             assert peak <= 8 * 2**20, (name, peak)
+
+
+# ---------------------------------------------------------------------------
+# The unit-keyed Monte Carlo engine: invariance, draw counts, bounded workers
+# ---------------------------------------------------------------------------
+
+# 40,001 replicates are three units (the last one ragged) of five dimensions.
+ENGINE_PARAMS = GeneratorParams(np.linspace(-1.0, 1.0, 5), np.linspace(0.5, 2.0, 5))
+ENGINE_POST = ToyPosterior.single(np.linspace(0.5, -0.5, 5), np.linspace(2.0, 0.5, 5))
+ENGINE_P, ENGINE_N = 4, 40_001
+
+
+def _engine_callers(threads: int) -> dict:
+    """Every caller of the engine on one stream; values compared with ==."""
+    params, post, P, n = ENGINE_PARAMS, ENGINE_POST, ENGINE_P, ENGINE_N
+    stream = STREAM.child("engine")
+    val = make_validation_set(post, n, stream.child("val"))
+    return {
+        "l1p": mc_l1p(params, post, 0, P, n, stream, threads),
+        "lsdp": mc_lsdp(params, P, n, stream, threads),
+        "l2p": mc_l2p(params, post, 0, P, n, stream, threads),
+        "lvarp": mc_lvarp(params, P, n, stream, threads),
+        "fused": mc_losses(params, post, 0, P, n, stream, threads),
+        "e_hat_items": e_hat_items(params, val, P, stream).tobytes(),
+        "detect": streamed_plug_in_gap(logistic_classifier(1, 0.2, 0.5), post, 0, n, stream),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _engine_baseline() -> dict:
+    return _engine_callers(1)
+
+
+class TestEngine:
+    @pytest.mark.parametrize(
+        "threads, block", [(1, None), (2, None), (4, None), (1, 1 << 10), (4, 1 << 20)]
+    )
+    def test_results_do_not_depend_on_threads_or_block(self, monkeypatch, threads, block):
+        """Threads 1, 2 and 4 and two block sizes replay the baseline bit for bit.
+
+        ``e_hat_items`` and the streamed detection take no thread count, so
+        the engine's unit map is made to use ``threads`` for every caller.
+        """
+        baseline = _engine_baseline()
+        run_units = regularizers._map_units
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        for module in (regularizers, detect):
+            monkeypatch.setattr(
+                module, "_map_units", lambda n, _threads, unit: run_units(n, threads, unit)
+            )
+        if block is not None:
+            monkeypatch.setattr(regularizers, "_BLOCK", block)
+        assert _engine_callers(threads) == baseline
+
+    def test_seed_replay(self):
+        assert _engine_callers(1) == _engine_baseline()
+
+    def test_single_losses_equal_the_fused_pass(self):
+        baseline = _engine_baseline()
+        for name in ("l1p", "lsdp", "l2p", "lvarp"):
+            single, fused = baseline[name], baseline["fused"][name]
+            assert (single.value, single.std_error) == (fused.value, fused.std_error), name
+
+    def test_normals_count_the_draws_of_each_pass(self):
+        params, post, P, n = ENGINE_PARAMS, ENGINE_POST, ENGINE_P, 1000
+        dim = params.dim
+        stream = STREAM.child("normals")
+        assert mc_l1p(params, post, 0, P, n, stream).normals == n * (P + 1) * dim
+        assert mc_l2p(params, post, 0, P, n, stream).normals == n * (P + 1) * dim
+        assert mc_lsdp(params, P, n, stream).normals == n * P * dim
+        assert mc_lvarp(params, P, n, stream).normals == n * P * dim
+        fused = mc_losses(params, post, 0, P, n, stream)
+        assert {e.normals for e in fused.values()} == {n * (P + 1) * dim}
+
+    def test_worker_pool_is_bounded(self, monkeypatch):
+        """threads=5000 starts min(threads, cpu_count, units) workers, never one per unit."""
+        started = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(regularizers, "ThreadPoolExecutor", Recording)
+        threads_seen = []
+        ran = []
+
+        def unit(u, count):
+            threads_seen.append(threading.active_count())
+            ran.append(u)
+            return u
+
+        base = threading.active_count()
+        units = 100
+        consumed = []
+        for u in regularizers._map_units(units * regularizers._UNIT, 5000, unit):
+            consumed.append(u)
+            # Results waiting to be consumed stay O(workers).
+            assert len(ran) - len(consumed) <= 2 * 3 + 1
+        assert consumed == list(range(units))
+        assert started == [3]
+        assert max(threads_seen) <= base + 3
+
+        started.clear()
+        mc_lsdp(STD_PARAMS, 2, 5 * regularizers._UNIT, STREAM.child("pool"), threads=5000)
+        assert started == [3]
+        mc_lsdp(STD_PARAMS, 2, 1000, STREAM.child("pool"), threads=5000)
+        assert started == [3]  # one unit: no pool at all
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_does_not_grow_with_n_outer(self, threads):
+        """The traced peak of mc_l1p stays under 8 MiB at n_outer 2,000 and 200,000."""
+        dim = 8
+        params = GeneratorParams(np.zeros(dim), np.ones(dim))
+        post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
+        for n_outer in (2_000, 200_000):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                mc_l1p(params, post, 0, 4, n_outer, STREAM.child("memory-n"), threads)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2**20, (n_outer, peak)
