@@ -19,7 +19,9 @@ the loop is computed from the exact squared-error split
 generator on a fixed validation set: :func:`e_hat_items` runs the Monte
 Carlo engine of :mod:`postsamp.regularizers` over the given truths, unit
 by unit, so beyond the truths and the per-item output memory is
-O(unit + block) whatever P and the dimension are.
+O(unit + block) per worker whatever P and the dimension are.  Its units
+run on the engine's pool of worker threads, one per usable CPU, and the
+per-item values are the same bits for any worker count.
 
 ``beta_sd`` is deliberately not clamped at zero: if the error signal
 demands a negative weight, the trace shows it.

@@ -461,9 +461,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", default="nominal")
     p.add_argument("--n-outer", type=int, default=100_000)
     p.add_argument(
-        "--threads", type=int, default=1,
-        help="worker threads for Monte Carlo draw units, capped at the CPU count "
-        "and the unit count (results are identical for any N)",
+        "--threads", type=int, default=None,
+        help="cap on the worker threads for Monte Carlo draw units (default: the "
+        "usable CPU count; always capped at it and at the unit count; results "
+        "are identical for any N)",
     )
     _add_common(p, seed_required=True)
     p.set_defaults(handler=_cmd_losses)

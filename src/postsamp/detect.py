@@ -15,6 +15,12 @@ Memory model: :func:`plug_in_gap` scores a batch held in memory;
 :func:`streamed_plug_in_gap` reduces its draws block by block as the Monte
 Carlo engine of :mod:`postsamp.regularizers` makes them, so memory does
 not grow with the sample count.  Both reduce rows with one helper.
+
+Threads: :func:`streamed_plug_in_gap` runs its draw units on the engine's
+pool of worker threads, one per usable CPU, and sums them in unit order,
+so its result is the same bits for any worker count.  The classifier is
+therefore called from several threads at once and must be thread-safe;
+the built-ins are pure functions of their input.
 """
 
 from __future__ import annotations
@@ -143,7 +149,8 @@ def streamed_plug_in_gap(
 
     Draws are reduced block by block as they are made, with the posterior
     mean as the origin; draw unit ``u`` takes its samples from
-    ``stream.child("truths", u)``, and units are summed in order.
+    ``stream.child("truths", u)``, and units are summed in order.  Units run
+    on worker threads, so ``classifier`` must be thread-safe.
     """
     if n < 2:
         raise ValueError("need at least 2 samples to compare against their average")
@@ -157,4 +164,4 @@ def streamed_plug_in_gap(
             carry = _gap_sums(classifier, block, origin, carry)[1]
         return carry
 
-    return _finish_gap(classifier, origin, sum(_map_units(n, 1, unit)), n)
+    return _finish_gap(classifier, origin, sum(_map_units(n, None, unit)), n)

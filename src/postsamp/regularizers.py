@@ -48,6 +48,12 @@ change a result.  Units of losses are reduced to (count, mean, sum of
 squared deviations) per term and merged in unit order (Chan, Golub &
 LeVeque), so memory is O(unit + block) per worker whatever P, the
 dimension or ``n_outer`` is.
+
+Threads: every caller spreads its units over a pool of worker threads,
+one per CPU this process may use (its affinity set), but never more than
+there are units; ``threads=N`` on the loss estimators caps the pool at N.
+Philox is counter-based, so any unit can be drawn on any thread, and the
+results are the same bits for every worker count.
 """
 
 from __future__ import annotations
@@ -191,15 +197,23 @@ def beta_sd_nominal(P: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _map_units(n: int, threads: int, unit: Callable[[int, int], _T]) -> Iterator[_T]:
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_units(n: int, threads: int | None, unit: Callable[[int, int], _T]) -> Iterator[_T]:
     """``unit(u, count)`` for the draw units of ``n`` items, yielded in unit order.
 
-    At most ``min(threads, os.cpu_count(), units)`` workers run, with at
-    most two results per worker waiting, so memory does not grow with ``n``.
+    At most ``min(threads, usable CPUs, units)`` workers run (``threads``
+    None: no cap of its own), with at most two results per worker waiting,
+    so memory does not grow with ``n``.
     """
     units = -(-n // _UNIT)
     jobs = ((u, min(_UNIT, n - u * _UNIT)) for u in range(units))
-    workers = min(threads, os.cpu_count() or 1, units)
+    workers = min(units if threads is None else threads, _usable_cpus(), units)
     if workers <= 1:
         yield from (unit(*job) for job in jobs)
         return
@@ -288,7 +302,7 @@ def _mc_pass(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int,
+    threads: int | None,
     spread: bool,
 ) -> dict[str, LossEstimate]:
     """The losses that one pass over ``n_outer`` replicates gives, by name.
@@ -300,7 +314,7 @@ def _mc_pass(
         raise ValueError(f"P must be >= 2, got {P}")
     if n_outer < 2:
         raise ValueError(f"n_outer must be >= 2, got {n_outer}")
-    if threads < 1:
+    if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     dim = params.dim
 
@@ -337,7 +351,7 @@ def _residual_items(
         codes = _blocks(g, params.mu, params.sigma, count, (P, params.dim))
         return _unit_terms(count, codes, lambda rows: given[rows], False)[1]
 
-    for u, terms in enumerate(_map_units(x.shape[0], 1, unit)):
+    for u, terms in enumerate(_map_units(x.shape[0], None, unit)):
         out[u * _UNIT : u * _UNIT + terms.size] = terms
     return out
 
@@ -354,7 +368,7 @@ def mc_losses(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> dict[str, LossEstimate]:
     """``l1p``, ``l2p``, ``lsdp`` and ``lvarp`` from one set of draws.
 
@@ -373,7 +387,7 @@ def mc_l1p(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of E ||x - xhat_bar||_1.
 
@@ -389,7 +403,7 @@ def mc_lsdp(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of the spread reward.
 
@@ -406,7 +420,7 @@ def mc_l2p(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of E ||x - xhat_bar||_2^2."""
     truth = _context_params(params, post, context)
@@ -418,7 +432,7 @@ def mc_lvarp(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int = 1,
+    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of the variance reward.
 

@@ -41,6 +41,9 @@ __all__ = [
     "p_sample_average",
 ]
 
+# Values per row of the tiled parameters in :func:`affine_normals`.
+_ROW = 1 << 10
+
 
 def _as_vector(values, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(values, dtype=np.float64))
@@ -161,18 +164,36 @@ class SampleBatch:
         return self.values.shape[1]
 
 
+def _scale_shift(values: np.ndarray, mu, sigma) -> None:
+    np.multiply(values, sigma, out=values)
+    np.add(values, mu, out=values)
+
+
 def affine_normals(
     g: np.random.Generator, mu: np.ndarray, sigma: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Fill ``out`` with ``mu + sigma * z``, ``z`` standard normal, in place.
 
-    The draws are the next ``out.size`` variates of ``g``, and the result
-    equals the out-of-place expression bit for bit (IEEE products and
-    sums commute), without its two temporaries of ``out``'s size.
+    ``mu`` and ``sigma`` broadcast over the last axis of ``out``.  The draws
+    are the next ``out.size`` variates of ``g``, and the result equals the
+    out-of-place expression bit for bit (IEEE products and sums commute),
+    without its two temporaries of ``out``'s size.
     """
     g.standard_normal(out=out)
-    np.multiply(out, sigma, out=out)
-    return np.add(out, mu, out=out)
+    dim = out.shape[-1]
+    reps = _ROW // dim
+    if dim == 1 or reps < 2 or not out.flags.c_contiguous:
+        _scale_shift(out, mu, sigma)
+        return out
+    # numpy's broadcast over a short last axis runs one short inner loop per
+    # row; rows of about _ROW values with the parameters tiled to that width
+    # cost the same at any dimension.  The ragged tail takes the broadcast.
+    flat, width = out.reshape(-1), reps * dim
+    head = flat.size - flat.size % width
+    tiled = (np.broadcast_to(p, (reps, dim)).ravel() for p in (mu, sigma))
+    _scale_shift(flat[:head].reshape(-1, width), *tiled)
+    _scale_shift(flat[head:].reshape(-1, dim), mu, sigma)
+    return out
 
 
 def sample_posterior(

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from postsamp import RegularizerKind, SeededStream, ToyPosterior
+from postsamp import RegularizerKind, SeededStream, ToyPosterior, regularizers
 from postsamp.autotune import psnr_gain_curve, simulate_autotune
 from postsamp.cfid import write_embeddings
 from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
@@ -443,6 +443,25 @@ class TestLosses:
         _, one = run_cli(capsys, *args, "--threads", "1", "--out", str(tmp_path / "a.json"))
         _, four = run_cli(capsys, *args, "--threads", "4", "--out", str(tmp_path / "b.json"))
         assert one["results"] == four["results"]
+
+    def test_default_threads_write_the_bytes_of_one_thread(self, tmp_path, capsys, monkeypatch):
+        """Without --threads every usable CPU runs, and the artifact keeps its bytes.
+
+        The artifacts embed their argv (thread count and --out path differ),
+        which sorts before every other key, so all that follows it must match
+        byte for byte.
+        """
+        monkeypatch.setattr(regularizers, "_usable_cpus", lambda: 4)
+        args = [
+            "losses", "--mu", "0.3,-1", "--sigma", "1.2,0.5", "--mu0", "0,0", "--sigma0", "1,2",
+            "--p", "4", "--n-outer", "100000", "--seed", "9",
+        ]
+        one, default = tmp_path / "one.json", tmp_path / "default.json"
+        assert run_cli(capsys, *args, "--threads", "1", "--out", str(one))[0] == 0
+        assert run_cli(capsys, *args, "--out", str(default))[0] == 0
+        one_text, default_text = one.read_text(), default.read_text()
+        assert "--threads" not in json.loads(default_text)["argv"]
+        assert one_text.split('"results"', 1)[1] == default_text.split('"results"', 1)[1]
 
     @pytest.mark.parametrize("threads", ["0", "-1"])
     def test_nonpositive_threads_rejected(self, tmp_path, capsys, threads):

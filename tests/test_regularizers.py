@@ -33,7 +33,7 @@ from postsamp import (
     mc_lsdp,
     mc_lvarp,
 )
-from postsamp import detect, regularizers
+from postsamp import regularizers
 from postsamp.autotune import e_hat_items, make_validation_set
 from postsamp.detect import logistic_classifier, streamed_plug_in_gap
 from postsamp.regularizers import CLOSED_FORMS, mc_losses
@@ -586,7 +586,24 @@ def _engine_callers(threads: int) -> dict:
 
 @functools.lru_cache(maxsize=None)
 def _engine_baseline() -> dict:
-    return _engine_callers(1)
+    """Every caller on one thread: one usable CPU."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regularizers, "_usable_cpus", lambda: 1)
+        return _engine_callers(1)
+
+
+@pytest.fixture()
+def pools(monkeypatch) -> list:
+    """The ``max_workers`` of every worker pool the engine starts, in order."""
+    started = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(regularizers, "ThreadPoolExecutor", Recording)
+    return started
 
 
 class TestEngine:
@@ -596,16 +613,12 @@ class TestEngine:
     def test_results_do_not_depend_on_threads_or_block(self, monkeypatch, threads, block):
         """Threads 1, 2 and 4 and two block sizes replay the baseline bit for bit.
 
-        ``e_hat_items`` and the streamed detection take no thread count, so
-        the engine's unit map is made to use ``threads`` for every caller.
+        ``threads`` CPUs are usable, so ``e_hat_items`` and the streamed
+        detection run on that many workers by default; the loss estimators
+        also get ``threads`` as their explicit cap.
         """
         baseline = _engine_baseline()
-        run_units = regularizers._map_units
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        for module in (regularizers, detect):
-            monkeypatch.setattr(
-                module, "_map_units", lambda n, _threads, unit: run_units(n, threads, unit)
-            )
+        monkeypatch.setattr(regularizers, "_usable_cpus", lambda: threads)
         if block is not None:
             monkeypatch.setattr(regularizers, "_BLOCK", block)
         assert _engine_callers(threads) == baseline
@@ -630,17 +643,10 @@ class TestEngine:
         fused = mc_losses(params, post, 0, P, n, stream)
         assert {e.normals for e in fused.values()} == {n * (P + 1) * dim}
 
-    def test_worker_pool_is_bounded(self, monkeypatch):
-        """threads=5000 starts min(threads, cpu_count, units) workers, never one per unit."""
-        started = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(regularizers, "ThreadPoolExecutor", Recording)
+    def test_worker_pool_is_bounded(self, monkeypatch, pools):
+        """threads=5000 starts min(threads, usable CPUs, units) workers, never one per unit."""
+        started = pools
+        monkeypatch.setattr(regularizers, "_usable_cpus", lambda: 3)
         threads_seen = []
         ran = []
 
@@ -665,6 +671,32 @@ class TestEngine:
         assert started == [3]
         mc_lsdp(STD_PARAMS, 2, 1000, STREAM.child("pool"), threads=5000)
         assert started == [3]  # one unit: no pool at all
+        mc_lsdp(STD_PARAMS, 2, 5 * regularizers._UNIT, STREAM.child("pool"), threads=2)
+        assert started == [3, 2]  # an explicit cap below the usable CPUs holds
+        mc_lsdp(STD_PARAMS, 2, 5 * regularizers._UNIT, STREAM.child("pool"))
+        assert started == [3, 2, 3]  # the default is every usable CPU
+
+    def test_every_caller_spreads_units_over_the_usable_cpus(self, monkeypatch, pools):
+        """With two usable CPUs and three units, each caller starts a pool of two."""
+        monkeypatch.setattr(regularizers, "_usable_cpus", lambda: 2)
+        params, post, P, n = ENGINE_PARAMS, ENGINE_POST, ENGINE_P, ENGINE_N
+        stream = STREAM.child("engine")
+        e_hat_items(params, make_validation_set(post, n, stream.child("val")), P, stream)
+        assert pools == [2]
+        streamed_plug_in_gap(logistic_classifier(1, 0.2, 0.5), post, 0, n, stream)
+        assert pools == [2, 2]
+        mc_losses(params, post, 0, P, n, stream)
+        assert pools == [2, 2, 2]
+
+    def test_usable_cpus_count_the_affinity_set(self, monkeypatch):
+        """A process pinned to two of 64 CPUs uses two; without affinity, the CPU count."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert regularizers._usable_cpus() == 2
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert regularizers._usable_cpus() == 64
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert regularizers._usable_cpus() == 1
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_does_not_grow_with_n_outer(self, threads):

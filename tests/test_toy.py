@@ -16,6 +16,7 @@ from postsamp import (
     sample_generator,
     sample_posterior,
 )
+from postsamp.toy import affine_normals
 
 STREAM = SeededStream(20240817, ("toy-tests",))
 
@@ -94,6 +95,24 @@ class TestSampleGenerator:
         batch = sample_generator(GeneratorParams(mu, sigma), 1000, STREAM.child("aff"))
         z = STREAM.child("aff").generator().standard_normal((1000, 3))
         assert batch.values.tobytes() == (mu + sigma * z).tobytes()
+
+
+class TestAffineNormals:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 64, 1025])
+    @pytest.mark.parametrize("rows", [1, 511, 1537])
+    def test_fill_matches_out_of_place_expression(self, dim, rows):
+        """Bit for bit at any dimension, whole tiled rows and ragged tails alike.
+
+        Row counts are chosen so most fills end in a partial row of the
+        tiled parameters; a collapsed first dimension keeps signed zeros.
+        """
+        mu, sigma = np.linspace(-3.0, 3.0, dim), np.linspace(0.0, 2.0, dim)
+        for shape, order in (((rows, dim), "C"), ((rows, 3, dim), "C"), ((rows, dim), "F")):
+            stream = STREAM.child("fill", dim, rows, len(shape), order)
+            out = affine_normals(stream.generator(), mu, sigma, np.empty(shape, order=order))
+            z = np.empty(shape, order=order)
+            stream.generator().standard_normal(out=z)
+            assert out.tobytes(order="A") == (mu + sigma * z).tobytes(order="A")
 
 
 class TestGaussianity:
