@@ -419,10 +419,18 @@ def _covariance_distance(sigma_a: np.ndarray, sigma_b: np.ndarray) -> tuple[floa
     return value, {"a": a_report, "cross": cross_report}
 
 
-def _clamp_nonnegative(value: float, what: str) -> float:
+def _clamp_nonnegative(value: float, what: str, report: dict) -> float:
+    """``value``, with a rounding negative in (-_NEG_CLAMP, 0) set to zero.
+
+    A value so set is recorded as ``report["clamped"][what]``; the key is
+    added only then.  Anything more negative is an error.
+    """
     if value < -_NEG_CLAMP:
         raise ArithmeticError(f"{what} = {value:.6e} is negative beyond tolerance")
-    return max(value, 0.0)
+    if value < 0.0:
+        report.setdefault("clamped", {})[what] = value
+        return 0.0
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -432,10 +440,11 @@ def _clamp_nonnegative(value: float, what: str) -> float:
 
 def _w2_squared(mu_a, sigma_a, mu_b, sigma_b) -> tuple[float, dict]:
     gap = np.asarray(mu_a, dtype=np.float64) - np.asarray(mu_b, dtype=np.float64)
-    cov, eigen = _covariance_distance(
+    cov, report = _covariance_distance(
         _require_symmetric(sigma_a, "sigma_a"), _require_symmetric(sigma_b, "sigma_b")
     )
-    return _clamp_nonnegative(float(gap @ gap) + cov, "squared Wasserstein distance"), eigen
+    value = _clamp_nonnegative(float(gap @ gap) + cov, "squared Wasserstein distance", report)
+    return value, report
 
 
 def gaussian_w2_squared(
@@ -447,10 +456,12 @@ def gaussian_w2_squared(
 
 def _cfid_parts(joint: JointGaussianStats) -> tuple[float, float, dict]:
     cond = conditional_stats(joint)
-    mean_part = _clamp_nonnegative(cond.mean_gap_term, "conditional mean part")
+    report = {"s_yy": cond.s_yy_diagnostics}
+    mean_part = _clamp_nonnegative(cond.mean_gap_term, "conditional mean part", report)
     cov, eigen = _covariance_distance(cond.s_xx_given_y, cond.s_xhatxhat_given_y)
-    cov_part = _clamp_nonnegative(cov, "conditional covariance part")
-    return mean_part, cov_part, {"s_yy": cond.s_yy_diagnostics, **eigen}
+    report.update(eigen)
+    cov_part = _clamp_nonnegative(cov, "conditional covariance part", report)
+    return mean_part, cov_part, report
 
 
 def cfid_decompose_from_stats(joint: JointGaussianStats) -> tuple[float, float]:
@@ -481,7 +492,8 @@ def cfid_decompose_files(x_path, y_path, xhat_path, P: int = 1) -> tuple[float, 
     The files follow the repetition convention (rows already repeated
     ``P`` times).  The diagnostics hold ``rows``, ``rank_deficient``
     (rows < dims + 2) and the eigendecomposition reports ``s_yy``, ``a``
-    and ``cross``.
+    and ``cross``; ``clamped`` is added, holding the value before the
+    clamp, when a rounding-negative part was set to zero.
     """
     with ExitStack() as stack:
         sources = [
@@ -528,7 +540,8 @@ def fid_files(x_path, xhat_path) -> tuple[float, dict]:
 
     The diagnostics hold ``rows_x``, ``rows_xhat``, ``rank_deficient``
     (fewer rows than dims + 2 in either cloud) and the eigendecomposition
-    reports ``a`` and ``cross``.
+    reports ``a`` and ``cross``; ``clamped`` is added, holding the value
+    before the clamp, when a rounding-negative distance was set to zero.
     """
     with ExitStack() as stack:
         sources = [

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -75,8 +76,6 @@ def _resolve_beta(beta: str, P: int) -> float:
 
 
 def _write_artifact(path: str, payload: str | bytes, force: bool) -> str:
-    import os
-
     if os.path.exists(path) and not force:
         raise ArtifactExistsError(
             f"refusing to overwrite existing artifact {path!r}; pass --force"

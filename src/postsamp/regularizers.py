@@ -32,6 +32,10 @@ true (mu0, sigma0).  The squared-error losses likewise reduce to
 ``lvarp / P`` cancels the ``sigma`` term entirely, which is why that
 variant cannot see the generated spread.
 
+The ``erf`` above is ``scipy.special.erf``.  scipy is imported on the
+first absolute-error closed-form call, not with this module, so commands
+that evaluate no such closed form start without it.
+
 Monte Carlo estimators pair one fresh true draw with P fresh generated
 draws per outer replicate; the standard error is the empirical SD of the
 per-replicate loss terms divided by sqrt(n_outer).
@@ -68,7 +72,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
-from scipy.special import erf
 
 from .streams import SeededStream
 from .toy import GeneratorParams, ToyPosterior, affine_normals
@@ -448,6 +451,13 @@ def mc_lvarp(
 # ---------------------------------------------------------------------------
 
 
+def _erf(x):
+    """``scipy.special.erf``, elementwise; the closed forms keep its bits."""
+    from scipy.special import erf  # here, not at the top: keeps CLI cold start cheap
+
+    return erf(x)
+
+
 def folded_normal_abs_mean(delta, s):
     """E|W| for W ~ N(delta, s^2), elementwise over arrays.
 
@@ -460,7 +470,7 @@ def folded_normal_abs_mean(delta, s):
     ratio = delta / s
     with np.errstate(under="ignore"):
         gauss = np.exp(-0.5 * ratio**2)
-    return s * math.sqrt(2.0 / math.pi) * gauss + delta * erf(ratio / math.sqrt(2.0))
+    return s * math.sqrt(2.0 / math.pi) * gauss + delta * _erf(ratio / math.sqrt(2.0))
 
 
 def _delta_and_s(
@@ -550,7 +560,7 @@ def _l1sd_value(delta, sigma, sigma0, kind):
 def _l1sd_grad(delta, sigma, sigma0, kind):
     """See :func:`closed_form_j_grad`."""
     s, ratio, phi = _l1sd_terms(delta, sigma, sigma0, kind.P)
-    grad_mu = erf(ratio / math.sqrt(2.0))
+    grad_mu = _erf(ratio / math.sqrt(2.0))
     grad_sigma = phi * sigma / (kind.P * s) - kind.beta_sd
     return np.asarray(grad_mu, dtype=np.float64), np.asarray(grad_sigma, dtype=np.float64)
 

@@ -10,6 +10,7 @@ diagonal covariances), the conditional distance is
 computed here without touching the engine's Schur/pinv/sqrtm path.
 """
 
+import json
 import math
 import os
 import struct
@@ -614,6 +615,7 @@ class TestDiagnostics:
         for report in (diagnostics["a"], diagnostics["cross"]):
             assert report["min_eigenvalue"] > 0.0
             assert report["clamped_mass"] == 0.0
+        assert "clamped" not in diagnostics
         assert (mean_part, cov_part) == pytest.approx(
             cfid_decompose(EmbeddingSet(x, y, xhat, P=P)), rel=1e-10
         )
@@ -631,6 +633,38 @@ class TestDiagnostics:
         _, diagnostics = fid_files(paths[0], paths[2])
         assert diagnostics["rank_deficient"] is True
         assert (diagnostics["rows_x"], diagnostics["rows_xhat"]) == (5, 5)
+
+    def test_self_fid_reports_every_zeroed_value(self, tmp_path, capsys):
+        """A cloud against itself rounds to a few ulp either side of 0; each
+        value the clamp zeroes is reported in the artifact, and only those."""
+        fired = 0
+        for seed in range(12):
+            x = np.random.default_rng(seed).standard_normal((60, 3))
+            paths = _write_set(tmp_path, x, x, x)
+            out = tmp_path / f"fid-{seed}.json"
+            assert main(["fid", "--x", paths[0], "--xhat", paths[2], "--out", str(out)]) == 0
+            results = json.loads(out.read_text())["results"]
+            clamped = results["diagnostics"].get("clamped")
+            if clamped is None:
+                assert results["fid"] >= 0.0
+                continue
+            fired += 1
+            assert results["fid"] == 0.0
+            assert list(clamped) == ["squared Wasserstein distance"]
+            assert -1e-8 < clamped["squared Wasserstein distance"] < 0.0
+        capsys.readouterr()
+        assert fired > 0
+
+    def test_cfid_clamp_records_the_part_it_zeroed(self, tmp_path, monkeypatch):
+        x, y, xhat, P = CFID_CASES["repetition"]
+        paths = _write_set(tmp_path, x, y, xhat)
+        monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-12, {}))
+        mean_part, cov_part, diagnostics = cfid_decompose_files(*paths, P=P)
+        assert mean_part > 0.0 and cov_part == 0.0
+        assert diagnostics["clamped"] == {"conditional covariance part": -1e-12}
+        monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-6, {}))
+        with pytest.raises(ArithmeticError, match="beyond tolerance"):
+            cfid_decompose_files(*paths, P=P)
 
 
 class TestMemory:

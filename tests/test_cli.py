@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import postsamp
 from postsamp import RegularizerKind, SeededStream, ToyPosterior, regularizers
 from postsamp.autotune import psnr_gain_curve, simulate_autotune
 from postsamp.cfid import write_embeddings
@@ -542,3 +546,63 @@ class TestReproducibilityAndErrors:
         assert code == 0
         for key in ("version", "argv", "seed", "wall_time_ms", "status", "artifacts"):
             assert key in summary
+
+
+# Runs each argv of sys.argv[1] through main() in one fresh interpreter and
+# prints, as JSON, the scipy modules loaded after build_parser() and after
+# each command, with the command's exit code.
+_COLD_START_SCRIPT = """
+import contextlib, io, json, sys
+import postsamp.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+postsamp.cli.build_parser()
+steps = [["build_parser", 0, scipy_modules()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = postsamp.cli.main(argv)
+    steps.append([" ".join(argv[:2]), code, scipy_modules()])
+print(json.dumps(steps))
+"""
+
+
+class TestColdStart:
+    def test_scipy_loads_only_at_the_first_closed_form(self, tmp_path):
+        """Importing the CLI and every command without an absolute-error
+        closed form leaves scipy unloaded; `contours --kind l1sd` loads it.
+        A fresh interpreter, since other test modules import scipy here."""
+        rng = np.random.default_rng(0)
+        for name, cols in (("x", 3), ("y", 2), ("xhat", 3)):
+            write_embeddings(str(tmp_path / f"{name}.emb"), rng.standard_normal((40, cols)))
+        (tmp_path / "m.txt").write_text("N=4\n0\n2\n")
+        (tmp_path / "xr.csv").write_text("1\n2\n3\n4\n")
+        (tmp_path / "y.csv").write_text("10\n30\n")
+        emb = {name: str(tmp_path / f"{name}.emb") for name in ("x", "y", "xhat")}
+        runs = [
+            ["psnr-curve", "--pmax", "4"],
+            ["dc", "--mask", str(tmp_path / "m.txt"), "--x-raw", str(tmp_path / "xr.csv"),
+             "--y", str(tmp_path / "y.csv")],
+            ["cfid", "--x", emb["x"], "--y", emb["y"], "--xhat", emb["xhat"]],
+            ["fid", "--x", emb["x"], "--xhat", emb["xhat"]],
+            ["detect", "--mu0", "1", "--sigma0", "1", "--p", "1000", "--seed", "3"],
+            ["verify-prop3", "--seed", "5", "--v", "20000", "--p-list", "2,8"],
+            ["autotune-sim", "--p-val", "8", "--mu-sd", "0.2", "--beta0", "0.9"],
+            ["autotune-sim", "--mc", "--v", "2000", "--epochs", "20", "--seed", "1"],
+        ]
+        closed_form = ["contours", "--kind", "l1sd", "--p", "2", "--mu0", "0",
+                       "--sigma0", "1", "--resolution", "21"]
+        argvs = [argv + ["--out", str(tmp_path / f"out{i}")]
+                 for i, argv in enumerate(runs + [closed_form])]
+        env = dict(os.environ)
+        src = os.path.dirname(os.path.dirname(postsamp.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        done = subprocess.run(
+            [sys.executable, "-c", _COLD_START_SCRIPT, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        *without, (_, code, loaded) = json.loads(done.stdout.splitlines()[-1])
+        assert [step[1:] for step in without] == [[0, []]] * (1 + len(runs)), without
+        assert code == 0 and "scipy.special" in loaded

@@ -7,6 +7,7 @@ unbiasedness of the spread and variance rewards.
 """
 
 import functools
+import hashlib
 import math
 import os
 import threading
@@ -35,8 +36,9 @@ from postsamp import (
 )
 from postsamp import regularizers
 from postsamp.autotune import e_hat_items, make_validation_set
+from postsamp.cli import main
 from postsamp.detect import logistic_classifier, streamed_plug_in_gap
-from postsamp.regularizers import CLOSED_FORMS, mc_losses
+from postsamp.regularizers import CLOSED_FORMS, folded_normal_abs_mean, mc_losses
 
 STREAM = SeededStream(911, ("regularizer-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
@@ -279,6 +281,92 @@ class TestClosedFormJGrad:
                 1.0, np.linalg.norm(ga), np.linalg.norm(gf)
             )
             assert rel <= 1e-6, (trial, rel)
+
+
+# Closed-form points (mu, sigma, mu0, sigma0, P, beta_sd): dims 1 and 3,
+# P 2 and 8, a sigma = 0 point, and one with |mu - mu0| >> s.
+CLOSED_FORM_POINTS = {
+    "d1-p2": ((0.3,), (1.2,), (0.0,), (1.0,), 2, beta_sd_nominal(2)),
+    "d1-p8": ((-0.7,), (0.4,), (0.2,), (0.9,), 8, beta_sd_nominal(8)),
+    "d3-p2": ((0.1, -1.5, 2.0), (0.5, 1.0, 2.5), (0.0, -1.0, 1.0), (1.0, 0.5, 2.0), 2, 0.2),
+    "d3-p8": (
+        (1.0, 0.0, -2.0), (0.3, 2.0, 0.8), (0.5, 0.5, -1.0), (0.7, 1.5, 0.2), 8,
+        beta_sd_nominal(8),
+    ),
+    "sigma-zero": ((0.3,), (0.0,), (0.0,), (1.0,), 2, 0.25),
+    "far": ((40.0,), (0.5,), (0.0,), (0.3,), 8, beta_sd_nominal(8)),
+}
+
+# float.hex of the folded mean per dimension, closed_form_j and its gradient
+# at each point: the closed forms' bits, which the contour and losses
+# artifacts inherit (scipy's erf included).
+CLOSED_FORM_PINS = {
+    "d1-p2": {
+        "folded": ("0x1.12dc4fdae487fp+0",),
+        "j": "0x1.5d96efe6cc8c0p-1",
+        "grad_mu": ("0x1.728e1a615d94ep-3",),
+        "grad_sigma": ("0x1.e95917714a120p-6",),
+    },
+    "d1-p8": {
+        "folded": ("0x1.0e2b121d8cdecp+0",),
+        "j": "0x1.048a16bf8b7adp+0",
+        "grad_mu": ("-0x1.5a83ed0d429d8p-1",),
+        "grad_sigma": ("-0x1.130bcd650d814p-4",),
+    },
+    "d3-p2": {
+        "folded": ("0x1.b338d131b392fp-1", "0x1.9b2a5b7ecc319p-1", "0x1.238534d0993ecp+1"),
+        "j": "0x1.90b7999652c98p+1",
+        "grad_mu": ("0x1.33aab7d86e3d7p-4", "-0x1.bec4ad52317a1p-2", "0x1.2b13c20ae7daep-2"),
+        "grad_sigma": ("-0x1.a27920c4528a0p-7", "0x1.84fee6d710994p-3", "0x1.2fc36a37576b6p-3"),
+    },
+    "d3-p8": {
+        "folded": ("0x1.667f57ab9a7c2p-1", "0x1.62015a7389c81p+0", "0x1.0019bdadb3843p+0"),
+        "j": "0x1.655d93ef3fe1cp+1",
+        "grad_mu": ("0x1.0a371518b4091p-1", "-0x1.e5535bb4a6c0fp-3", "-0x1.fe01d02782b37p-1"),
+        "grad_sigma": ("-0x1.f483755ec6c74p-5", "0x1.56924686639dcp-6", "-0x1.7286d15645681p-4"),
+    },
+    "sigma-zero": {
+        "folded": ("0x1.aac3758488f6ep-1",),
+        "j": "0x1.aac3758488f6ep-1",
+        "grad_mu": ("0x1.e2f7166205bc3p-3",),
+        "grad_sigma": ("-0x1.0000000000000p-2",),
+    },
+    "far": {
+        "folded": ("0x1.4000000000000p+5",),
+        "j": "0x1.3f9fb62e53f22p+5",
+        "grad_mu": ("0x1.0000000000000p+0",),
+        "grad_sigma": ("-0x1.812746b0379e7p-4",),
+    },
+}
+
+# sha256 of `contours --kind l1sd --p 2 --mu0 0 --sigma0 1 --resolution 21`.
+CONTOUR_SHA256 = "7a497531a6d9ec5239fa5ebb2a0bf7526c900c34428f91319533fe94d2789f25"
+
+
+class TestClosedFormBits:
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORM_POINTS))
+    def test_values_and_gradients_replay_their_pins(self, name):
+        mu, sigma, mu0, sigma0, P, beta = CLOSED_FORM_POINTS[name]
+        params = GeneratorParams(mu, sigma)
+        post = ToyPosterior.single(mu0, sigma0)
+        s = np.sqrt(np.asarray(sigma0) ** 2 + np.asarray(sigma) ** 2 / P)
+        folded = folded_normal_abs_mean(np.subtract(mu, mu0), s)
+        grad_mu, grad_sigma = closed_form_j_grad(params, post, 0, P, beta)
+        got = {
+            "folded": tuple(float(v).hex() for v in folded),
+            "j": closed_form_j(params, post, 0, P, beta).hex(),
+            "grad_mu": tuple(float(v).hex() for v in grad_mu),
+            "grad_sigma": tuple(float(v).hex() for v in grad_sigma),
+        }
+        assert got == CLOSED_FORM_PINS[name]
+
+    def test_contour_artifact_replays_its_sha256(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        argv = ["contours", "--kind", "l1sd", "--p", "2", "--mu0", "0", "--sigma0", "1",
+                "--resolution", "21", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == CONTOUR_SHA256
 
 
 def _random_kind(reg, rng):
