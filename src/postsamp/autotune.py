@@ -16,12 +16,13 @@ spread; that abstraction is the point of the module, since it exercises
 the controller without any training dynamics.  The observed ratio inside
 the loop is computed from the exact squared-error split
 ``sum(sigma0^2) + sum(sigma^2) / P``.  Its Monte Carlo mode scores the
-generator on a fixed validation set: :func:`e_hat_items` runs the Monte
-Carlo engine of :mod:`postsamp.regularizers` over the given truths, unit
-by unit, so beyond the truths and the per-item output memory is
-O(unit + block) per worker whatever P and the dimension are.  Its units
-run on the engine's pool of worker threads, one per usable CPU, and the
-per-item values are the same bits for any worker count.
+generator on a fixed validation set: :func:`e_hat` runs the Monte Carlo
+engine of :mod:`postsamp.regularizers` over the given truths and reduces
+each draw unit to its mean as it is drawn, so beyond the truths memory is
+O(unit + block) per worker whatever P, the dimension and the validation
+size are.  Its units run on the engine's pool of worker threads, one per
+usable CPU, and the results are the same bits for any worker count.
+:func:`e_hat_items` keeps the per-item values of the same draws.
 
 ``beta_sd`` is deliberately not clamped at zero: if the error signal
 demands a negative weight, the trace shows it.
@@ -35,7 +36,13 @@ from typing import Callable
 
 import numpy as np
 
-from .regularizers import _residual_items, beta_sd_nominal, closed_form_l2p
+from .regularizers import (
+    _comoments,
+    _residual_items,
+    _residual_moments,
+    beta_sd_nominal,
+    closed_form_l2p,
+)
 from .streams import SeededStream
 from .toy import GeneratorParams, SampleBatch, ToyPosterior, sample_posterior
 
@@ -118,18 +125,38 @@ def e_hat_items(
     unit ``u`` take theirs from ``stream.child("codes", u)``.  To score the
     true posterior, pass its own ``(mu0, sigma0)`` as ``params``.
     """
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    if params.dim != val.x.shape[1]:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, truths {val.x.shape[1]}")
     return _residual_items(params, val.x, P, stream)
 
 
 def e_hat(
     params: GeneratorParams, val: ValidationSet, P: int, stream: SeededStream
 ) -> float:
-    """Mean squared error of the P-sample average over a validation set."""
-    return float(e_hat_items(params, val, P, stream).mean())
+    """Mean squared error of the P-sample average over a validation set.
+
+    The mean of :func:`e_hat_items`, streamed unit by unit without the
+    per-item values.
+    """
+    _, mean, _ = _residual_moments(params, val.x, ((P, stream),))
+    return float(mean[0])
+
+
+def _ratio_from_moments(n: int, mean: np.ndarray, comoments: np.ndarray) -> tuple[float, float]:
+    """Ratio of two paired means with its delta-method standard error.
+
+    Takes the :func:`postsamp.regularizers._comoments` of the two paired
+    item rows, whole or merged from draw units.
+    """
+    if n < 2:
+        raise ValueError("need at least 2 paired items")
+    abar, bbar = mean
+    if bbar <= 0:
+        raise ValueError("denominator mean must be positive")
+    cov = comoments / (n - 1)
+    ratio = abar / bbar
+    var = (
+        cov[0, 0] / abar**2 + cov[1, 1] / bbar**2 - 2.0 * cov[0, 1] / (abar * bbar)
+    ) * ratio**2 / n
+    return float(ratio), float(math.sqrt(max(var, 0.0)))
 
 
 def ratio_with_se(numer_items: np.ndarray, denom_items: np.ndarray) -> tuple[float, float]:
@@ -142,16 +169,7 @@ def ratio_with_se(numer_items: np.ndarray, denom_items: np.ndarray) -> tuple[flo
     b = np.asarray(denom_items, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two paired 1-D arrays with at least 2 items")
-    n = a.size
-    abar, bbar = a.mean(), b.mean()
-    if bbar <= 0:
-        raise ValueError("denominator mean must be positive")
-    cov = np.cov(a, b, ddof=1)
-    ratio = abar / bbar
-    var = (
-        cov[0, 0] / abar**2 + cov[1, 1] / bbar**2 - 2.0 * cov[0, 1] / (abar * bbar)
-    ) * ratio**2 / n
-    return float(ratio), float(math.sqrt(max(var, 0.0)))
+    return _ratio_from_moments(*_comoments(np.stack([a, b])))
 
 
 def db(x: float) -> float:

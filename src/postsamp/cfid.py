@@ -433,6 +433,13 @@ def _clamp_nonnegative(value: float, what: str, report: dict) -> float:
     return value
 
 
+def _warn_clamped(report: dict) -> None:
+    """Report each clamp in a warning, for the functions that return only values."""
+    for what, value in report.get("clamped", {}).items():
+        message = f"{what} = {value:.6e} rounded below zero and was clamped to 0"
+        warnings.warn(message, RuntimeWarning, stacklevel=3)
+
+
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
@@ -450,8 +457,13 @@ def _w2_squared(mu_a, sigma_a, mu_b, sigma_b) -> tuple[float, dict]:
 def gaussian_w2_squared(
     mu_a: np.ndarray, sigma_a: np.ndarray, mu_b: np.ndarray, sigma_b: np.ndarray
 ) -> float:
-    """Squared Wasserstein-2 distance between two Gaussians."""
-    return _w2_squared(mu_a, sigma_a, mu_b, sigma_b)[0]
+    """Squared Wasserstein-2 distance between two Gaussians.
+
+    A rounding-negative distance returns 0.0 with a ``RuntimeWarning``.
+    """
+    value, report = _w2_squared(mu_a, sigma_a, mu_b, sigma_b)
+    _warn_clamped(report)
+    return value
 
 
 def _cfid_parts(joint: JointGaussianStats) -> tuple[float, float, dict]:
@@ -465,8 +477,13 @@ def _cfid_parts(joint: JointGaussianStats) -> tuple[float, float, dict]:
 
 
 def cfid_decompose_from_stats(joint: JointGaussianStats) -> tuple[float, float]:
-    """(conditional-mean part, conditional-covariance part) from joint stats."""
-    mean_part, cov_part, _ = _cfid_parts(joint)
+    """(conditional-mean part, conditional-covariance part) from joint stats.
+
+    A rounding-negative part returns 0.0 with a ``RuntimeWarning``, here
+    and in :func:`cfid_from_stats`, :func:`cfid` and :func:`cfid_decompose`.
+    """
+    mean_part, cov_part, report = _cfid_parts(joint)
+    _warn_clamped(report)
     return mean_part, cov_part
 
 
@@ -529,10 +546,15 @@ def _fid(x_source, xhat_source) -> tuple[float, dict]:
 
 
 def fid(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Unconditional Frechet distance between two embedding clouds."""
-    return _fid(
+    """Unconditional Frechet distance between two embedding clouds.
+
+    A rounding-negative distance returns 0.0 with a ``RuntimeWarning``.
+    """
+    value, report = _fid(
         _ArrayRows(_as_matrix(x, "x"), "x"), _ArrayRows(_as_matrix(xhat, "xhat"), "xhat")
-    )[0]
+    )
+    _warn_clamped(report)
+    return value
 
 
 def fid_files(x_path, xhat_path) -> tuple[float, dict]:

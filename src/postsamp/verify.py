@@ -17,9 +17,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .autotune import e_hat_items, make_validation_set, ratio_with_se
+from .autotune import _ratio_from_moments, make_validation_set
 from .proplab import minimize_regularizer
-from .regularizers import RegularizerKind
+from .regularizers import RegularizerKind, _residual_moments
 from .streams import SeededStream
 from .toy import GeneratorParams, ToyPosterior
 
@@ -139,7 +139,9 @@ def check_average_error_ratio(
 
     The posterior is standard normal.  The observed ratio must bracket
     2P/(P+1) within ``_N_SE`` combined standard errors (delta method on
-    the paired per-item errors).
+    the paired per-item errors; one pass per P streams their moments).
+    Each run's ``normals`` counts the codes of its pass; the validation
+    set's truths are drawn once for all runs.
     """
     start = time.perf_counter()
     stream = SeededStream(seed, ("ratio",))
@@ -150,9 +152,10 @@ def check_average_error_ratio(
     runs = []
     passed = True
     for P in p_values:
-        single = e_hat_items(truth, val, 1, stream.child("single", P))
-        averaged = e_hat_items(truth, val, P, stream.child("averaged", P))
-        ratio, se = ratio_with_se(single, averaged)
+        # One pass draws the single-sample and P-average errors of each
+        # item and keeps only their paired moments.
+        pair = ((1, stream.child("single", P)), (P, stream.child("averaged", P)))
+        ratio, se = _ratio_from_moments(*_residual_moments(truth, val.x, pair))
         target = 2.0 * P / (P + 1)
         ok = abs(ratio - target) <= _N_SE * se
         passed = passed and ok
@@ -163,6 +166,7 @@ def check_average_error_ratio(
                 "target": target,
                 "std_error": se,
                 "z": (ratio - target) / se if se > 0 else float("inf"),
+                "normals": validation_size * (1 + P) * truth.dim,
                 "ok": ok,
             }
         )

@@ -28,7 +28,9 @@ from postsamp.autotune import (
     target_ratio_db,
     update_beta,
 )
+from postsamp import regularizers
 from postsamp.cli import _trace_csv
+from postsamp.verify import check_average_error_ratio
 
 STREAM = SeededStream(77, ("autotune-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
@@ -174,6 +176,67 @@ class TestEHat:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20, peak
+
+
+def _traced_peak(call) -> int:
+    """Bytes ``call()`` allocated at its traced peak, above what it started with."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestStreamedErrors:
+    """e_hat and the paired ratio reduce each draw unit to moments as it is drawn."""
+
+    # 40,000 items: two draw units and a ragged tail.
+    V = 40_000
+
+    def test_e_hat_is_the_mean_of_the_items(self):
+        val = make_validation_set(STD_POST, self.V, STREAM.child("val-agree"))
+        for P in (1, 8):
+            items = e_hat_items(STD_TRUTH, val, P, STREAM.child("agree", P))
+            streamed = e_hat(STD_TRUTH, val, P, STREAM.child("agree", P))
+            assert streamed == pytest.approx(items.mean(), rel=1e-12, abs=0.0), P
+
+    def test_paired_ratio_equals_ratio_with_se_of_the_items(self):
+        """check_average_error_ratio's runs against the per-item path on its streams."""
+        seed, p_values = 11, (2, 8, 32)
+        report = check_average_error_ratio(seed, p_values, self.V)
+        stream = SeededStream(seed, ("ratio",))
+        val = make_validation_set(STD_POST, self.V, stream.child("val"))
+        for run, P in zip(report.details["runs"], p_values):
+            single = e_hat_items(STD_TRUTH, val, 1, stream.child("single", P))
+            averaged = e_hat_items(STD_TRUTH, val, P, stream.child("averaged", P))
+            ratio, se = ratio_with_se(single, averaged)
+            assert run["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0.0), P
+            assert run["std_error"] == pytest.approx(se, rel=1e-12, abs=0.0), P
+            assert run["normals"] == self.V * (1 + P)
+
+    @pytest.mark.parametrize("cpus, sizes", [(1, (20_000, 400_000)), (2, (100_000, 400_000))])
+    def test_memory_does_not_grow_with_the_validation_size(self, monkeypatch, cpus, sizes):
+        """Beyond the validation set, the traced peak grows by under 1 MiB
+        between the two sizes (a per-item array of 4e5 floats is 3.2 MB).
+
+        The smaller size holds at least one full draw unit per worker: a
+        ragged unit drawn beside a full one would lower its peak instead.
+        """
+        # The same worker count at both sizes, whatever the host's CPU count.
+        monkeypatch.setattr(regularizers, "_usable_cpus", lambda: cpus)
+        plant = lambda beta: max(beta, 0.0) / NOMINAL2  # noqa: E731
+        calls = {
+            "verify": lambda V: check_average_error_ratio(3, (2, 8), V),
+            "autotune": lambda V: simulate_autotune(
+                plant, STD_POST, 0, 8, 2, V, 0.2, SeededStream(6), use_mc=True,
+                tol_db=0.0,
+            ),
+        }
+        for name, call in calls.items():
+            peaks = [_traced_peak(lambda: call(V)) - 8 * V for V in sizes]
+            assert peaks[1] - peaks[0] < 2**20, (name, peaks)
 
 
 class TestAveragingRatio:

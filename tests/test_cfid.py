@@ -15,6 +15,7 @@ import math
 import os
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -665,6 +666,46 @@ class TestDiagnostics:
         monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-6, {}))
         with pytest.raises(ArithmeticError, match="beyond tolerance"):
             cfid_decompose_files(*paths, P=P)
+
+
+class TestValueOnlyClampWarnings:
+    """The functions that return only a value warn of each value they clamp."""
+
+    def test_self_fid_warns_and_returns_zero(self):
+        x = np.random.default_rng(0).standard_normal((50, 3))
+        with pytest.warns(RuntimeWarning, match="squared Wasserstein distance = -"):
+            assert fid(x, x) == 0.0
+
+    def test_every_value_only_form_warns_of_the_part_it_zeroed(self, monkeypatch):
+        x, y, xhat, P = CFID_CASES["repetition"]
+        embeddings = EmbeddingSet(x, y, xhat, P=P)
+        joint = compute_stats(embeddings)
+        mean_part = cfid_decompose(embeddings)[0]
+        monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-12, {}))
+        calls = {
+            "cfid": (lambda: cfid(embeddings), mean_part),
+            "cfid_from_stats": (lambda: cfid_from_stats(joint), mean_part),
+            "cfid_decompose": (lambda: cfid_decompose(embeddings), (mean_part, 0.0)),
+            "cfid_decompose_from_stats": (
+                lambda: cfid_decompose_from_stats(joint), (mean_part, 0.0)
+            ),
+        }
+        for name, (call, expected) in calls.items():
+            with pytest.warns(RuntimeWarning, match=r"conditional covariance part = -1\.0+e-12"):
+                assert call() == expected, name
+        zero, eye = np.zeros(3), np.eye(3)
+        with pytest.warns(RuntimeWarning, match=r"squared Wasserstein distance = -1\.0+e-12"):
+            assert gaussian_w2_squared(zero, eye, zero, eye) == 0.0
+
+    def test_no_clamp_no_warning(self):
+        rng = np.random.default_rng(1)
+        x, xhat = rng.standard_normal((50, 3)), rng.standard_normal((50, 3)) + 0.5
+        x_c, y, xhat_c, P = CFID_CASES["repetition"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert fid(x, xhat) > 0.0
+            assert gaussian_w2_squared(np.zeros(3), np.eye(3), np.ones(3), 2 * np.eye(3)) > 0.0
+            assert cfid(EmbeddingSet(x_c, y, xhat_c, P=P)) > 0.0
 
 
 class TestMemory:

@@ -35,10 +35,11 @@ from postsamp import (
     mc_lvarp,
 )
 from postsamp import regularizers
-from postsamp.autotune import e_hat_items, make_validation_set
+from postsamp.autotune import e_hat, e_hat_items, make_validation_set
 from postsamp.cli import main
 from postsamp.detect import logistic_classifier, streamed_plug_in_gap
 from postsamp.regularizers import CLOSED_FORMS, folded_normal_abs_mean, mc_losses
+from postsamp.verify import check_average_error_ratio
 
 STREAM = SeededStream(911, ("regularizer-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
@@ -668,6 +669,8 @@ def _engine_callers(threads: int) -> dict:
         "lvarp": mc_lvarp(params, P, n, stream, threads),
         "fused": mc_losses(params, post, 0, P, n, stream, threads),
         "e_hat_items": e_hat_items(params, val, P, stream).tobytes(),
+        "e_hat": e_hat(params, val, P, stream),
+        "ratio": check_average_error_ratio(7, (2, 8), n).details,
         "detect": streamed_plug_in_gap(logistic_classifier(1, 0.2, 0.5), post, 0, n, stream),
     }
 
@@ -701,9 +704,10 @@ class TestEngine:
     def test_results_do_not_depend_on_threads_or_block(self, monkeypatch, threads, block):
         """Threads 1, 2 and 4 and two block sizes replay the baseline bit for bit.
 
-        ``threads`` CPUs are usable, so ``e_hat_items`` and the streamed
-        detection run on that many workers by default; the loss estimators
-        also get ``threads`` as their explicit cap.
+        ``threads`` CPUs are usable, so the validation errors (``e_hat_items``,
+        ``e_hat`` and the paired ratio of ``check_average_error_ratio``) and
+        the streamed detection run on that many workers by default; the loss
+        estimators also get ``threads`` as their explicit cap.
         """
         baseline = _engine_baseline()
         monkeypatch.setattr(regularizers, "_usable_cpus", lambda: threads)
@@ -769,12 +773,17 @@ class TestEngine:
         monkeypatch.setattr(regularizers, "_usable_cpus", lambda: 2)
         params, post, P, n = ENGINE_PARAMS, ENGINE_POST, ENGINE_P, ENGINE_N
         stream = STREAM.child("engine")
-        e_hat_items(params, make_validation_set(post, n, stream.child("val")), P, stream)
+        val = make_validation_set(post, n, stream.child("val"))
+        e_hat_items(params, val, P, stream)
         assert pools == [2]
-        streamed_plug_in_gap(logistic_classifier(1, 0.2, 0.5), post, 0, n, stream)
+        e_hat(params, val, P, stream)
         assert pools == [2, 2]
-        mc_losses(params, post, 0, P, n, stream)
+        check_average_error_ratio(7, (2,), n)  # one paired pass
         assert pools == [2, 2, 2]
+        streamed_plug_in_gap(logistic_classifier(1, 0.2, 0.5), post, 0, n, stream)
+        assert pools == [2, 2, 2, 2]
+        mc_losses(params, post, 0, P, n, stream)
+        assert pools == [2, 2, 2, 2, 2]
 
     def test_usable_cpus_count_the_affinity_set(self, monkeypatch):
         """A process pinned to two of 64 CPUs uses two; without affinity, the CPU count."""
