@@ -44,7 +44,7 @@ from .regularizers import (
     closed_form_l2p,
 )
 from .streams import SeededStream
-from .toy import GeneratorParams, SampleBatch, ToyPosterior, sample_posterior
+from .toy import GeneratorParams, ToyPosterior, sample_posterior
 
 __all__ = [
     "AutotuneState",
@@ -61,7 +61,6 @@ __all__ = [
     "AutotuneTrace",
     "simulate_autotune",
     "psnr_gain_curve",
-    "apsd",
 ]
 
 
@@ -300,17 +299,3 @@ def psnr_gain_curve(P_max: int) -> list[tuple[int, float]]:
     if P_max < 1:
         raise ValueError(f"P_max must be >= 1, got {P_max}")
     return [(P, target_ratio_db(P)) for P in range(1, P_max + 1)]
-
-
-def apsd(samples: SampleBatch, P: int) -> float:
-    """Root-mean squared deviation of the first P samples from their average.
-
-    Zero exactly when all P rows coincide (the collapse signature).
-    """
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
-    if samples.n < P:
-        raise ValueError(f"need at least P={P} rows, have {samples.n}")
-    rows = samples.values[:P]
-    deviations = rows - rows.mean(axis=0, keepdims=True)
-    return float(math.sqrt((deviations**2).sum() / (P * samples.dim)))

@@ -30,16 +30,20 @@ repetition convention).  The pipeline is:
    ``W^T B W``, so the cross term is ``sum sqrt(mu)`` over
    ``mu = eigvalsh(W^T B W)``: no second matrix square root is formed.
 
-The mean-gap and covariance terms are also exposed separately: the first
-quantifies conditional-mean error, the second conditional-covariance
-error, and they sum to the total.  The covariance term carries most of
+Each metric has one function (``cfid``, ``fid``, ``gaussian_w2_squared``)
+that returns one :class:`FrechetResult`: the value, its parts and the
+diagnostics.  CFID's parts are the mean-gap and covariance terms: the
+first quantifies conditional-mean error, the second conditional-covariance
+error, and they sum to the value.  The covariance term carries most of
 the small-sample estimation bias, so comparisons at small row counts
-should be read with that in mind.
+should be read with that in mind.  Clamps of rounding-negative values and
+rank deficiency are reported only in the diagnostics.
 
-Memory is O(block + D^2) whatever the row count: embedding files are read
-block by block into reused buffers of about ``_BUDGET`` bytes in all, and
-in-memory matrices are copied through the same buffers, so the
-statistics have one code path.
+Embedding files are read block by block into reused buffers of about
+``_BUDGET`` bytes in all, so file input takes O(block + D^2) memory
+whatever the row count.  In-memory matrices are copied through the same
+buffers, so the statistics have one code path; such input takes the
+matrices' own O(rows * D) as well.
 
 Everything is float64 and deterministic: blocks merge in row order, and
 matrix square roots use a symmetric eigendecomposition, never an
@@ -53,7 +57,6 @@ import csv
 import io
 import os
 import struct
-import warnings
 from contextlib import ExitStack
 from dataclasses import dataclass
 
@@ -63,17 +66,13 @@ __all__ = [
     "EmbeddingSet",
     "JointGaussianStats",
     "ConditionalStats",
+    "FrechetResult",
     "compute_stats",
     "conditional_stats",
     "sqrtm_psd",
     "gaussian_w2_squared",
     "cfid",
-    "cfid_from_stats",
-    "cfid_decompose",
-    "cfid_decompose_from_stats",
-    "cfid_decompose_files",
     "fid",
-    "fid_files",
     "write_embeddings",
     "read_embeddings",
 ]
@@ -142,12 +141,7 @@ class EmbeddingSet:
         x = _as_matrix(self.x, "x")
         y = _as_matrix(self.y, "y")
         xhat = _as_matrix(self.xhat, "xhat")
-        if _check_shapes(x.shape, y.shape, xhat.shape, self.P):
-            warnings.warn(
-                "fewer rows than embedding dimensions + 2; covariance estimates "
-                "will be rank-deficient",
-                stacklevel=2,
-            )
+        _check_shapes(x.shape, y.shape, xhat.shape, self.P)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "xhat", xhat)
@@ -433,144 +427,106 @@ def _clamp_nonnegative(value: float, what: str, report: dict) -> float:
     return value
 
 
-def _warn_clamped(report: dict) -> None:
-    """Report each clamp in a warning, for the functions that return only values."""
-    for what, value in report.get("clamped", {}).items():
-        message = f"{what} = {value:.6e} rounded below zero and was clamped to 0"
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
 # ---------------------------------------------------------------------------
 # Distances
 # ---------------------------------------------------------------------------
 
 
-def _w2_squared(mu_a, sigma_a, mu_b, sigma_b) -> tuple[float, dict]:
+@dataclass(frozen=True)
+class FrechetResult:
+    """A Frechet distance with its parts and diagnostics.
+
+    ``parts`` is CFID's (conditional-mean part, conditional-covariance part),
+    which sum to ``value``, and empty for the unconditional distances.
+    ``diagnostics`` holds the eigendecomposition reports ``a`` and ``cross``
+    (and ``s_yy`` for CFID), the row counts and ``rank_deficient`` flag of
+    row input, and ``clamped``, each value before the clamp, when a
+    rounding-negative distance or part was set to zero.
+    """
+
+    value: float
+    parts: tuple
+    diagnostics: dict
+
+
+def _row_source(stack: ExitStack, item, name: str):
+    """A row reader over an embedding file path or an in-memory matrix."""
+    if isinstance(item, (str, os.PathLike)):
+        return _open_rows(stack.enter_context(open(item, "rb")), item)
+    return _ArrayRows(_as_matrix(item, name), name)
+
+
+def gaussian_w2_squared(
+    mu_a: np.ndarray, sigma_a: np.ndarray, mu_b: np.ndarray, sigma_b: np.ndarray
+) -> FrechetResult:
+    """Squared Wasserstein-2 distance between two Gaussians."""
     gap = np.asarray(mu_a, dtype=np.float64) - np.asarray(mu_b, dtype=np.float64)
     cov, report = _covariance_distance(
         _require_symmetric(sigma_a, "sigma_a"), _require_symmetric(sigma_b, "sigma_b")
     )
     value = _clamp_nonnegative(float(gap @ gap) + cov, "squared Wasserstein distance", report)
-    return value, report
+    return FrechetResult(value, (), report)
 
 
-def gaussian_w2_squared(
-    mu_a: np.ndarray, sigma_a: np.ndarray, mu_b: np.ndarray, sigma_b: np.ndarray
-) -> float:
-    """Squared Wasserstein-2 distance between two Gaussians.
+def cfid(source, P: int = 1) -> FrechetResult:
+    """Conditional Frechet distance between truth and generated embeddings.
 
-    A rounding-negative distance returns 0.0 with a ``RuntimeWarning``.
+    ``source`` is a :class:`JointGaussianStats`, an :class:`EmbeddingSet`,
+    or the (x, y, xhat) embedding-file paths, which follow the repetition
+    convention with ``P`` rows per measurement (an ``EmbeddingSet`` carries
+    its own ``P``).  Row input adds ``rows`` and ``rank_deficient``
+    (rows < dims + 2) to the diagnostics.
     """
-    value, report = _w2_squared(mu_a, sigma_a, mu_b, sigma_b)
-    _warn_clamped(report)
-    return value
-
-
-def _cfid_parts(joint: JointGaussianStats) -> tuple[float, float, dict]:
+    report = {}
+    if isinstance(source, JointGaussianStats):
+        joint = source
+    else:
+        if isinstance(source, EmbeddingSet):
+            if P != 1:
+                raise ValueError("an EmbeddingSet carries its own P")
+            source, P = (source.x, source.y, source.xhat), source.P
+        with ExitStack() as stack:
+            sources = [
+                _row_source(stack, item, name) for item, name in zip(source, ("x", "y", "xhat"))
+            ]
+            rank_deficient = _check_shapes(*(rows.shape for rows in sources), P)
+            moments = _accumulate(sources, _CFID_PAIRS)
+        joint = _joint_stats(moments)
+        report.update(rows=moments.rows, rank_deficient=rank_deficient)
     cond = conditional_stats(joint)
-    report = {"s_yy": cond.s_yy_diagnostics}
+    report["s_yy"] = cond.s_yy_diagnostics
     mean_part = _clamp_nonnegative(cond.mean_gap_term, "conditional mean part", report)
     cov, eigen = _covariance_distance(cond.s_xx_given_y, cond.s_xhatxhat_given_y)
     report.update(eigen)
     cov_part = _clamp_nonnegative(cov, "conditional covariance part", report)
-    return mean_part, cov_part, report
+    return FrechetResult(mean_part + cov_part, (mean_part, cov_part), report)
 
 
-def cfid_decompose_from_stats(joint: JointGaussianStats) -> tuple[float, float]:
-    """(conditional-mean part, conditional-covariance part) from joint stats.
+def fid(x, xhat) -> FrechetResult:
+    """Unconditional Frechet distance between two embedding clouds.
 
-    A rounding-negative part returns 0.0 with a ``RuntimeWarning``, here
-    and in :func:`cfid_from_stats`, :func:`cfid` and :func:`cfid_decompose`.
-    """
-    mean_part, cov_part, report = _cfid_parts(joint)
-    _warn_clamped(report)
-    return mean_part, cov_part
-
-
-def cfid_from_stats(joint: JointGaussianStats) -> float:
-    """Conditional Frechet distance from joint Gaussian statistics."""
-    mean_part, cov_part = cfid_decompose_from_stats(joint)
-    return mean_part + cov_part
-
-
-def cfid(embeddings: EmbeddingSet) -> float:
-    """Conditional Frechet distance between truth and generated embeddings."""
-    return cfid_from_stats(compute_stats(embeddings))
-
-
-def cfid_decompose(embeddings: EmbeddingSet) -> tuple[float, float]:
-    """Split the conditional distance into mean and covariance parts."""
-    return cfid_decompose_from_stats(compute_stats(embeddings))
-
-
-def cfid_decompose_files(x_path, y_path, xhat_path, P: int = 1) -> tuple[float, float, dict]:
-    """(mean part, covariance part, diagnostics) streamed from embedding files.
-
-    The files follow the repetition convention (rows already repeated
-    ``P`` times).  The diagnostics hold ``rows``, ``rank_deficient``
-    (rows < dims + 2) and the eigendecomposition reports ``s_yy``, ``a``
-    and ``cross``; ``clamped`` is added, holding the value before the
-    clamp, when a rounding-negative part was set to zero.
+    ``x`` and ``xhat`` are matrices or embedding-file paths.  The
+    diagnostics add ``rows_x``, ``rows_xhat`` and ``rank_deficient`` (fewer
+    rows than dims + 2 in either cloud) to those of
+    :func:`gaussian_w2_squared`.
     """
     with ExitStack() as stack:
-        sources = [
-            _open_rows(stack.enter_context(open(path, "rb")), path)
-            for path in (x_path, y_path, xhat_path)
-        ]
-        rank_deficient = _check_shapes(*(source.shape for source in sources), P)
-        moments = _accumulate(sources, _CFID_PAIRS)
-    mean_part, cov_part, eigen = _cfid_parts(_joint_stats(moments))
-    return mean_part, cov_part, {
-        "rows": moments.rows, "rank_deficient": rank_deficient, **eigen
-    }
-
-
-def _fid(x_source, xhat_source) -> tuple[float, dict]:
-    cols = x_source.shape[1]
-    if xhat_source.shape[1] != cols:
-        raise ValueError(
-            f"column counts differ: x {cols}, xhat {xhat_source.shape[1]}"
-        )
-    clouds = [_accumulate([source], _FID_PAIRS) for source in (x_source, xhat_source)]
-    value, eigen = _w2_squared(
+        sources = [_row_source(stack, item, name) for item, name in ((x, "x"), (xhat, "xhat"))]
+        cols = sources[0].shape[1]
+        if sources[1].shape[1] != cols:
+            raise ValueError(f"column counts differ: x {cols}, xhat {sources[1].shape[1]}")
+        clouds = [_accumulate([rows], _FID_PAIRS) for rows in sources]
+    w2 = gaussian_w2_squared(
         clouds[0].means[0], clouds[0].covariance(0, 0),
         clouds[1].means[0], clouds[1].covariance(0, 0),
     )
     rows_x, rows_xhat = clouds[0].rows, clouds[1].rows
-    return value, {
+    return FrechetResult(w2.value, (), {
         "rows_x": rows_x,
         "rows_xhat": rows_xhat,
         "rank_deficient": min(rows_x, rows_xhat) < cols + 2,
-        **eigen,
-    }
-
-
-def fid(x: np.ndarray, xhat: np.ndarray) -> float:
-    """Unconditional Frechet distance between two embedding clouds.
-
-    A rounding-negative distance returns 0.0 with a ``RuntimeWarning``.
-    """
-    value, report = _fid(
-        _ArrayRows(_as_matrix(x, "x"), "x"), _ArrayRows(_as_matrix(xhat, "xhat"), "xhat")
-    )
-    _warn_clamped(report)
-    return value
-
-
-def fid_files(x_path, xhat_path) -> tuple[float, dict]:
-    """(distance, diagnostics) streamed from two embedding files.
-
-    The diagnostics hold ``rows_x``, ``rows_xhat``, ``rank_deficient``
-    (fewer rows than dims + 2 in either cloud) and the eigendecomposition
-    reports ``a`` and ``cross``; ``clamped`` is added, holding the value
-    before the clamp, when a rounding-negative distance was set to zero.
-    """
-    with ExitStack() as stack:
-        sources = [
-            _open_rows(stack.enter_context(open(path, "rb")), path)
-            for path in (x_path, xhat_path)
-        ]
-        return _fid(*sources)
+        **w2.diagnostics,
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -604,13 +560,25 @@ def _read_embeddings_csv(raw: bytes, path) -> np.ndarray:
         raise ValueError(
             f"{path}: expected a 'col0,col1,...' header, got {header[:4]}..."
         )
-    data = [[float(cell) for cell in row] for row in reader if row]
+    data, width = [], None
+    for row in reader:
+        if not row:
+            continue
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(
+                f"{path}: ragged rows, line {reader.line_num} has {len(row)} values "
+                f"where the rows above have {width}"
+            )
+        data.append([float(cell) for cell in row])
     if not data:
         raise ValueError(f"{path}: no data rows")
-    matrix = np.asarray(data, dtype=np.float64)
-    if matrix.shape[1] != len(header):
-        raise ValueError(f"{path}: ragged rows")
-    return matrix
+    if width != len(header):
+        raise ValueError(
+            f"{path}: the header names {len(header)} columns but every row has {width} values"
+        )
+    return np.asarray(data, dtype=np.float64)
 
 
 def read_embeddings(path) -> np.ndarray:

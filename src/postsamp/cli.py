@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .autotune import psnr_gain_curve, simulate_autotune
-from .cfid import cfid_decompose_files, fid_files
+from .cfid import cfid, fid
 from .detect import logistic_classifier, streamed_plug_in_gap, threshold_classifier
 from .linops import (
     complex_from_interleaved,
@@ -258,26 +258,26 @@ def _cmd_psnr_curve(args) -> tuple[int, dict, list]:
 
 
 def _cmd_cfid(args) -> tuple[int, dict, list]:
-    mean_part, cov_part, diagnostics = cfid_decompose_files(args.x, args.y, args.xhat, args.p)
+    result = cfid((args.x, args.y, args.xhat), args.p)
     results = {
-        "cfid": mean_part + cov_part,
-        "cfid_mean": mean_part,
-        "cfid_cov": cov_part,
-        "rows": diagnostics["rows"],
+        "cfid": result.value,
+        "cfid_mean": result.parts[0],
+        "cfid_cov": result.parts[1],
+        "rows": result.diagnostics["rows"],
         "P": args.p,
-        "diagnostics": diagnostics,
+        "diagnostics": result.diagnostics,
     }
     artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
     return 0, results, artifacts
 
 
 def _cmd_fid(args) -> tuple[int, dict, list]:
-    value, diagnostics = fid_files(args.x, args.xhat)
+    result = fid(args.x, args.xhat)
     results = {
-        "fid": value,
-        "rows_x": diagnostics["rows_x"],
-        "rows_xhat": diagnostics["rows_xhat"],
-        "diagnostics": diagnostics,
+        "fid": result.value,
+        "rows_x": result.diagnostics["rows_x"],
+        "rows_xhat": result.diagnostics["rows_xhat"],
+        "diagnostics": result.diagnostics,
     }
     artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
     return 0, results, artifacts

@@ -38,7 +38,6 @@ __all__ = [
     "SampleBatch",
     "sample_posterior",
     "sample_generator",
-    "p_sample_average",
 ]
 
 # Values per row of the tiled parameters in :func:`affine_normals`.
@@ -217,13 +216,3 @@ def sample_generator(
         stream.generator(), params.mu, params.sigma, np.empty((int(n), params.dim))
     )
     return SampleBatch(values)
-
-
-def p_sample_average(batch: SampleBatch, P: int) -> np.ndarray:
-    """Elementwise mean of the first ``P`` rows of a batch."""
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    if P > batch.n:
-        raise ValueError(f"P={P} exceeds batch size {batch.n}")
-    return batch.values[:P].mean(axis=0)
-

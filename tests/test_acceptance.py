@@ -36,9 +36,6 @@ from postsamp.cfid import (
     EmbeddingSet,
     JointGaussianStats,
     cfid,
-    cfid_decompose,
-    cfid_decompose_from_stats,
-    cfid_from_stats,
     write_embeddings,
 )
 from postsamp.cli import main as cli_main
@@ -224,8 +221,9 @@ class TestAcceptance:
                 + float(np.trace((b - bhat) @ s_yy @ (b - bhat).T))
                 + float(((np.sqrt(var_u) - np.sqrt(var_v)) ** 2).sum())
             )
-            value = cfid_from_stats(joint)
-            mean_part, cov_part = cfid_decompose_from_stats(joint)
+            result = cfid(joint)
+            value = result.value
+            mean_part, cov_part = result.parts
             checks.append(abs(value - oracle) <= 1e-10)
             checks.append(abs(mean_part + cov_part - value) <= 1e-10)
         details.append("analytic oracle x5")
@@ -233,7 +231,7 @@ class TestAcceptance:
         # Identical embedding sets.
         x = rng.standard_normal((400, 5))
         y = rng.standard_normal((400, 3))
-        identical = cfid(EmbeddingSet(x, y, x.copy(), P=1))
+        identical = cfid(EmbeddingSet(x, y, x.copy(), P=1)).value
         checks.append(identical <= 1e-8)
         details.append(f"identical sets {identical:.1e}")
 
@@ -246,7 +244,7 @@ class TestAcceptance:
                 yy = local.standard_normal((n, 4))
                 xx = yy @ b2 + local.standard_normal((n, 8))
                 xxhat = yy @ b2 + local.standard_normal((n, 8))
-                _, cov_part = cfid_decompose(EmbeddingSet(xx, yy, xxhat, P=1))
+                _, cov_part = cfid(EmbeddingSet(xx, yy, xxhat, P=1)).parts
                 sink.append(cov_part)
         checks.append(float(np.mean(small)) > float(np.mean(large)))
         details.append(

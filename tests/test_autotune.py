@@ -13,12 +13,10 @@ from postsamp import (
     SeededStream,
     ToyPosterior,
     beta_sd_nominal,
-    sample_generator,
 )
 from postsamp.autotune import (
     AutotuneState,
     NonMonotonePlantError,
-    apsd,
     e_hat,
     e_hat_items,
     make_validation_set,
@@ -329,34 +327,3 @@ class TestGainCurve:
         gains = [gain for _, gain in psnr_gain_curve(200)]
         assert all(b > a for a, b in zip(gains, gains[1:]))
         assert gains[-1] < 10 * math.log10(2.0) < 3.0103000001
-
-
-class TestApsd:
-    def test_collapsed_samples_zero(self):
-        batch = sample_generator(GeneratorParams([1.0, 2.0], [0.0, 0.0]), 8, STREAM)
-        assert apsd(batch, 8) == 0.0
-
-    def test_two_point_example(self):
-        batch = sample_generator(GeneratorParams(0.0, 1.0), 2, STREAM)
-        object.__setattr__(batch, "values", np.array([[0.0], [2.0]]))
-        assert apsd(batch, 2) == 1.0
-
-    def test_unit_spread_large_p(self):
-        P = 8192
-        batch = sample_generator(GeneratorParams(0.0, 1.0), P, STREAM.child("apsd"))
-        expected = math.sqrt((P - 1) / P)
-        assert apsd(batch, P) == pytest.approx(expected, abs=0.05)
-
-    def test_nonnegative_and_zero_iff_identical(self):
-        rng = np.random.default_rng(3)
-        batch = sample_generator(GeneratorParams(0.0, 1.0), 16, STREAM.child("pos"))
-        assert apsd(batch, 16) > 0.0
-        object.__setattr__(batch, "values", np.tile(rng.standard_normal((1, 1)), (16, 1)))
-        assert apsd(batch, 16) == 0.0
-
-    def test_p_validation(self):
-        batch = sample_generator(GeneratorParams(0.0, 1.0), 4, STREAM)
-        with pytest.raises(ValueError):
-            apsd(batch, 1)
-        with pytest.raises(ValueError):
-            apsd(batch, 5)

@@ -15,7 +15,6 @@ import math
 import os
 import struct
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -25,14 +24,9 @@ from postsamp.cfid import (
     EmbeddingSet,
     JointGaussianStats,
     cfid,
-    cfid_decompose,
-    cfid_decompose_files,
-    cfid_decompose_from_stats,
-    cfid_from_stats,
     compute_stats,
     conditional_stats,
     fid,
-    fid_files,
     gaussian_w2_squared,
     read_embeddings,
     sqrtm_psd,
@@ -86,12 +80,15 @@ class TestComputeStats:
     def test_two_row_hand_example(self):
         """Population covariance of {0, 2} is 1 for every block."""
         x = np.array([[0.0], [2.0]])
-        with pytest.warns(UserWarning):
-            embeddings = EmbeddingSet(x, x.copy(), x.copy(), P=1)
+        embeddings = EmbeddingSet(x, x.copy(), x.copy(), P=1)
         stats = compute_stats(embeddings)
         assert stats.s_xx[0, 0] == 1.0
         assert stats.s_yy[0, 0] == 1.0
         assert stats.s_xy[0, 0] == 1.0
+        # Two rows of 1 + 1 columns: fewer than dims + 2.
+        diagnostics = cfid(embeddings).diagnostics
+        assert diagnostics["rows"] == 2
+        assert diagnostics["rank_deficient"] is True
 
     def test_identical_rows_give_zero_covariance(self):
         row = np.array([[1.0, 2.0, 3.0]])
@@ -210,18 +207,18 @@ class TestGaussianW2:
     def test_mean_shift(self):
         assert gaussian_w2_squared(
             np.array([0.0]), np.array([[1.0]]), np.array([3.0]), np.array([[1.0]])
-        ) == pytest.approx(9.0, abs=1e-12)
+        ).value == pytest.approx(9.0, abs=1e-12)
 
     def test_spread_mismatch(self):
         assert gaussian_w2_squared(
             np.array([0.0]), np.array([[1.0]]), np.array([0.0]), np.array([[9.0]])
-        ) == pytest.approx(4.0, abs=1e-12)
+        ).value == pytest.approx(4.0, abs=1e-12)
 
     def test_commuting_covariances(self):
         a = np.diag([1.0, 4.0])
         b = np.diag([9.0, 16.0])
         expected = (3 - 1) ** 2 + (4 - 2) ** 2
-        assert gaussian_w2_squared(np.zeros(2), a, np.zeros(2), b) == pytest.approx(
+        assert gaussian_w2_squared(np.zeros(2), a, np.zeros(2), b).value == pytest.approx(
             expected, abs=1e-12
         )
 
@@ -231,27 +228,28 @@ class TestCfid:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((400, 5))
         y = rng.standard_normal((400, 3))
-        assert cfid(EmbeddingSet(x, y, x.copy(), P=1)) <= 1e-8
+        assert cfid(EmbeddingSet(x, y, x.copy(), P=1)).value <= 1e-8
 
     def test_unit_mean_shift_analytic(self):
         """x|y ~ N(0,1), xhat|y ~ N(1,1), independent y: distance 1."""
         stats = _stats_1d(0.0, 1.0, 1.0, 1.0)
-        assert cfid_from_stats(stats) == pytest.approx(1.0, abs=1e-10)
+        assert cfid(stats).value == pytest.approx(1.0, abs=1e-10)
 
     def test_unit_spread_gap_analytic(self):
         """x|y ~ N(0,1), xhat|y ~ N(0,4): distance (2-1)^2 = 1."""
         stats = _stats_1d(0.0, 1.0, 0.0, 4.0)
-        assert cfid_from_stats(stats) == pytest.approx(1.0, abs=1e-10)
+        assert cfid(stats).value == pytest.approx(1.0, abs=1e-10)
 
     def test_linear_model_oracle(self):
         """Engine output equals the independently assembled conditional W2."""
         rng = np.random.default_rng(6)
         for trial in range(5):
             joint, mean_part, cov_part = _linear_model_stats(rng, d=5, d_y=3)
-            got_mean, got_cov = cfid_decompose_from_stats(joint)
+            result = cfid(joint)
+            got_mean, got_cov = result.parts
             assert got_mean == pytest.approx(mean_part, abs=1e-10)
             assert got_cov == pytest.approx(cov_part, abs=1e-10)
-            assert cfid_from_stats(joint) == pytest.approx(
+            assert result.value == pytest.approx(
                 mean_part + cov_part, abs=1e-10
             ), trial
 
@@ -263,15 +261,16 @@ class TestCfid:
             x = y @ rng.standard_normal((d_y, d)) + rng.standard_normal((n, d))
             xhat = y @ rng.standard_normal((d_y, d)) + rng.standard_normal((n, d))
             embeddings = EmbeddingSet(x, y, xhat, P=1)
-            mean_part, cov_part = cfid_decompose(embeddings)
+            result = cfid(embeddings)
+            mean_part, cov_part = result.parts
             assert mean_part >= 0.0 and cov_part >= 0.0
-            assert mean_part + cov_part == pytest.approx(cfid(embeddings), abs=1e-10)
+            assert mean_part + cov_part == pytest.approx(result.value, abs=1e-10)
 
     def test_mean_shift_only_lands_in_mean_part(self):
         rng = np.random.default_rng(8)
         x = rng.standard_normal((600, 4))
         y = rng.standard_normal((600, 2))
-        mean_part, cov_part = cfid_decompose(EmbeddingSet(x, y, x + 3.0, P=1))
+        mean_part, cov_part = cfid(EmbeddingSet(x, y, x + 3.0, P=1)).parts
         assert cov_part <= 1e-8
         assert mean_part == pytest.approx(4 * 9.0, rel=1e-12)
 
@@ -281,9 +280,9 @@ class TestCfid:
         y = rng.standard_normal((n, 2))
         x = y @ rng.standard_normal((2, 4)) + rng.standard_normal((n, 4))
         xhat = 0.5 * x + rng.standard_normal((n, 4))
-        base = cfid(EmbeddingSet(x, y, xhat, P=1))
+        base = cfid(EmbeddingSet(x, y, xhat, P=1)).value
         perm = rng.permutation(n)
-        shuffled = cfid(EmbeddingSet(x[perm], y[perm], xhat[perm], P=1))
+        shuffled = cfid(EmbeddingSet(x[perm], y[perm], xhat[perm], P=1)).value
         assert shuffled == pytest.approx(base, abs=1e-12 * max(1.0, base))
 
     def test_repetition_convention_rank_deficiency_is_absorbed(self):
@@ -294,7 +293,7 @@ class TestCfid:
         y = np.repeat(y_unique, P, axis=0)
         x = np.repeat(rng.standard_normal((n_measurements, d)), P, axis=0)
         xhat = x + rng.standard_normal((n_measurements * P, d))
-        value = cfid(EmbeddingSet(x, y, xhat, P=P))
+        value = cfid(EmbeddingSet(x, y, xhat, P=P)).value
         assert np.isfinite(value) and value >= 0.0
 
     def test_small_sample_covariance_bias_direction(self):
@@ -308,7 +307,7 @@ class TestCfid:
                 y = rng.standard_normal((n, d_y))
                 x = y @ b + rng.standard_normal((n, d))
                 xhat = y @ b + rng.standard_normal((n, d))
-                _, cov_part = cfid_decompose(EmbeddingSet(x, y, xhat, P=1))
+                _, cov_part = cfid(EmbeddingSet(x, y, xhat, P=1)).parts
                 sink.append(cov_part)
         assert np.mean(small) > np.mean(large)
 
@@ -317,14 +316,14 @@ class TestFid:
     def test_identical(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal((300, 4))
-        assert fid(x, x.copy()) <= 1e-8
+        assert fid(x, x.copy()).value <= 1e-8
 
     def test_analytic_1d_cases_via_sampled_stats(self):
         rng = np.random.default_rng(12)
         n = 2_000_000
         base = rng.standard_normal((n, 1))
-        assert fid(base, base + 3.0) == pytest.approx(9.0, abs=0.01)
-        assert fid(base, base * 3.0) == pytest.approx(4.0, abs=0.01)
+        assert fid(base, base + 3.0).value == pytest.approx(9.0, abs=0.01)
+        assert fid(base, base * 3.0).value == pytest.approx(4.0, abs=0.01)
 
     def test_column_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -362,6 +361,20 @@ class TestEmbeddingIO:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError):
             read_embeddings(path)
+
+    def test_csv_ragged_rows_name_the_file_and_line(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("col0,col1\n1,2\n3,4\n5\n6,7\n")
+        with pytest.raises(ValueError, match="ragged rows, line 4 has 1 values") as info:
+            read_embeddings(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    def test_csv_rows_wider_than_header_name_both_counts(self, tmp_path):
+        path = tmp_path / "wide.csv"
+        path.write_text("col0,col1\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match="header names 2 columns but every row has 3") as info:
+            read_embeddings(path)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "trunc.emb"
@@ -487,12 +500,12 @@ class TestStreamedAgreement:
         want = _sqrtm_oracle(_plain_stats(x, y, xhat))
         paths = _write_set(tmp_path, x, y, xhat)
         got = {
-            "in-memory": cfid_decompose(EmbeddingSet(x, y, xhat, P=P)),
-            "streamed": cfid_decompose_files(*paths, P=P)[:2],
+            "in-memory": cfid(EmbeddingSet(x, y, xhat, P=P)).parts,
+            "streamed": cfid(paths, P=P).parts,
         }
         # 7-row blocks: many Chan merges and a partial last block.
         monkeypatch.setattr(cfid_module, "_BUDGET", 7 * 8 * (2 * x.shape[1] + y.shape[1]))
-        got["7-row blocks"] = cfid_decompose_files(*paths, P=P)[:2]
+        got["7-row blocks"] = cfid(paths, P=P).parts
         for how, parts in got.items():
             assert parts == pytest.approx(want, rel=1e-10, abs=1e-10), how
 
@@ -506,7 +519,7 @@ class TestStreamedAgreement:
         ],
     )
     def test_from_stats_matches_sqrtm_oracle(self, joint):
-        got = cfid_decompose_from_stats(joint)
+        got = cfid(joint).parts
         assert got == pytest.approx(_sqrtm_oracle(joint), rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("name", ["random-0", "shuffle", "repetition"])
@@ -514,10 +527,10 @@ class TestStreamedAgreement:
         x, _, xhat, _ = CFID_CASES[name]
         want = _sqrtm_fid(x, xhat[: x.shape[0] // 2])
         paths = _write_set(tmp_path, x, x, xhat[: x.shape[0] // 2])
-        assert fid(x, xhat[: x.shape[0] // 2]) == pytest.approx(want, rel=1e-10)
-        assert fid_files(paths[0], paths[2])[0] == pytest.approx(want, rel=1e-10)
+        assert fid(x, xhat[: x.shape[0] // 2]).value == pytest.approx(want, rel=1e-10)
+        assert fid(paths[0], paths[2]).value == pytest.approx(want, rel=1e-10)
         monkeypatch.setattr(cfid_module, "_BUDGET", 1)
-        assert fid_files(paths[0], paths[2])[0] == pytest.approx(want, rel=1e-10)
+        assert fid(paths[0], paths[2]).value == pytest.approx(want, rel=1e-10)
 
 
 class TestBlockBoundaries:
@@ -537,14 +550,14 @@ class TestBlockBoundaries:
                 getattr(blocked, field), getattr(whole, field), rtol=1e-12, atol=1e-13,
                 err_msg=field,
             )
-        assert cfid(embeddings) == pytest.approx(cfid_from_stats(whole), rel=1e-10)
+        assert cfid(embeddings).value == pytest.approx(cfid(whole).value, rel=1e-10)
 
     def test_merge_is_deterministic(self, tmp_path, monkeypatch):
         x, y, xhat, P = CFID_CASES["repetition"]
         paths = _write_set(tmp_path, x, y, xhat)
         monkeypatch.setattr(cfid_module, "_BUDGET", 13 * 8 * 11)
-        first = cfid_decompose_files(*paths, P=P)
-        assert cfid_decompose_files(*paths, P=P) == first
+        first = cfid(paths, P=P)
+        assert cfid(paths, P=P) == first
 
 
 class TestStreamedValidation:
@@ -567,9 +580,9 @@ class TestStreamedValidation:
         with pytest.raises(ValueError):
             read_embeddings(paths[2])
         with pytest.raises(ValueError):
-            cfid_decompose_files(*paths)
+            cfid(paths)
         with pytest.raises(ValueError):
-            fid_files(paths[0], paths[2])
+            fid(paths[0], paths[2])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_value_in_a_later_block_rejected(self, bad, tmp_path, monkeypatch):
@@ -580,9 +593,9 @@ class TestStreamedValidation:
         (tmp_path / "xhat.emb").write_bytes(_raw_emb(xhat))
         monkeypatch.setattr(cfid_module, "_BUDGET", 5 * 8 * 6)  # 10 blocks of 5 rows
         with pytest.raises(ValueError, match="finite"):
-            cfid_decompose_files(*paths)
+            cfid(paths)
         with pytest.raises(ValueError, match="finite"):
-            fid_files(paths[0], paths[2])
+            fid(paths[0], paths[2])
         with pytest.raises(ValueError, match="finite"):
             read_embeddings(paths[2])
 
@@ -591,15 +604,17 @@ class TestStreamedValidation:
         x, y = rng.standard_normal((12, 2)), rng.standard_normal((12, 2))
         paths = _write_set(tmp_path, x, y, rng.standard_normal((12, 3)))
         with pytest.raises(ValueError, match="column count"):
-            cfid_decompose_files(*paths)
+            cfid(paths)
         with pytest.raises(ValueError, match="column counts"):
-            fid_files(paths[0], paths[2])
+            fid(paths[0], paths[2])
         paths = _write_set(tmp_path, x, y[:6], x)
         with pytest.raises(ValueError, match="row counts"):
-            cfid_decompose_files(*paths)
+            cfid(paths)
         paths = _write_set(tmp_path, x, y, x)
         with pytest.raises(ValueError, match="multiple of P"):
-            cfid_decompose_files(*paths, P=5)
+            cfid(paths, P=5)
+        with pytest.raises(ValueError, match="carries its own P"):
+            cfid(EmbeddingSet(x, y, x, P=1), P=4)
 
 
 class TestDiagnostics:
@@ -607,7 +622,9 @@ class TestDiagnostics:
         x, y, xhat, P = CFID_CASES["repetition"]
         # Two copies of y: S_yy has rank 5 of 10.
         paths = _write_set(tmp_path, x, np.hstack([y, y]), xhat)
-        mean_part, cov_part, diagnostics = cfid_decompose_files(*paths, P=P)
+        result = cfid(paths, P=P)
+        mean_part, cov_part = result.parts
+        diagnostics = result.diagnostics
         assert diagnostics["rows"] == 240
         assert diagnostics["rank_deficient"] is False
         assert diagnostics["s_yy"]["kept"] == 5
@@ -618,20 +635,20 @@ class TestDiagnostics:
             assert report["clamped_mass"] == 0.0
         assert "clamped" not in diagnostics
         assert (mean_part, cov_part) == pytest.approx(
-            cfid_decompose(EmbeddingSet(x, y, xhat, P=P)), rel=1e-10
+            cfid(EmbeddingSet(x, y, xhat, P=P)).parts, rel=1e-10
         )
 
     def test_few_rows_flag_rank_deficiency_and_clamps(self, tmp_path):
         rng = np.random.default_rng(18)
         x, y = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
         paths = _write_set(tmp_path, x, y, x + rng.standard_normal((5, 4)))
-        _, _, diagnostics = cfid_decompose_files(*paths)
+        diagnostics = cfid(paths).diagnostics
         assert diagnostics["rank_deficient"] is True
         # 5 rows leave S_xx|y with rank <= 1 of 4: its zero eigenvalues round
         # either way, and the negative ones are what the clamp removed.
         assert diagnostics["a"]["min_eigenvalue"] <= 1e-12
         assert diagnostics["a"]["clamped_mass"] >= 0.0
-        _, diagnostics = fid_files(paths[0], paths[2])
+        diagnostics = fid(paths[0], paths[2]).diagnostics
         assert diagnostics["rank_deficient"] is True
         assert (diagnostics["rows_x"], diagnostics["rows_xhat"]) == (5, 5)
 
@@ -660,52 +677,59 @@ class TestDiagnostics:
         x, y, xhat, P = CFID_CASES["repetition"]
         paths = _write_set(tmp_path, x, y, xhat)
         monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-12, {}))
-        mean_part, cov_part, diagnostics = cfid_decompose_files(*paths, P=P)
+        result = cfid(paths, P=P)
+        mean_part, cov_part = result.parts
         assert mean_part > 0.0 and cov_part == 0.0
-        assert diagnostics["clamped"] == {"conditional covariance part": -1e-12}
+        assert result.diagnostics["clamped"] == {"conditional covariance part": -1e-12}
         monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-6, {}))
         with pytest.raises(ArithmeticError, match="beyond tolerance"):
-            cfid_decompose_files(*paths, P=P)
+            cfid(paths, P=P)
 
 
-class TestValueOnlyClampWarnings:
-    """The functions that return only a value warn of each value they clamp."""
+class TestClampDiagnostics:
+    """Every input form reports each value it clamps in its diagnostics."""
 
-    def test_self_fid_warns_and_returns_zero(self):
+    def test_self_fid_reports_the_clamp_and_returns_zero(self):
         x = np.random.default_rng(0).standard_normal((50, 3))
-        with pytest.warns(RuntimeWarning, match="squared Wasserstein distance = -"):
-            assert fid(x, x) == 0.0
+        result = fid(x, x)
+        assert result.value == 0.0
+        assert -1e-8 < result.diagnostics["clamped"]["squared Wasserstein distance"] < 0.0
 
-    def test_every_value_only_form_warns_of_the_part_it_zeroed(self, monkeypatch):
+    def test_every_input_form_reports_the_part_it_zeroed(self, tmp_path, monkeypatch):
         x, y, xhat, P = CFID_CASES["repetition"]
         embeddings = EmbeddingSet(x, y, xhat, P=P)
         joint = compute_stats(embeddings)
-        mean_part = cfid_decompose(embeddings)[0]
+        paths = _write_set(tmp_path, x, y, xhat)
+        mean_part = cfid(embeddings).parts[0]
         monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-12, {}))
-        calls = {
-            "cfid": (lambda: cfid(embeddings), mean_part),
-            "cfid_from_stats": (lambda: cfid_from_stats(joint), mean_part),
-            "cfid_decompose": (lambda: cfid_decompose(embeddings), (mean_part, 0.0)),
-            "cfid_decompose_from_stats": (
-                lambda: cfid_decompose_from_stats(joint), (mean_part, 0.0)
-            ),
-        }
-        for name, (call, expected) in calls.items():
-            with pytest.warns(RuntimeWarning, match=r"conditional covariance part = -1\.0+e-12"):
-                assert call() == expected, name
+        for name, result in (
+            ("in-memory", cfid(embeddings)),
+            ("stats", cfid(joint)),
+            ("files", cfid(paths, P=P)),
+        ):
+            assert result.value == mean_part, name
+            assert result.parts == (mean_part, 0.0), name
+            assert result.diagnostics["clamped"] == {"conditional covariance part": -1e-12}, name
         zero, eye = np.zeros(3), np.eye(3)
-        with pytest.warns(RuntimeWarning, match=r"squared Wasserstein distance = -1\.0+e-12"):
-            assert gaussian_w2_squared(zero, eye, zero, eye) == 0.0
+        result = gaussian_w2_squared(zero, eye, zero, eye)
+        assert result.value == 0.0
+        assert result.diagnostics["clamped"] == {"squared Wasserstein distance": -1e-12}
 
-    def test_no_clamp_no_warning(self):
+    def test_no_clamp_no_report(self):
         rng = np.random.default_rng(1)
         x, xhat = rng.standard_normal((50, 3)), rng.standard_normal((50, 3)) + 0.5
         x_c, y, xhat_c, P = CFID_CASES["repetition"]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert fid(x, xhat) > 0.0
-            assert gaussian_w2_squared(np.zeros(3), np.eye(3), np.ones(3), 2 * np.eye(3)) > 0.0
-            assert cfid(EmbeddingSet(x_c, y, xhat_c, P=P)) > 0.0
+        results = (
+            fid(x, xhat),
+            gaussian_w2_squared(np.zeros(3), np.eye(3), np.ones(3), 2 * np.eye(3)),
+            cfid(EmbeddingSet(x_c, y, xhat_c, P=P)),
+            cfid(compute_stats(EmbeddingSet(x_c, y, xhat_c, P=P))),
+        )
+        for result in results:
+            assert result.value > 0.0
+            assert "clamped" not in result.diagnostics
+        assert results[2].diagnostics["rank_deficient"] is False
+        assert "rank_deficient" not in results[3].diagnostics
 
 
 class TestMemory:

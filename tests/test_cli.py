@@ -528,6 +528,28 @@ class TestReproducibilityAndErrors:
         assert summary["status"] == "error"
         assert summary["error"]["type"] == "FileNotFoundError"
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [("1,2\n3\n", "ragged rows, line 3"), ("1,2,3\n", "header names 2 columns")],
+        ids=["ragged", "wider-than-header"],
+    )
+    def test_bad_csv_embeddings_name_the_file(self, tmp_path, capsys, body, message):
+        bad = tmp_path / "bad.emb"
+        bad.write_text("col0,col1\n" + body)
+        good = str(tmp_path / "good.emb")
+        write_embeddings(good, np.ones((2, 2)))
+        code, summary = run_cli(
+            capsys,
+            "cfid", "--x", good, "--y", good, "--xhat", str(bad),
+            "--out", str(tmp_path / "r.json"),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert summary["error"]["type"] == "ValueError"
+        assert str(bad) in summary["error"]["message"]
+        assert message in summary["error"]["message"]
+        assert not (tmp_path / "r.json").exists()
+
     def test_threads_belongs_to_losses_only(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")
         assert main(["psnr-curve", "--pmax", "4", "--threads", "2", "--out", out]) == 2

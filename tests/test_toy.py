@@ -4,15 +4,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
 from postsamp import (
     GeneratorParams,
     SeededStream,
     ToyPosterior,
-    p_sample_average,
     sample_generator,
     sample_posterior,
 )
@@ -132,37 +129,6 @@ class TestGaussianity:
         flat = batch.values.ravel()
         assert abs(stats.skew(flat)) < 0.01
         assert abs(stats.kurtosis(flat)) < 0.03
-
-
-class TestPSampleAverage:
-    def test_two_row_mean(self):
-        batch = sample_generator(GeneratorParams([0.0, 0.0], [1.0, 1.0]), 2, STREAM)
-        object.__setattr__(batch, "values", np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(p_sample_average(batch, 2), [2.0, 3.0])
-
-    def test_three_row_mean(self):
-        batch = sample_generator(GeneratorParams(0.0, 1.0), 3, STREAM)
-        object.__setattr__(batch, "values", np.array([[0.0], [3.0], [6.0]]))
-        assert np.array_equal(p_sample_average(batch, 3), [3.0])
-
-    @settings(deadline=None, derandomize=True, max_examples=50)
-    @given(
-        n=st.integers(min_value=1, max_value=16),
-        dim=st.integers(min_value=1, max_value=4),
-        seed=st.integers(min_value=0, max_value=2**32),
-    )
-    def test_p_equals_one_is_identity_on_first_row(self, n, dim, seed):
-        batch = sample_generator(
-            GeneratorParams(np.zeros(dim), np.ones(dim)), n, SeededStream(seed)
-        )
-        assert np.array_equal(p_sample_average(batch, 1), batch.values[0])
-
-    def test_errors(self):
-        batch = sample_generator(GeneratorParams(0.0, 1.0), 3, STREAM)
-        with pytest.raises(ValueError):
-            p_sample_average(batch, 0)
-        with pytest.raises(ValueError):
-            p_sample_average(batch, 4)
 
 
 class TestValidation:
