@@ -42,8 +42,9 @@ __version__ = "0.1.0"
 
 # The names that the README, the tests and the benchmark import from the
 # package root; every other public name is imported from its submodule.
-# Nothing in the package calls the whole-batch samplers or the in-memory
-# detection estimates; the benchmark's tracer names them, so they stay.
+# Nothing in the package calls the whole-batch samplers (sample_posterior
+# included) or the in-memory detection estimates; the benchmark's tracer
+# and the tests' reference paths name them, so they stay.
 __all__ = [
     "SeededStream",
     "ToyPosterior",

@@ -16,12 +16,11 @@ spread; that abstraction is the point of the module, since it exercises
 the controller without any training dynamics.  The observed ratio inside
 the loop is computed from the exact squared-error split
 ``sum(sigma0^2) + sum(sigma^2) / P``.  Its Monte Carlo mode scores the
-generator on a fixed validation set: :func:`e_hat` runs the Monte Carlo
-engine of :mod:`postsamp.regularizers` over the given truths and reduces
-each draw unit to its mean as it is drawn, so beyond the truths memory is
+generator on a :class:`ValidationSet`, which holds no truths: each draw
+unit of the engine of :mod:`postsamp.regularizers` draws its own from the
+set's stream and is reduced to moments as it is drawn, so memory is
 O(unit + block) per worker whatever P, the dimension and the validation
-size are.  Its units run on the engine's pool of worker threads, one per
-usable CPU, and the results are the same bits for any worker count.
+size are, and results are the same bits for any worker count.
 :func:`e_hat_items` keeps the per-item values of the same draws.
 
 ``beta_sd`` is deliberately not clamped at zero: if the error signal
@@ -38,13 +37,13 @@ import numpy as np
 
 from .regularizers import (
     _comoments,
-    _residual_items,
     _residual_moments,
+    _residual_units,
     beta_sd_nominal,
     closed_form_l2p,
 )
 from .streams import SeededStream
-from .toy import GeneratorParams, ToyPosterior, sample_posterior
+from .toy import GeneratorParams, ToyPosterior
 
 __all__ = [
     "AutotuneState",
@@ -91,28 +90,25 @@ class AutotuneState:
 
 @dataclass(frozen=True)
 class ValidationSet:
-    """Held-out truths of one measurement context."""
+    """``size`` truths of one posterior context; draw unit ``u`` draws its own
+    from ``stream.child("truths", u)``, the same values in every pass."""
 
-    x: np.ndarray  # (V, dim)
+    post: ToyPosterior
+    context: int
+    size: int
+    stream: SeededStream
 
     def __post_init__(self) -> None:
-        x = np.asarray(self.x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] < 1:
-            raise ValueError("validation set must be a nonempty (V, dim) matrix")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("validation items must be finite")
-        object.__setattr__(self, "x", x)
-
-    @property
-    def size(self) -> int:
-        return self.x.shape[0]
+        if self.size < 1:
+            raise ValueError(f"validation size must be >= 1, got {self.size}")
+        self.post.context_params(self.context)
 
 
 def make_validation_set(
     post: ToyPosterior, V: int, stream: SeededStream, context: int = 0
 ) -> ValidationSet:
-    """Draw V truths from one posterior context."""
-    return ValidationSet(sample_posterior(post, context, V, stream).values)
+    """V truths from one posterior context."""
+    return ValidationSet(post, context, V, stream)
 
 
 def e_hat_items(
@@ -124,7 +120,8 @@ def e_hat_items(
     unit ``u`` take theirs from ``stream.child("codes", u)``.  To score the
     true posterior, pass its own ``(mu0, sigma0)`` as ``params``.
     """
-    return _residual_items(params, val.x, P, stream)
+    units = _residual_units(params, val, ((P, stream),), lambda items: items[0])
+    return np.concatenate(list(units))
 
 
 def e_hat(
@@ -135,8 +132,7 @@ def e_hat(
     The mean of :func:`e_hat_items`, streamed unit by unit without the
     per-item values.
     """
-    _, mean, _ = _residual_moments(params, val.x, ((P, stream),))
-    return float(mean[0])
+    return float(_residual_moments(params, val, ((P, stream),))[1][0])
 
 
 def _ratio_from_moments(n: int, mean: np.ndarray, comoments: np.ndarray) -> tuple[float, float]:
@@ -210,9 +206,12 @@ class TraceRow:
 
 @dataclass
 class AutotuneTrace:
+    """The loop's rows; ``normals`` counts its Monte Carlo draws (0 in closed form)."""
+
     rows: list
     target_db: float
     converged: bool
+    normals: int
 
     @property
     def final_beta(self) -> float:
@@ -242,8 +241,9 @@ def simulate_autotune(
     stops once the observed ratio is within ``tol_db`` of the target, or
     flags non-convergence at the epoch cap.
 
-    With ``use_mc`` the observed ratio comes from validation-set
-    estimates of size ``V`` (fresh codes each epoch); otherwise it is
+    With ``use_mc`` the observed ratio comes from one paired pass per
+    epoch over a validation set of size ``V`` (fresh codes each epoch, the
+    same truths, redrawn by each pass); otherwise it is
     the exact ratio of :func:`closed_form_l2p` at P = 1 and ``p_val``,
     which is what the convergence guarantees are stated for.  Each step
     is :func:`update_beta`.
@@ -277,8 +277,8 @@ def simulate_autotune(
         params = GeneratorParams(mu0, np.full(post.dim, sigma))
         if use_mc:
             codes = stream.child("codes", epoch)
-            e1 = e_hat(params, val, 1, codes.child("one"))
-            ep = e_hat(params, val, p_val, codes.child("avg"))
+            pair = ((1, codes.child("one")), (p_val, codes.child("avg")))
+            e1, ep = (float(m) for m in _residual_moments(params, val, pair)[1])
         else:
             e1 = closed_form_l2p(params, post, context, 1)
             ep = closed_form_l2p(params, post, context, p_val)
@@ -288,7 +288,9 @@ def simulate_autotune(
             converged = True
             break
         state = update_beta(state, e1, ep)
-    return AutotuneTrace(rows=rows, target_db=target, converged=converged)
+    # Each paired pass draws the truths once and 1 + p_val codes per item.
+    normals = len(rows) * V * (2 + p_val) * post.dim if use_mc else 0
+    return AutotuneTrace(rows=rows, target_db=target, converged=converged, normals=normals)
 
 
 def psnr_gain_curve(P_max: int) -> list[tuple[int, float]]:

@@ -571,7 +571,10 @@ def _read_embeddings_csv(raw: bytes, path) -> np.ndarray:
                 f"{path}: ragged rows, line {reader.line_num} has {len(row)} values "
                 f"where the rows above have {width}"
             )
-        data.append([float(cell) for cell in row])
+        try:
+            data.append([float(cell) for cell in row])
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not data:
         raise ValueError(f"{path}: no data rows")
     if width != len(header):

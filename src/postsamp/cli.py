@@ -246,6 +246,7 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, list]:
         "final_beta_sd": trace.final_beta,
         "target_db": trace.target_db,
         "final_ratio_db": trace.rows[-1].ratio_db,
+        "normals": trace.normals,
     }
     return 0, results, [path]
 

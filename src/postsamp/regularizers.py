@@ -43,26 +43,26 @@ per-replicate loss terms divided by sqrt(n_outer).
 Memory model: one engine draws every Monte Carlo quantity of the package:
 these losses, the validation errors of :mod:`postsamp.autotune` and the
 streamed detection probability of :mod:`postsamp.detect`.  Work is split
-into fixed draw units of 16384 replicates (``_UNIT``); unit ``u`` draws
-its generator codes from ``stream.child("codes", u)`` and its truths from
-``stream.child("truths", u)``, each in reused blocks of about 1 MiB
-(``_BLOCK``) that are reduced before the next is drawn.  Blocks continue
-their substream, so neither the block size nor the worker count can
-change a result.  Units of losses are reduced to (count, mean, sum of
-squared deviations) per term, and units of validation errors to the
-means and co-moments of one or two paired runs; either way the units
+into fixed draw units of 16384 replicates (``_UNIT``), which one runner,
+:func:`_run_units`, draws for the losses and the validation errors: unit
+``u`` draws the codes of each run from ``stream.child("codes", u)`` and
+the truths its runs share from ``stream.child("truths", u)``, in reused
+blocks of about 1 MiB (``_BLOCK``) reduced before the next is drawn.
+Blocks continue their substream, so neither the block size nor the worker
+count can change a result.  Units of losses are reduced to (count, mean,
+sum of squared deviations) per term, and units of validation errors to
+the means and co-moments of one or two paired runs; either way the units
 merge in unit order (Chan, Golub & LeVeque), so memory is O(unit + block)
-per worker whatever P, the dimension or ``n_outer`` is.
+per worker whatever P, the dimension or the replicate count is.
 
 Threads: every caller spreads its units over a pool of worker threads,
 one per CPU this process may use (its affinity set), but never more than
 there are units; ``threads=N`` on the loss estimators caps the pool at N.
 Philox is counter-based, so any unit can be drawn on any thread, and the
 results are the same bits for every worker count.  Unit reductions stay
-elementwise and call no BLAS: with ``@`` dot products of the item rows,
-the two pool threads contended inside OpenBLAS, and the P = 32 paired
-pass over 1e6 validation items took 0.89 s instead of 0.49 s (medians of
-7 on a 2-CPU x86-64 host, OpenBLAS 0.3.31).
+elementwise and call no BLAS: with ``@``, two pool threads contended in
+OpenBLAS and the P = 32 paired pass over 1e6 items took 0.89 s, not 0.49 s
+(medians of 7 on a 2-CPU x86-64 host, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ import enum
 import functools
 import math
 import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -235,50 +236,46 @@ def _map_units(n: int, threads: int | None, unit: Callable[[int, int], _T]) -> I
 
 
 def _blocks(
-    g: np.random.Generator, mu, sigma, count: int, shape: tuple, width: int = 0
+    g: np.random.Generator, mu, sigma, count: int, shape: tuple, width: int = 0, buffer=None
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """``(rows, mu + sigma * z)`` for ``count`` rows shaped ``shape``, block by block.
 
     A block holds about ``_BLOCK`` values (at least one row) in one reused
     buffer, so reduce it before advancing; ``width`` sizes the blocks as if
     a row held that many values, to align the rows of two substreams.
-    Blocks continue ``g``'s sequence, so any split replays the same draws.
+    ``buffer``, if given, must hold a block.  Blocks continue ``g``'s
+    sequence, so any split replays the same draws.
     """
     size = math.prod(shape)
     step = max(1, min(count, _BLOCK // max(width, size)))
-    buffer = np.empty(step * size)
+    if buffer is None:
+        buffer = np.empty(step * size)
     for start in range(0, count, step):
         n = min(step, count - start)
         out = buffer[: n * size].reshape(n, *shape)
         yield slice(start, start + n), affine_normals(g, mu, sigma, out)
 
 
-def _unit_terms(count: int, codes: Iterator, truths: Callable | None, spread: bool) -> np.ndarray:
-    """Per-replicate loss terms of one unit: one row per term, one column per replicate.
-
-    ``codes`` yields ``(rows, xhat)`` blocks of shape ``(rows, P, dim)``.
-    With ``truths(rows)``, the first two rows are ``|x - xhat_bar|`` and
-    ``(x - xhat_bar)^2`` summed over dimensions; with ``spread``, the last
-    two are ``|xhat_i - xhat_bar|`` and ``(xhat_i - xhat_bar)^2`` summed
-    over samples and dimensions.
-    """
-    terms = np.empty((2 * (truths is not None) + 2 * spread, count))
-    for rows, xhat in codes:
-        # Sample by sample, elementwise: fast for small dimensions, and the
-        # same bits for any number of rows.
-        mean = xhat[:, 0].copy()
-        for i in range(1, xhat.shape[1]):
-            mean += xhat[:, i]
-        mean /= xhat.shape[1]
-        if spread:
-            np.subtract(xhat, mean[:, None], out=xhat)
-            terms[-2, rows] = np.abs(xhat, out=xhat).sum(axis=(1, 2))
-            terms[-1, rows] = np.square(xhat, out=xhat).sum(axis=(1, 2))
-        if truths is not None:
-            np.subtract(truths(rows), mean, out=mean)
-            terms[0, rows] = np.abs(mean, out=mean).sum(axis=1)
-            terms[1, rows] = np.square(mean, out=mean).sum(axis=1)
-    return terms
+def _block_terms(xhat: np.ndarray, x: np.ndarray | None, spread: bool, out: np.ndarray) -> None:
+    """Per-replicate loss terms of a block of ``(rows, P, dim)`` codes ``xhat``
+    (overwritten) into the rows of ``out``: with truths ``x``, first
+    ``|x - xhat_bar|`` and ``(x - xhat_bar)^2`` summed over dimensions; with
+    ``spread``, last ``|xhat_i - xhat_bar|`` and ``(xhat_i - xhat_bar)^2``
+    summed over samples and dimensions."""
+    # Sample by sample, elementwise: fast for small dimensions, and the
+    # same bits for any number of rows.
+    mean = xhat[:, 0].copy()
+    for i in range(1, xhat.shape[1]):
+        mean += xhat[:, i]
+    mean /= xhat.shape[1]
+    if spread:
+        np.subtract(xhat, mean[:, None], out=xhat)
+        out[-2] = np.abs(xhat, out=xhat).sum(axis=(1, 2))
+        out[-1] = np.square(xhat, out=xhat).sum(axis=(1, 2))
+    if x is not None:
+        np.subtract(x, mean, out=mean)
+        out[0] = np.abs(mean, out=mean).sum(axis=1)
+        out[1] = np.square(mean, out=mean).sum(axis=1)
 
 
 def _moments(terms: np.ndarray) -> tuple:
@@ -320,6 +317,55 @@ def _context_params(
     return mu0, sigma0
 
 
+def _run_units(
+    params: GeneratorParams,
+    runs: tuple,
+    n: int,
+    truth: tuple | None,
+    spread: bool,
+    threads: int | None,
+    reduce: Callable[[np.ndarray], _T],
+) -> Iterator[_T]:
+    """``reduce(terms)`` per draw unit of ``n`` replicates, in unit order.
+
+    Run ``(P, stream)`` draws unit ``u``'s codes from ``stream.child("codes", u)``;
+    with ``truth = (post, context, stream)``, one truth per replicate, which
+    every run shares, comes from ``stream.child("truths", u)``.
+    ``terms[r]`` holds run r's :func:`_block_terms` rows.  All blocks of a
+    unit are sized by the widest run, so they cover the same rows.  Each
+    worker reuses its block buffers: fresh ones per unit were returned to
+    the OS and faulted in again (a sixth of ``autotune-sim --mc`` on 1 CPU).
+    """
+    for P, _ in runs:
+        if P < 1:
+            raise ValueError(f"P must be >= 1, got {P}")
+    dim = params.dim
+    width = max(P for P, _ in runs) * dim
+    draws = [(s, "codes", params.mu, params.sigma, (P, dim)) for P, s in runs]
+    if truth is not None:
+        post, context, s = truth
+        draws.append((s, "truths", *_context_params(params, post, context), (dim,)))
+    scratch = threading.local()
+
+    def unit(u: int, count: int) -> _T:
+        if not hasattr(scratch, "buffers"):  # room for the blocks of the largest unit
+            step = max(1, min(n, _UNIT, _BLOCK // width))
+            scratch.buffers = [np.empty(step * math.prod(draw[-1])) for draw in draws]
+        blocks = [
+            _blocks(s.child(label, u).generator(), mu, sigma, count, shape, width, buffer)
+            for (s, label, mu, sigma, shape), buffer in zip(draws, scratch.buffers)
+        ]
+        terms = np.empty((len(runs), 2 * (truth is not None) + 2 * spread, count))
+        for drawn in zip(*blocks):
+            rows = drawn[0][0]
+            x = drawn[-1][1] if truth is not None else None
+            for out, (_, xhat) in zip(terms, drawn[: len(runs)]):
+                _block_terms(xhat, x, spread, out[:, rows])
+        return reduce(terms)
+
+    return _map_units(n, threads, unit)
+
+
 def _mc_pass(
     params: GeneratorParams,
     truth: tuple | None,
@@ -332,7 +378,7 @@ def _mc_pass(
     """The losses that one pass over ``n_outer`` replicates gives, by name.
 
     Unit ``u`` draws its codes from ``stream.child("codes", u)`` and, when
-    ``truth`` is ``(mu0, sigma0)``, its truths from ``stream.child("truths", u)``.
+    ``truth`` is ``(post, context)``, its truths from ``stream.child("truths", u)``.
     """
     if P < 2:
         raise ValueError(f"P must be >= 2, got {P}")
@@ -340,20 +386,13 @@ def _mc_pass(
         raise ValueError(f"n_outer must be >= 2, got {n_outer}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    dim = params.dim
-
-    def unit(u: int, count: int) -> tuple:
-        codes = _blocks(stream.child("codes", u).generator(), params.mu, params.sigma, count, (P, dim))
-        truths = None
-        if truth is not None:
-            draws = _blocks(stream.child("truths", u).generator(), *truth, count, (dim,), P * dim)
-            truths = lambda rows: next(draws)[1]  # noqa: E731
-        return _moments(_unit_terms(count, codes, truths, spread))
-
-    n, mean, m2 = functools.reduce(_merge, _map_units(n_outer, threads, unit))
+    truths = None if truth is None else (*truth, stream)
+    reduce = lambda terms: _moments(terms[0])  # noqa: E731
+    units = _run_units(params, ((P, stream),), n_outer, truths, spread, threads, reduce)
+    n, mean, m2 = functools.reduce(_merge, units)
     names = ("l1p", "l2p") * (truth is not None) + ("lsdp", "lvarp") * spread
     scale = {"l1p": 1.0, "l2p": 1.0, "lsdp": gamma_p(P) / P, "lvarp": 1.0 / (P - 1)}
-    normals = n * dim * (P + (truth is not None))
+    normals = n * params.dim * (P + (truth is not None))
     return {
         name: LossEstimate(float(scale[name] * m), float(scale[name] * se), n, P, normals)
         for name, m, se in zip(names, mean, np.sqrt(m2 / (n - 1) / n))
@@ -361,50 +400,21 @@ def _mc_pass(
 
 
 def _residual_units(
-    params: GeneratorParams, x: np.ndarray, runs: tuple, reduce: Callable[[np.ndarray], _T]
+    params: GeneratorParams, val, runs: tuple, reduce: Callable[[np.ndarray], _T]
 ) -> Iterator[_T]:
-    """``reduce(items)`` per draw unit of the truths ``x``, in unit order.
+    """``reduce(items)`` per draw unit of a :class:`postsamp.autotune.ValidationSet`:
+    one row per run ``(P, stream)`` of ``||x - xhat_bar||_2^2`` per truth."""
+    truth = (val.post, val.context, val.stream)
+    return _run_units(params, runs, val.size, truth, False, None, lambda t: reduce(t[:, 1]))
 
-    ``items`` holds one row per run ``(P, stream)``: per truth of the
-    unit, ``||x - xhat_bar||_2^2`` for a fresh P-sample average whose
-    codes unit ``u`` draws from ``stream.child("codes", u)``.
+
+def _residual_moments(params: GeneratorParams, val, runs: tuple) -> tuple:
+    """:func:`_comoments` of the residual items of the runs ``(P, stream)``.
+
+    Each unit is reduced as soon as it is drawn and the units merge in unit
+    order, so memory is O(unit + block) per worker whatever ``val.size`` is.
     """
-    for P, _ in runs:
-        if P < 1:
-            raise ValueError(f"P must be >= 1, got {P}")
-    if params.dim != x.shape[1]:
-        raise ValueError(f"dimension mismatch: generator {params.dim}, truths {x.shape[1]}")
-
-    def unit(u: int, count: int) -> _T:
-        given = x[u * _UNIT : u * _UNIT + count]
-        items = np.empty((len(runs), count))
-        for row, (P, stream) in zip(items, runs):
-            g = stream.child("codes", u).generator()
-            codes = _blocks(g, params.mu, params.sigma, count, (P, params.dim))
-            row[:] = _unit_terms(count, codes, lambda rows: given[rows], False)[1]
-        return reduce(items)
-
-    return _map_units(x.shape[0], None, unit)
-
-
-def _residual_items(
-    params: GeneratorParams, x: np.ndarray, P: int, stream: SeededStream
-) -> np.ndarray:
-    """Per row of the truths ``x``, ``||x - xhat_bar||_2^2`` for a fresh P-sample average."""
-    out = np.empty(x.shape[0])
-    for u, items in enumerate(_residual_units(params, x, ((P, stream),), lambda items: items[0])):
-        out[u * _UNIT : u * _UNIT + items.size] = items
-    return out
-
-
-def _residual_moments(params: GeneratorParams, x: np.ndarray, runs: tuple) -> tuple:
-    """:func:`_comoments` of the residual items of the runs ``(P, stream)``, streamed.
-
-    The items are those of :func:`_residual_items` for each run, but each
-    unit is reduced as soon as it is drawn and the units merge in unit
-    order, so memory is O(unit + block) per worker whatever ``x``'s rows.
-    """
-    return functools.reduce(_merge, _residual_units(params, x, runs, _comoments))
+    return functools.reduce(_merge, _residual_units(params, val, runs, _comoments))
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +437,7 @@ def mc_losses(
     same arguments, bit for bit; the pass draws ``n_outer * (P + 1) * dim``
     normals once instead of once per loss.
     """
-    truth = _context_params(params, post, context)
-    return _mc_pass(params, truth, P, n_outer, stream, threads, spread=True)
+    return _mc_pass(params, (post, context), P, n_outer, stream, threads, spread=True)
 
 
 def mc_l1p(
@@ -445,8 +454,7 @@ def mc_l1p(
     Each outer replicate pairs one fresh posterior draw with P fresh
     generator draws.
     """
-    truth = _context_params(params, post, context)
-    return _mc_pass(params, truth, P, n_outer, stream, threads, spread=False)["l1p"]
+    return _mc_pass(params, (post, context), P, n_outer, stream, threads, spread=False)["l1p"]
 
 
 def mc_lsdp(
@@ -474,8 +482,7 @@ def mc_l2p(
     threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of E ||x - xhat_bar||_2^2."""
-    truth = _context_params(params, post, context)
-    return _mc_pass(params, truth, P, n_outer, stream, threads, spread=False)["l2p"]
+    return _mc_pass(params, (post, context), P, n_outer, stream, threads, spread=False)["l2p"]
 
 
 def mc_lvarp(
@@ -521,15 +528,6 @@ def folded_normal_abs_mean(delta, s):
     return s * math.sqrt(2.0 / math.pi) * gauss + delta * _erf(ratio / math.sqrt(2.0))
 
 
-def _delta_and_s(
-    params: GeneratorParams, post: ToyPosterior, context: int, P: int
-) -> tuple[np.ndarray, np.ndarray]:
-    mu0, sigma0 = _context_params(params, post, context)
-    delta = params.mu - mu0
-    s = np.sqrt(sigma0**2 + params.sigma**2 / P)
-    return delta, s
-
-
 def closed_form_j(
     params: GeneratorParams,
     post: ToyPosterior,
@@ -542,8 +540,9 @@ def closed_form_j(
         raise ValueError(f"P must be >= 2, got {P}")
     if beta_sd < 0:
         raise ValueError(f"beta_sd must be >= 0, got {beta_sd}")
-    delta, s = _delta_and_s(params, post, context, P)
-    return float(folded_normal_abs_mean(delta, s).sum() - beta_sd * params.sigma.sum())
+    mu0, sigma0 = _context_params(params, post, context)
+    s = np.sqrt(sigma0**2 + params.sigma**2 / P)
+    return float(folded_normal_abs_mean(params.mu - mu0, s).sum() - beta_sd * params.sigma.sum())
 
 
 def closed_form_j_grad(

@@ -17,10 +17,10 @@ different parameters.  Code that scores a sampler therefore takes a
 ``GeneratorParams(*post.context_params(context))``.
 
 Memory model: :func:`sample_posterior` and :func:`sample_generator` return
-whole ``(n, dim)`` batches.  The Monte Carlo engine of
-:mod:`postsamp.regularizers` instead calls :func:`affine_normals` on
-reused blocks of about 1 MiB, so its memory does not grow with the draw
-count.
+whole ``(n, dim)`` batches; nothing in the package calls them.  The Monte
+Carlo engine of :mod:`postsamp.regularizers` draws every truth and code
+with :func:`affine_normals` on reused blocks of about 1 MiB, so its
+memory does not grow with the draw count.
 """
 
 from __future__ import annotations
@@ -158,10 +158,6 @@ class SampleBatch:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
-
 
 def _scale_shift(values: np.ndarray, mu, sigma) -> None:
     np.multiply(values, sigma, out=values)
@@ -199,11 +195,7 @@ def sample_posterior(
     post: ToyPosterior, context: int, n: int, stream: SeededStream
 ) -> SampleBatch:
     """Draw ``n`` i.i.d. rows from the true posterior of one context."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    mu0, sigma0 = post.context_params(context)
-    values = affine_normals(stream.generator(), mu0, sigma0, np.empty((int(n), post.dim)))
-    return SampleBatch(values)
+    return sample_generator(GeneratorParams(*post.context_params(context)), n, stream)
 
 
 def sample_generator(

@@ -140,8 +140,8 @@ def check_average_error_ratio(
     The posterior is standard normal.  The observed ratio must bracket
     2P/(P+1) within ``_N_SE`` combined standard errors (delta method on
     the paired per-item errors; one pass per P streams their moments).
-    Each run's ``normals`` counts the codes of its pass; the validation
-    set's truths are drawn once for all runs.
+    Each run's ``normals`` counts the draws of its pass: the validation
+    truths, which every pass redraws, and the codes of both averages.
     """
     start = time.perf_counter()
     stream = SeededStream(seed, ("ratio",))
@@ -152,10 +152,8 @@ def check_average_error_ratio(
     runs = []
     passed = True
     for P in p_values:
-        # One pass draws the single-sample and P-average errors of each
-        # item and keeps only their paired moments.
         pair = ((1, stream.child("single", P)), (P, stream.child("averaged", P)))
-        ratio, se = _ratio_from_moments(*_residual_moments(truth, val.x, pair))
+        ratio, se = _ratio_from_moments(*_residual_moments(truth, val, pair))
         target = 2.0 * P / (P + 1)
         ok = abs(ratio - target) <= _N_SE * se
         passed = passed and ok
@@ -166,7 +164,7 @@ def check_average_error_ratio(
                 "target": target,
                 "std_error": se,
                 "z": (ratio - target) / se if se > 0 else float("inf"),
-                "normals": validation_size * (1 + P) * truth.dim,
+                "normals": validation_size * (2 + P) * truth.dim,
                 "ok": ok,
             }
         )

@@ -94,20 +94,20 @@ class TestUpdateBeta:
 
 
 # float.hex of (mean, last item) of e_hat_items over 10,000 items (one draw
-# unit) from the unit-keyed engine.
+# unit) from the unit-keyed engine, whose unit draws its own truths.
 E_HAT_PINNED = {
-    (1, 1): ("0x1.9d823876a8efbp-2", "0x1.649bdbf8b4006p+0"),
-    (1, 2): ("0x1.770f4c475852ap-2", "0x1.313412417bca2p-5"),
-    (1, 8): ("0x1.43de713fca71dp-2", "0x1.2cafafe0d22e6p-2"),
-    (1, 32): ("0x1.489f81cfcf4f9p-2", "0x1.9d212e3fc99c3p-3"),
-    (3, 1): ("0x1.f95de72f1ef83p+2", "0x1.58b7ddb80373cp-2"),
-    (3, 2): ("0x1.6c0083f20c488p+2", "0x1.2e38fbb549758p+3"),
-    (3, 8): ("0x1.0e44ae5b3ffcfp+2", "0x1.4c7b02b3b8b0ap-4"),
-    (3, 32): ("0x1.eb65e87e55e74p+1", "0x1.8582fb964b71cp+0"),
-    (64, 1): ("0x1.5b9a390c31329p+7", "0x1.4f680323c1e1fp+7"),
-    (64, 2): ("0x1.ef498051dc3e9p+6", "0x1.21f4768ef2588p+7"),
-    (64, 8): ("0x1.5834813bfb9dep+6", "0x1.afd70469b50ecp+6"),
-    (64, 32): ("0x1.33255c4c457e2p+6", "0x1.9b3c0ce7f49f8p+6"),
+    (1, 1): ("0x1.9297e1f2ef654p-2", "0x1.88f32a504fc43p+1"),
+    (1, 2): ("0x1.6f9d7592251bfp-2", "0x1.066b6a1c018a3p-3"),
+    (1, 8): ("0x1.443153504b015p-2", "0x1.abaf3928ed12bp-10"),
+    (1, 32): ("0x1.43328218c9822p-2", "0x1.29d2ddf02c97cp-6"),
+    (3, 1): ("0x1.f62fbd602c47bp+2", "0x1.92a3507cdfb9ep-1"),
+    (3, 2): ("0x1.70dabcd6abe78p+2", "0x1.b74e669ef601bp-1"),
+    (3, 8): ("0x1.0689ff5dbe976p+2", "0x1.34112059744bep+1"),
+    (3, 32): ("0x1.e989d489102e5p+1", "0x1.8d0dc9dde226bp+0"),
+    (64, 1): ("0x1.5bc026ba1143dp+7", "0x1.6220a1cbe05a8p+7"),
+    (64, 2): ("0x1.efb64c8b73943p+6", "0x1.14dd334d3747ep+7"),
+    (64, 8): ("0x1.588e6c0a67239p+6", "0x1.27b9a4a858393p+6"),
+    (64, 32): ("0x1.32c19b0327a89p+6", "0x1.bb02a504e0fdep+5"),
 }
 
 
@@ -212,12 +212,12 @@ class TestStreamedErrors:
             ratio, se = ratio_with_se(single, averaged)
             assert run["ratio"] == pytest.approx(ratio, rel=1e-12, abs=0.0), P
             assert run["std_error"] == pytest.approx(se, rel=1e-12, abs=0.0), P
-            assert run["normals"] == self.V * (1 + P)
+            assert run["normals"] == self.V * (2 + P)
 
     @pytest.mark.parametrize("cpus, sizes", [(1, (20_000, 400_000)), (2, (100_000, 400_000))])
     def test_memory_does_not_grow_with_the_validation_size(self, monkeypatch, cpus, sizes):
-        """Beyond the validation set, the traced peak grows by under 1 MiB
-        between the two sizes (a per-item array of 4e5 floats is 3.2 MB).
+        """The traced peak grows by under 1 MiB between the two sizes (the
+        truths or a per-item array of 4e5 floats would be 3.2 MB).
 
         The smaller size holds at least one full draw unit per worker: a
         ragged unit drawn beside a full one would lower its peak instead.
@@ -233,7 +233,7 @@ class TestStreamedErrors:
             ),
         }
         for name, call in calls.items():
-            peaks = [_traced_peak(lambda: call(V)) - 8 * V for V in sizes]
+            peaks = [_traced_peak(lambda: call(V)) for V in sizes]
             assert peaks[1] - peaks[0] < 2**20, (name, peaks)
 
 
@@ -302,6 +302,19 @@ class TestSimulation:
         )
         assert trace.converged
         assert plant(trace.final_beta) == pytest.approx(1.0, abs=0.15)
+
+    def test_normals_count_the_draws_of_each_epoch(self):
+        """MC mode: per epoch, V truths of each dimension and V * (1 + p_val) codes."""
+        post = ToyPosterior.single([0.0, 1.0, -1.0], [1.0, 2.0, 0.5])
+        plant = lambda beta: max(beta, 0.0) / NOMINAL2  # noqa: E731
+        run = lambda use_mc: simulate_autotune(  # noqa: E731
+            plant, post, 0, 4, 3, 500, 0.2, SeededStream(0), beta0=3 * NOMINAL2,
+            use_mc=use_mc, tol_db=0.0,
+        )
+        trace = run(True)
+        assert len(trace.rows) == 3
+        assert trace.normals == 3 * 500 * (2 + 4) * 3
+        assert run(False).normals == 0
 
     def test_trace_csv_format(self):
         trace = simulate_autotune(

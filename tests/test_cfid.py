@@ -376,6 +376,13 @@ class TestEmbeddingIO:
             read_embeddings(path)
         assert str(info.value).startswith(f"{path}: ")
 
+    def test_csv_non_numeric_cell_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("col0,col1\n1,2\n1,a\n")
+        with pytest.raises(ValueError, match="line 3: could not convert string to float: 'a'") as info:
+            read_embeddings(path)
+        assert str(info.value).startswith(f"{path}: ")
+
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "trunc.emb"
         write_embeddings(path, np.ones((4, 4)))

@@ -114,6 +114,20 @@ class TestAutotuneSim:
         lines = out.read_text().splitlines()
         assert lines[0] == "epoch,beta_sd,ratio_db,target_db"
         assert len(lines) == 1 + summary["results"]["epochs"]
+        assert summary["results"]["normals"] == 0
+
+    def test_monte_carlo_mode_reports_its_draws(self, tmp_path, capsys):
+        """Each epoch's paired pass draws V truths and V * (1 + p_val) codes."""
+        out = tmp_path / "trace.csv"
+        code, summary = run_cli(
+            capsys,
+            "autotune-sim", "--mc", "--v", "3000", "--p-val", "4", "--epochs", "3",
+            "--seed", "1", "--out", str(out),
+        )
+        assert code == 0
+        results = summary["results"]
+        assert results["normals"] == results["epochs"] * 3000 * (2 + 4)
+        assert out.read_text().splitlines()[0] == "epoch,beta_sd,ratio_db,target_db"
 
 
 class TestPsnrCurve:
@@ -530,8 +544,12 @@ class TestReproducibilityAndErrors:
 
     @pytest.mark.parametrize(
         "body, message",
-        [("1,2\n3\n", "ragged rows, line 3"), ("1,2,3\n", "header names 2 columns")],
-        ids=["ragged", "wider-than-header"],
+        [
+            ("1,2\n3\n", "ragged rows, line 3"),
+            ("1,2,3\n", "header names 2 columns"),
+            ("1,2\n1,a\n", "line 3: could not convert string to float: 'a'"),
+        ],
+        ids=["ragged", "wider-than-header", "non-numeric"],
     )
     def test_bad_csv_embeddings_name_the_file(self, tmp_path, capsys, body, message):
         bad = tmp_path / "bad.emb"
