@@ -49,7 +49,6 @@ __all__ = [
     "AutotuneState",
     "ValidationSet",
     "NonMonotonePlantError",
-    "make_validation_set",
     "e_hat",
     "e_hat_items",
     "ratio_with_se",
@@ -75,7 +74,6 @@ class AutotuneState:
     mu_sd: float
     p_val: int
     p_train: int
-    epoch: int = 0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.beta_sd):
@@ -102,13 +100,6 @@ class ValidationSet:
         if self.size < 1:
             raise ValueError(f"validation size must be >= 1, got {self.size}")
         self.post.context_params(self.context)
-
-
-def make_validation_set(
-    post: ToyPosterior, V: int, stream: SeededStream, context: int = 0
-) -> ValidationSet:
-    """V truths from one posterior context."""
-    return ValidationSet(post, context, V, stream)
 
 
 def e_hat_items(
@@ -193,7 +184,7 @@ def update_beta(state: AutotuneState, e1_hat: float, ep_hat: float) -> AutotuneS
         raise ValueError("error estimates must be positive")
     error_db = db(e1_hat / ep_hat) - target_ratio_db(state.p_val)
     new_beta = state.beta_sd - state.mu_sd * error_db * beta_sd_nominal(state.p_train)
-    return replace(state, beta_sd=new_beta, epoch=state.epoch + 1)
+    return replace(state, beta_sd=new_beta)
 
 
 @dataclass(frozen=True)
@@ -261,7 +252,7 @@ def simulate_autotune(
                 "plant spread response decreases over the probe sweep"
             )
 
-    val = make_validation_set(post, V, stream.child("val"), context) if use_mc else None
+    val = ValidationSet(post, context, V, stream.child("val")) if use_mc else None
     state = AutotuneState(
         beta_sd=float(beta0) if beta0 is not None else nominal,
         mu_sd=mu_sd,

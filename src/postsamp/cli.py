@@ -2,11 +2,11 @@
 
 Figures are data here: grids, curves, and traces land in CSV, scalar
 results in JSON, and identical argv (seed included) produces
-byte-identical files.  Every CSV artifact (grids, traces, the gain curve,
-``dc`` vectors) goes through one writer, :func:`_csv`, one ``repr`` per
-value.  Timing lives only in the stdout run summary so it
-cannot break artifact reproducibility.  Existing outputs are never
-overwritten without --force.
+byte-identical files.  :func:`main` writes every artifact; every CSV
+artifact (grids, traces, the gain curve, ``dc`` vectors) is formatted by
+one writer, :func:`_csv`, one ``repr`` per value.  Timing lives only in
+the stdout run summary so it cannot break artifact reproducibility.
+Existing outputs are never overwritten without --force.
 
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
 error object on stdout), 2 usage error.
@@ -69,32 +69,10 @@ def _parse_int_list(text: str) -> tuple:
     return tuple(int(part) for part in text.split(","))
 
 
-def _resolve_beta(beta: str, P: int) -> float:
-    if beta == "nominal":
+def _resolve_beta(beta: str | None, P: int) -> float:
+    if beta in (None, "nominal"):
         return beta_sd_nominal(P)
     return float(beta)
-
-
-def _write_artifact(path: str, payload: str | bytes, force: bool) -> str:
-    if os.path.exists(path) and not force:
-        raise ArtifactExistsError(
-            f"refusing to overwrite existing artifact {path!r}; pass --force"
-        )
-    mode = "wb" if isinstance(payload, bytes) else "w"
-    kwargs = {} if isinstance(payload, bytes) else {"encoding": "utf-8", "newline": ""}
-    with open(path, mode, **kwargs) as handle:
-        handle.write(payload)
-    return path
-
-
-def _json_artifact(args, results: dict) -> str:
-    payload = {
-        "version": __version__,
-        "argv": args.argv,
-        "seed": getattr(args, "seed", None),
-        "results": results,
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _read_vector_csv(path: str) -> np.ndarray:
@@ -155,15 +133,19 @@ def _trace_csv(trace) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit_code, results, artifact_paths)
+# Subcommand handlers: each returns (exit_code, results, csv_text); main
+# writes csv_text, or the JSON artifact of results when it is None.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_contours(args) -> tuple[int, dict, list]:
+def _cmd_contours(args) -> tuple[int, dict, str]:
     post = ToyPosterior.single(args.mu0, args.sigma0)
     reg = RegKind(args.kind)
-    # Only the absolute-error objective takes a spread-reward weight.
-    beta = _resolve_beta(args.beta, args.p) if reg is RegKind.L1_SD else None
+    # --beta defaults to the nominal weight of l1sd; RegularizerKind rejects
+    # any weight for the squared-error objectives.
+    beta = args.beta
+    if reg is RegKind.L1_SD or beta is not None:
+        beta = _resolve_beta(beta, args.p)
     kind = RegularizerKind(reg, args.p, beta)
     grid = contour_grid(
         kind,
@@ -173,50 +155,26 @@ def _cmd_contours(args) -> tuple[int, dict, list]:
         (args.sigma_min, args.sigma_max),
         args.resolution,
     )
-    path = _write_artifact(args.out, _contour_csv(grid), args.force)
     mu_star, sigma_star = grid.argmin_point()
     results = {
         "argmin_mu": mu_star,
         "argmin_sigma": sigma_star,
         "argmin_contains_truth": grid.argmin_contains(args.mu0, args.sigma0),
     }
-    return 0, results, [path]
+    return 0, results, _contour_csv(grid)
 
 
-def _verify_common(args, report) -> tuple[int, dict, list]:
+def _cmd_verify(args) -> tuple[int, dict, None]:
+    report = args.check(args.seed, _parse_int_list(args.p_list), args.size)
     results = {
         "name": report.name,
         "passed": report.passed,
         "details": report.details,
     }
-    artifacts = []
-    if args.out:
-        artifacts.append(_write_artifact(args.out, _json_artifact(args, results), args.force))
-    return (0 if report.passed else 1), results, artifacts
+    return (0 if report.passed else 1), results, None
 
 
-def _cmd_verify_prop1(args) -> tuple[int, dict, list]:
-    report = check_posterior_recovery(
-        args.seed, p_values=_parse_int_list(args.p_list), trials=args.trials
-    )
-    return _verify_common(args, report)
-
-
-def _cmd_verify_prop2(args) -> tuple[int, dict, list]:
-    report = check_mode_collapse(
-        args.seed, p_values=_parse_int_list(args.p_list), trials=args.trials
-    )
-    return _verify_common(args, report)
-
-
-def _cmd_verify_prop3(args) -> tuple[int, dict, list]:
-    report = check_average_error_ratio(
-        args.seed, p_values=_parse_int_list(args.p_list), validation_size=args.v
-    )
-    return _verify_common(args, report)
-
-
-def _cmd_autotune_sim(args) -> tuple[int, dict, list]:
+def _cmd_autotune_sim(args) -> tuple[int, dict, str]:
     post = ToyPosterior.single(args.mu0, args.sigma0)
     nominal = beta_sd_nominal(args.p_train)
     slope = args.plant_slope if args.plant_slope is not None else args.sigma0 / nominal
@@ -239,7 +197,6 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, list]:
         tol_db=args.tol_db,
         use_mc=args.mc,
     )
-    path = _write_artifact(args.out, _trace_csv(trace), args.force)
     results = {
         "converged": trace.converged,
         "epochs": len(trace.rows),
@@ -248,17 +205,16 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, list]:
         "final_ratio_db": trace.rows[-1].ratio_db,
         "normals": trace.normals,
     }
-    return 0, results, [path]
+    return 0, results, _trace_csv(trace)
 
 
-def _cmd_psnr_curve(args) -> tuple[int, dict, list]:
+def _cmd_psnr_curve(args) -> tuple[int, dict, str]:
     curve = psnr_gain_curve(args.pmax)
     values = [v for point in curve for v in point]
-    path = _write_artifact(args.out, _csv([values], 2, "P,gain_db\n"), args.force)
-    return 0, {"pmax": args.pmax, "final_gain_db": curve[-1][1]}, [path]
+    return 0, {"pmax": args.pmax, "final_gain_db": curve[-1][1]}, _csv([values], 2, "P,gain_db\n")
 
 
-def _cmd_cfid(args) -> tuple[int, dict, list]:
+def _cmd_cfid(args) -> tuple[int, dict, None]:
     result = cfid((args.x, args.y, args.xhat), args.p)
     results = {
         "cfid": result.value,
@@ -268,11 +224,10 @@ def _cmd_cfid(args) -> tuple[int, dict, list]:
         "P": args.p,
         "diagnostics": result.diagnostics,
     }
-    artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
-    return 0, results, artifacts
+    return 0, results, None
 
 
-def _cmd_fid(args) -> tuple[int, dict, list]:
+def _cmd_fid(args) -> tuple[int, dict, None]:
     result = fid(args.x, args.xhat)
     results = {
         "fid": result.value,
@@ -280,11 +235,10 @@ def _cmd_fid(args) -> tuple[int, dict, list]:
         "rows_xhat": result.diagnostics["rows_xhat"],
         "diagnostics": result.diagnostics,
     }
-    artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
-    return 0, results, artifacts
+    return 0, results, None
 
 
-def _cmd_dc(args) -> tuple[int, dict, list]:
+def _cmd_dc(args) -> tuple[int, dict, str]:
     operator = load_operator(args.mask, coils=args.coils)
     x_raw = _read_vector_csv(args.x_raw)
     y = _read_vector_csv(args.y)
@@ -293,11 +247,10 @@ def _cmd_dc(args) -> tuple[int, dict, list]:
         y = complex_from_interleaved(y)
     result = data_consistency(operator, x_raw, y)
     residual = float(np.max(np.abs(operator.apply(result) - y)))
-    path = _write_artifact(args.out, _vector_csv(result), args.force)
-    return 0, {"max_residual": residual, "dim": int(result.shape[0])}, [path]
+    return 0, {"max_residual": residual, "dim": int(result.shape[0])}, _vector_csv(result)
 
 
-def _cmd_detect(args) -> tuple[int, dict, list]:
+def _cmd_detect(args) -> tuple[int, dict, None]:
     post = ToyPosterior.single(_parse_vector(args.mu0), _parse_vector(args.sigma0))
     if args.coordinate >= post.dim:
         raise ValueError(
@@ -317,11 +270,10 @@ def _cmd_detect(args) -> tuple[int, dict, list]:
         "plug_in_estimate": c_of_avg,
         "plug_in_gap": probability - c_of_avg,
     }
-    artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
-    return 0, results, artifacts
+    return 0, results, None
 
 
-def _cmd_losses(args) -> tuple[int, dict, list]:
+def _cmd_losses(args) -> tuple[int, dict, None]:
     params = GeneratorParams(_parse_vector(args.mu), _parse_vector(args.sigma))
     post = ToyPosterior.single(_parse_vector(args.mu0), _parse_vector(args.sigma0))
     beta = _resolve_beta(args.beta, args.p)
@@ -334,8 +286,7 @@ def _cmd_losses(args) -> tuple[int, dict, list]:
         "l2varp": closed_form_l2varp(params, post, 0, args.p),
         "beta_sd": beta,
     }
-    artifacts = [_write_artifact(args.out, _json_artifact(args, results), args.force)]
-    return 0, results, artifacts
+    return 0, results, None
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("contours", help="closed-form objective grid over (mu, sigma)")
     p.add_argument("--kind", choices=[k.value for k in RegKind], required=True)
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--beta", default="nominal", help="'nominal' or a number (l1sd only)")
+    p.add_argument("--beta", default=None,
+                   help="'nominal' (the default) or a number; l1sd only")
     p.add_argument("--mu0", type=float, required=True)
     p.add_argument("--sigma0", type=float, required=True)
     p.add_argument("--mu-min", type=float, default=-3.0)
@@ -377,23 +329,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, seed_required=None)
     p.set_defaults(handler=_cmd_contours)
 
-    p = sub.add_parser("verify-prop1", help="posterior recovery check")
-    p.add_argument("--p-list", default="2,3,8")
-    p.add_argument("--trials", type=int, default=10)
-    _add_common(p, seed_required=True)
-    p.set_defaults(handler=_cmd_verify_prop1)
-
-    p = sub.add_parser("verify-prop2", help="mode collapse check")
-    p.add_argument("--p-list", default="2,3,8")
-    p.add_argument("--trials", type=int, default=10)
-    _add_common(p, seed_required=True)
-    p.set_defaults(handler=_cmd_verify_prop2)
-
-    p = sub.add_parser("verify-prop3", help="averaging error-ratio check")
-    p.add_argument("--p-list", default="2,4,8,32")
-    p.add_argument("--v", type=int, default=100_000, help="validation set size")
-    _add_common(p, seed_required=True)
-    p.set_defaults(handler=_cmd_verify_prop3)
+    # Each check's third argument is its trial count or its validation size.
+    for name, text, check, p_list, size_flag, size in (
+        ("verify-prop1", "posterior recovery check", check_posterior_recovery,
+         "2,3,8", "--trials", 10),
+        ("verify-prop2", "mode collapse check", check_mode_collapse,
+         "2,3,8", "--trials", 10),
+        ("verify-prop3", "averaging error-ratio check", check_average_error_ratio,
+         "2,4,8,32", "--v", 100_000),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--p-list", default=p_list)
+        p.add_argument(size_flag, dest="size", type=int, default=size)
+        _add_common(p, seed_required=True)
+        p.set_defaults(handler=_cmd_verify, check=check)
 
     p = sub.add_parser("autotune-sim", help="closed-loop spread-weight tuning")
     p.add_argument("--p-val", type=int, default=8)
@@ -479,32 +428,26 @@ def main(argv: list | None = None) -> int:
         args = parser.parse_args(raw_argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
-    args.argv = raw_argv
 
     start = time.perf_counter()
+    summary = {"version": __version__, "argv": raw_argv, "seed": getattr(args, "seed", None)}
     try:
-        exit_code, results, artifacts = args.handler(args)
+        exit_code, results, text = args.handler(args)
+        if text is None:  # a JSON artifact: the summary's identity fields and results
+            text = json.dumps({**summary, "results": results}, sort_keys=True, indent=2) + "\n"
+        if os.path.exists(args.out) and not args.force:
+            raise ArtifactExistsError(
+                f"refusing to overwrite existing artifact {args.out!r}; pass --force"
+            )
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        error = {
-            "status": "error",
-            "version": __version__,
-            "argv": raw_argv,
-            "seed": getattr(args, "seed", None),
-            "wall_time_ms": (time.perf_counter() - start) * 1000.0,
-            "error": {"type": type(exc).__name__, "message": str(exc)},
-        }
-        print(json.dumps(error, sort_keys=True))
-        return 1
-
-    summary = {
-        "status": "ok" if exit_code == 0 else "failed",
-        "version": __version__,
-        "argv": raw_argv,
-        "seed": getattr(args, "seed", None),
-        "wall_time_ms": (time.perf_counter() - start) * 1000.0,
-        "artifacts": artifacts,
-        "results": results,
-    }
+        exit_code = 1
+        summary.update(status="error", error={"type": type(exc).__name__, "message": str(exc)})
+    else:
+        status = "ok" if exit_code == 0 else "failed"
+        summary.update(status=status, artifacts=[args.out], results=results)
+    summary["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
     print(json.dumps(summary, sort_keys=True))
     return exit_code
 

@@ -24,8 +24,8 @@ records every projection event to let tests assert that.
 Resolution limit: the gradient is a function of ``(mu - mu0) / s``, and
 float64 spaces ``mu`` near ``mu0`` by about ``2.2e-16 |mu0|``.  Once
 ``|mu0| / sigma0`` exceeds about 1e6 that spacing, divided by ``s``, is
-no longer small against the default ``grad_tol``, and the report may
-say ``converged=False`` there.
+no longer small against ``_GRAD_TOL``, and the report may say
+``converged=False`` there.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .regularizers import CLOSED_FORMS, RegKind, RegularizerKind
 from .toy import GeneratorParams, ToyPosterior
 
 __all__ = [
-    "OptimizerSettings",
     "OptimizationReport",
     "ContourGrid",
     "minimize_regularizer",
@@ -52,22 +51,15 @@ __all__ = [
 _INITIAL_RADIUS = 1.0
 _RADIUS_FACTOR = 4.0
 
-
-@dataclass(frozen=True)
-class OptimizerSettings:
-    """Trust-region Newton controls.
-
-    Convergence is declared when the max-abs projected gradient falls
-    below ``grad_tol``: the mu components and, for each dimension, the
-    sigma component, except that at sigma = 0 only a negative sigma slope
-    counts (the KKT condition of the bound sigma >= 0).  Every trial step,
-    accepted or rejected, counts against ``max_iterations``.  Beyond
-    ``|mu0| / sigma0`` of about 1e6 float64 cannot resolve ``(mu - mu0) / s``
-    to the default ``grad_tol``; the run then ends with ``converged=False``.
-    """
-
-    max_iterations: int = 20_000
-    grad_tol: float = 1e-8
+# Convergence is declared when the max-abs projected gradient falls below
+# _GRAD_TOL: the mu components and, for each dimension, the sigma component,
+# except that at sigma = 0 only a negative sigma slope counts (the KKT
+# condition of the bound sigma >= 0).  Every trial step, accepted or
+# rejected, counts against _MAX_ITERATIONS.  Beyond |mu0| / sigma0 of about
+# 1e6 float64 cannot resolve (mu - mu0) / s to _GRAD_TOL; the run then ends
+# with converged=False.
+_MAX_ITERATIONS = 20_000
+_GRAD_TOL = 1e-8
 
 
 @dataclass
@@ -80,7 +72,6 @@ class OptimizationReport:
     sigma_indeterminate: bool = False
     projection_iterations: list = field(default_factory=list)
     grad_norm: float = float("nan")
-    converged_by: str = ""
     evaluations: int = 0  # closed-form table calls (value, gradient, Hessian)
     rejected_steps: int = 0  # trial steps that did not decrease f (radius shrinks)
 
@@ -129,7 +120,6 @@ def minimize_regularizer(
     post: ToyPosterior,
     context: int,
     init: GeneratorParams,
-    settings: OptimizerSettings | None = None,
 ) -> OptimizationReport:
     """Minimize a closed-form objective over (mu, sigma) from ``init``.
 
@@ -143,7 +133,6 @@ def minimize_regularizer(
     move any parameter, is reported through ``converged=False``, never
     silently.
     """
-    settings = settings or OptimizerSettings()
     if np.any(init.sigma <= 0) and kind.kind is not RegKind.L2_VAR:
         raise ValueError("init.sigma must be > 0")
     if init.dim != post.dim:
@@ -174,10 +163,10 @@ def minimize_regularizer(
     radius = _INITIAL_RADIUS
     projections: list[int] = []
     converged = False
-    iterations = settings.max_iterations
+    iterations = _MAX_ITERATIONS
 
-    for iteration in range(settings.max_iterations):
-        if max_abs(grad) <= settings.grad_tol:
+    for iteration in range(_MAX_ITERATIONS):
+        if max_abs(grad) <= _GRAD_TOL:
             converged = True
             iterations = iteration
             break
@@ -215,7 +204,6 @@ def minimize_regularizer(
         sigma_indeterminate=sigma_flat,
         projection_iterations=projections,
         grad_norm=max_abs(grad),
-        converged_by="gradient" if converged else "",
         evaluations=evaluations,
         rejected_steps=rejected,
     )
@@ -237,14 +225,9 @@ class ContourGrid:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid values must be finite")
 
-    def argmin_indices(self) -> tuple[int, int]:
-        """(sigma index, mu index) of the minimizing cell."""
-        flat = int(np.argmin(self.values))
-        return np.unravel_index(flat, self.values.shape)  # type: ignore[return-value]
-
     def argmin_point(self) -> tuple[float, float]:
         """(mu, sigma) at the minimizing cell."""
-        i, j = self.argmin_indices()
+        i, j = np.unravel_index(int(np.argmin(self.values)), self.values.shape)
         return float(self.mu_axis[j]), float(self.sigma_axis[i])
 
     def argmin_contains(self, mu: float, sigma: float) -> bool:
@@ -277,6 +260,8 @@ def contour_grid(
     s_lo, s_hi = map(float, sigma_range)
     if not (mu_lo < mu_hi and s_lo < s_hi):
         raise ValueError("ranges must be nonempty")
+    if s_lo < 0:
+        raise ValueError(f"sigma range must be >= 0, got {s_lo}")
     if not (mu_lo <= mu0 <= mu_hi and s_lo <= sigma0 <= s_hi):
         raise ValueError("ranges must contain the true (mu0, sigma0)")
 

@@ -172,10 +172,6 @@ class RegularizerKind:
     def l2(cls, P: int) -> "RegularizerKind":
         return cls(RegKind.L2, P)
 
-    @classmethod
-    def l2_var(cls, P: int) -> "RegularizerKind":
-        return cls(RegKind.L2_VAR, P)
-
 
 def gamma_p(P: int) -> float:
     """Spread-reward scaling sqrt(pi * P / (2 * (P - 1))).

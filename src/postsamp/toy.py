@@ -26,7 +26,6 @@ memory does not grow with the draw count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -88,15 +87,6 @@ class ToyPosterior:
     def single(cls, mu0, sigma0) -> "ToyPosterior":
         """One-context posterior from vectors (or scalars)."""
         return cls(_as_vector(mu0, "mu0")[None, :], _as_vector(sigma0, "sigma0")[None, :])
-
-    @classmethod
-    def from_contexts(cls, contexts: Sequence[tuple]) -> "ToyPosterior":
-        """Build from a list of (mu0, sigma0) pairs sharing one dimension."""
-        if not contexts:
-            raise ValueError("need at least one context")
-        mus = [_as_vector(m, "mu0") for m, _ in contexts]
-        sigmas = [_as_vector(s, "sigma0") for _, s in contexts]
-        return cls(np.stack(mus), np.stack(sigmas))
 
     @property
     def n_contexts(self) -> int:

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .autotune import _ratio_from_moments, make_validation_set
+from .autotune import ValidationSet, _ratio_from_moments
 from .proplab import minimize_regularizer
 from .regularizers import RegularizerKind, _residual_moments
 from .streams import SeededStream
@@ -45,6 +45,12 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
 
+def _require_p_values(p_values: tuple) -> None:
+    # A check over no P values would pass with no runs.
+    if len(p_values) == 0:
+        raise ValueError("p_values must not be empty")
+
+
 def _random_posterior(stream: SeededStream) -> tuple[float, float]:
     rng = stream.generator()
     return float(rng.uniform(-10.0, 10.0)), float(rng.uniform(0.1, 10.0))
@@ -66,6 +72,9 @@ def _minimization_check(
     convergence) and any extra fields for its record; ``tolerances`` go
     into ``details`` next to the runs.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_p_values(p_values)
     start = time.perf_counter()
     stream = SeededStream(seed, (label,))
     init = GeneratorParams(5.0, 5.0)
@@ -143,12 +152,13 @@ def check_average_error_ratio(
     Each run's ``normals`` counts the draws of its pass: the validation
     truths, which every pass redraws, and the codes of both averages.
     """
+    _require_p_values(p_values)
     start = time.perf_counter()
     stream = SeededStream(seed, ("ratio",))
     post = ToyPosterior.single(0.0, 1.0)
     # The true posterior, scored as a generator with its own parameters.
     truth = GeneratorParams(*post.context_params(0))
-    val = make_validation_set(post, validation_size, stream.child("val"))
+    val = ValidationSet(post, 0, validation_size, stream.child("val"))
     runs = []
     passed = True
     for P in p_values:

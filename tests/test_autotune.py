@@ -16,10 +16,10 @@ from postsamp import (
 )
 from postsamp.autotune import (
     AutotuneState,
+    ValidationSet,
     NonMonotonePlantError,
     e_hat,
     e_hat_items,
-    make_validation_set,
     psnr_gain_curve,
     ratio_with_se,
     simulate_autotune,
@@ -58,7 +58,6 @@ class TestUpdateBeta:
         expected = 0.325735 - 0.1 * (3.5 - target_ratio_db(8)) * beta_sd_nominal(2)
         assert new.beta_sd == pytest.approx(expected, abs=1e-12)
         assert new.beta_sd == pytest.approx(0.29313, abs=2e-5)
-        assert new.epoch == 1
 
     def test_fixed_point_exactly_at_target(self):
         state = AutotuneState(beta_sd=0.2, mu_sd=0.3, p_val=8, p_train=2)
@@ -114,36 +113,36 @@ E_HAT_PINNED = {
 class TestEHat:
     def test_true_posterior_single_sample_doubles_floor(self):
         """E_1 = 2 * E_mmse when the generator is the true posterior."""
-        val = make_validation_set(STD_POST, 50_000, STREAM.child("val-e1"))
+        val = ValidationSet(STD_POST, 0, 50_000, STREAM.child("val-e1"))
         items = e_hat_items(STD_TRUTH, val, 1, STREAM.child("e1"))
         se = items.std(ddof=1) / math.sqrt(items.size)
         assert abs(items.mean() - 2.0) <= 4 * se
 
     def test_collapsed_generator_measures_floor(self):
         post = ToyPosterior.single(1.5, 2.0)
-        val = make_validation_set(post, 50_000, STREAM.child("val-floor"))
+        val = ValidationSet(post, 0, 50_000, STREAM.child("val-floor"))
         items = e_hat_items(GeneratorParams(1.5, 0.0), val, 8, STREAM.child("floor"))
         se = items.std(ddof=1) / math.sqrt(items.size)
         assert abs(items.mean() - 4.0) <= 4 * se  # floor = sigma0^2
 
     def test_perfect_recovery_is_zero(self):
         post = ToyPosterior.single(3.0, 1e-12)
-        val = make_validation_set(post, 100, STREAM.child("val-zero"))
+        val = ValidationSet(post, 0, 100, STREAM.child("val-zero"))
         value = e_hat(GeneratorParams(3.0, 0.0), val, 2, STREAM)
         assert value <= 1e-20
 
     def test_deterministic(self):
-        val = make_validation_set(STD_POST, 1000, STREAM.child("val-det"))
+        val = ValidationSet(STD_POST, 0, 1000, STREAM.child("val-det"))
         a = e_hat(STD_TRUTH, val, 4, STREAM.child("det"))
         b = e_hat(STD_TRUTH, val, 4, STREAM.child("det"))
         assert a == b
 
     def test_empty_validation_set_rejected(self):
         with pytest.raises(ValueError):
-            make_validation_set(STD_POST, 0, STREAM)
+            ValidationSet(STD_POST, 0, 0, STREAM)
 
     def test_dimension_mismatch_rejected(self):
-        val = make_validation_set(STD_POST, 10, STREAM.child("val-dim"))
+        val = ValidationSet(STD_POST, 0, 10, STREAM.child("val-dim"))
         with pytest.raises(ValueError, match="dimension mismatch"):
             e_hat_items(GeneratorParams([0.0, 0.0], [1.0, 1.0]), val, 2, STREAM)
 
@@ -156,7 +155,7 @@ class TestEHat:
         if dim == 3:
             sigma[1] = 0.0
         stream = SeededStream(2024, ("pins", dim, P))
-        val = make_validation_set(post, 10_000, stream.child("val"))
+        val = ValidationSet(post, 0, 10_000, stream.child("val"))
         items = e_hat_items(GeneratorParams(mu0 + 0.25, sigma), val, P, stream.child("e"))
         assert (items.mean().hex(), items[-1].hex()) == E_HAT_PINNED[dim, P]
 
@@ -164,7 +163,7 @@ class TestEHat:
         """dim 64, P 32: the codes of all 4096 items at once would be 64 MiB."""
         dim = 64
         post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
-        val = make_validation_set(post, 4096, STREAM.child("val-memory"))
+        val = ValidationSet(post, 0, 4096, STREAM.child("val-memory"))
         params = GeneratorParams(np.zeros(dim), np.ones(dim))
         tracemalloc.start()
         try:
@@ -194,7 +193,7 @@ class TestStreamedErrors:
     V = 40_000
 
     def test_e_hat_is_the_mean_of_the_items(self):
-        val = make_validation_set(STD_POST, self.V, STREAM.child("val-agree"))
+        val = ValidationSet(STD_POST, 0, self.V, STREAM.child("val-agree"))
         for P in (1, 8):
             items = e_hat_items(STD_TRUTH, val, P, STREAM.child("agree", P))
             streamed = e_hat(STD_TRUTH, val, P, STREAM.child("agree", P))
@@ -205,7 +204,7 @@ class TestStreamedErrors:
         seed, p_values = 11, (2, 8, 32)
         report = check_average_error_ratio(seed, p_values, self.V)
         stream = SeededStream(seed, ("ratio",))
-        val = make_validation_set(STD_POST, self.V, stream.child("val"))
+        val = ValidationSet(STD_POST, 0, self.V, stream.child("val"))
         for run, P in zip(report.details["runs"], p_values):
             single = e_hat_items(STD_TRUTH, val, 1, stream.child("single", P))
             averaged = e_hat_items(STD_TRUTH, val, P, stream.child("averaged", P))
@@ -242,7 +241,7 @@ class TestAveragingRatio:
     def test_ratio_law(self, P):
         """E_1 / E_P = 2P / (P+1) within 4 combined standard errors."""
         stream = SeededStream(1234, ("ratio-law", P))
-        val = make_validation_set(STD_POST, 100_000, stream.child("val"))
+        val = ValidationSet(STD_POST, 0, 100_000, stream.child("val"))
         single = e_hat_items(STD_TRUTH, val, 1, stream.child("single"))
         averaged = e_hat_items(STD_TRUTH, val, P, stream.child("avg"))
         ratio, se = ratio_with_se(single, averaged)

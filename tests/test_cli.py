@@ -1,5 +1,6 @@
 """CLI surface: artifacts, reproducibility, exit codes, error objects."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import postsamp
-from postsamp import RegularizerKind, SeededStream, ToyPosterior, regularizers
+from postsamp import RegKind, RegularizerKind, SeededStream, ToyPosterior, regularizers
 from postsamp.autotune import psnr_gain_curve, simulate_autotune
 from postsamp.cfid import write_embeddings
 from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
@@ -50,6 +51,38 @@ class TestContours:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("# kind=l1sd")
         assert len(lines) == 2 + 201
+
+    def test_beta_defaults_to_nominal(self, tmp_path, capsys):
+        argv = ("contours", "--kind", "l1sd", "--p", "3", "--mu0", "0", "--sigma0", "1",
+                "--resolution", "16")
+        default, nominal = tmp_path / "default.csv", tmp_path / "nominal.csv"
+        assert run_cli(capsys, *argv, "--out", str(default))[0] == 0
+        assert run_cli(capsys, *argv, "--beta", "nominal", "--out", str(nominal))[0] == 0
+        assert default.read_bytes() == nominal.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["l2", "l2var"])
+    @pytest.mark.parametrize("beta", ["0.7", "nominal"])
+    def test_beta_rejected_for_squared_error_kinds(self, tmp_path, capsys, kind, beta):
+        out = tmp_path / "grid.csv"
+        code, summary = run_cli(
+            capsys,
+            "contours", "--kind", kind, "--p", "8", "--beta", beta,
+            "--mu0", "0", "--sigma0", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert not out.exists()
+
+    def test_negative_sigma_min_rejected(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code, summary = run_cli(
+            capsys,
+            "contours", "--kind", "l1sd", "--p", "8", "--sigma-min", "-2",
+            "--mu0", "0", "--sigma0", "1", "--out", str(out),
+        )
+        assert code == 1
+        assert "sigma range" in summary["error"]["message"]
+        assert not out.exists()
 
     def test_l2_argmin_on_collapse_row(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
@@ -99,6 +132,32 @@ class TestVerifyCommands:
         code = main(["verify-prop1", "--out", str(tmp_path / "r.json")])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["verify-prop1", "verify-prop2"])
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_nonpositive_trials_rejected(self, tmp_path, capsys, command, trials):
+        out = tmp_path / "r.json"
+        code, summary = run_cli(
+            capsys, command, "--seed", "1", "--trials", trials, "--out", str(out)
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert "trials" in summary["error"]["message"]
+        assert not out.exists()
+
+    def test_failed_check_writes_its_artifact_and_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(postsamp.proplab, "_MAX_ITERATIONS", 1)
+        out = tmp_path / "r.json"
+        code, summary = run_cli(
+            capsys, "verify-prop1", "--seed", "5", "--trials", "1", "--p-list", "2",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert summary["status"] == "failed"
+        assert summary["artifacts"] == [str(out)]
+        artifact = json.loads(out.read_text())
+        assert artifact["results"] == summary["results"]
+        assert artifact["results"]["passed"] is False
 
 
 class TestAutotuneSim:
@@ -343,7 +402,8 @@ def _loop_contour_csv(grid):
 
 class TestCsvWriters:
     @pytest.mark.parametrize(
-        "kind", [RegularizerKind.l1_sd(2), RegularizerKind.l2(8), RegularizerKind.l2_var(3)]
+        "kind",
+        [RegularizerKind.l1_sd(2), RegularizerKind.l2(8), RegularizerKind(RegKind.L2_VAR, 3)],
     )
     def test_contour_csv_matches_loop(self, kind):
         post = ToyPosterior.single(0.3, 1.1)
@@ -568,6 +628,16 @@ class TestReproducibilityAndErrors:
         assert message in summary["error"]["message"]
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("psnr-curve", "--pmax", "4"),
+         ("verify-prop2", "--seed", "1", "--trials", "1", "--p-list", "2")],
+    )
+    def test_empty_out_path_fails(self, capsys, argv):
+        code, summary = run_cli(capsys, *argv, "--out", "")
+        assert code == 1
+        assert summary["status"] == "error"
+
     def test_threads_belongs_to_losses_only(self, tmp_path, capsys):
         out = str(tmp_path / "c.csv")
         assert main(["psnr-curve", "--pmax", "4", "--threads", "2", "--out", out]) == 2
@@ -586,6 +656,46 @@ class TestReproducibilityAndErrors:
         assert code == 0
         for key in ("version", "argv", "seed", "wall_time_ms", "status", "artifacts"):
             assert key in summary
+
+
+# sha256 of small artifacts: a JSON report, the gain-curve and trace CSVs and
+# a complex dc vector.  Each runs in its own directory with relative paths,
+# since a JSON artifact embeds its argv.  cfid and fid are not pinned: their
+# bytes depend on the BLAS thread count.
+_DC_FILES = {
+    "mask.txt": "N=8\n0\n3\n5\n",
+    "xraw.csv": "".join(f"{0.1 * k - 0.3!r},{0.7 - 0.3 * k!r}\n" for k in range(8)),
+    "y.csv": "1.5,-0.25\n-0.75,2.0\n0.125,0.5\n",
+}
+ARTIFACT_PINS = {
+    "verify-prop2": (
+        ["verify-prop2", "--trials", "2", "--seed", "1", "--out", "collapse.json"],
+        "0dd4aec1044f2748b6e5661b79ce440e6cdbf921c7fddf31502001e03ce08d1b",
+    ),
+    "psnr-curve": (
+        ["psnr-curve", "--pmax", "64", "--out", "curve.csv"],
+        "13a7fb92d8e40eefac087f057eb661b0fce30af70598a3a96b678ef6a33b0686",
+    ),
+    "autotune-sim": (
+        ["autotune-sim", "--seed", "1", "--out", "trace.csv"],
+        "7f4b7995f4918b2e304c552f19af4aaab42bbbf67ed59394a8d2e98f7b709dfe",
+    ),
+    "dc": (
+        ["dc", "--mask", "mask.txt", "--x-raw", "xraw.csv", "--y", "y.csv", "--out", "dc.csv"],
+        "0bc3f3f33fe629dbf3fdf881d113e1bae6ef72008e8db402742e2bbec3e71561",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_PINS))
+def test_artifact_replays_its_sha256(tmp_path, capsys, monkeypatch, name):
+    argv, digest = ARTIFACT_PINS[name]
+    monkeypatch.chdir(tmp_path)
+    for filename, text in _DC_FILES.items():
+        (tmp_path / filename).write_text(text)
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest
 
 
 # Runs each argv of sys.argv[1] through main() in one fresh interpreter and

@@ -9,15 +9,16 @@ from hypothesis import strategies as st
 
 from postsamp import (
     GeneratorParams,
+    RegKind,
     RegularizerKind,
     SeededStream,
     ToyPosterior,
     beta_sd_nominal,
     closed_form_j_grad,
 )
+from postsamp import proplab
 from postsamp.cli import _contour_csv
 from postsamp.proplab import (
-    OptimizerSettings,
     contour_grid,
     minimize_regularizer,
     steepness_probe,
@@ -89,7 +90,7 @@ class TestCollapse:
 
 class TestFlatDirection:
     def test_variance_reward_flat_sigma_is_flagged(self):
-        report = minimize_regularizer(RegularizerKind.l2_var(8), STD_POST, 0, INIT)
+        report = minimize_regularizer(RegularizerKind(RegKind.L2_VAR, 8), STD_POST, 0, INIT)
         assert report.sigma_indeterminate
         assert report.converged
         assert abs(report.theta_star.mu[0]) <= 1e-6
@@ -118,17 +119,17 @@ class TestBetaSensitivity:
 
 
 class TestNonConvergence:
-    def test_budget_exhaustion_is_reported_not_hidden(self):
-        settings = OptimizerSettings(max_iterations=3)
-        report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT, settings)
+    def test_budget_exhaustion_is_reported_not_hidden(self, monkeypatch):
+        monkeypatch.setattr(proplab, "_MAX_ITERATIONS", 3)
+        report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT)
         assert not report.converged
 
-    def test_unreachable_tolerance_is_reported_not_hidden(self):
+    def test_unreachable_tolerance_is_reported_not_hidden(self, monkeypatch):
         """Once steps stop moving any parameter the run ends, unconverged."""
-        settings = OptimizerSettings(grad_tol=0.0)
-        report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT, settings)
-        assert not report.converged and report.converged_by == ""
-        assert report.iterations < settings.max_iterations
+        monkeypatch.setattr(proplab, "_GRAD_TOL", 0.0)
+        report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT)
+        assert not report.converged
+        assert report.iterations < proplab._MAX_ITERATIONS
         assert abs(report.theta_star.sigma[0] - 1.0) <= 1e-12
 
     def test_invalid_init(self):
@@ -161,12 +162,12 @@ class TestScaleRange:
         assume(abs(mu0) <= 1e6 * sigma0)
         post = ToyPosterior.single(mu0, sigma0)
         report = minimize_regularizer(RegularizerKind.l1_sd(P), post, 0, INIT)
-        assert report.converged and report.converged_by == "gradient"
+        assert report.converged
         assert report.iterations <= 50
         assert max(_relative_errors(report, mu0, sigma0)) <= 1e-3
 
         report = minimize_regularizer(RegularizerKind.l2(P), post, 0, INIT)
-        assert report.converged and report.converged_by == "gradient"
+        assert report.converged
         assert report.theta_star.sigma[0] <= 1e-4 * sigma0
         assert _relative_errors(report, mu0, sigma0)[0] <= 1e-3
 
@@ -184,7 +185,7 @@ class TestScaleRange:
     def test_former_sweep_failures(self, kind, mu0, sigma0, P):
         reg = RegularizerKind.l1_sd(P) if kind == "l1sd" else RegularizerKind.l2(P)
         report = minimize_regularizer(reg, ToyPosterior.single(mu0, sigma0), 0, INIT)
-        assert report.converged and report.converged_by == "gradient"
+        assert report.converged
         assert report.iterations <= 50
         mu_err, sigma_err = _relative_errors(report, mu0, sigma0)
         assert mu_err <= 1e-3
@@ -203,10 +204,9 @@ class TestScaleRange:
         """
         mu0, sigma0, P = 1e4, 1e-6, 2
         post = ToyPosterior.single(mu0, sigma0)
-        settings_ = OptimizerSettings()
-        report = minimize_regularizer(RegularizerKind.l1_sd(P), post, 0, INIT, settings_)
+        report = minimize_regularizer(RegularizerKind.l1_sd(P), post, 0, INIT)
         grad = closed_form_j_grad(report.theta_star, post, 0, P, beta_sd_nominal(P))
-        gradient_holds = max(np.max(np.abs(g)) for g in grad) <= settings_.grad_tol
+        gradient_holds = max(np.max(np.abs(g)) for g in grad) <= proplab._GRAD_TOL
         assert report.converged == gradient_holds
         if report.converged:
             assert max(_relative_errors(report, mu0, sigma0)) <= 1e-3
@@ -224,12 +224,12 @@ class TestObservability:
         assert report.evaluations == 3 + report.iterations + 2 * accepted
         assert 0 < report.rejected_steps < report.iterations
 
-    def test_budget_exhaustion_counts_every_trial(self):
-        settings_ = OptimizerSettings(max_iterations=5)
+    def test_budget_exhaustion_counts_every_trial(self, monkeypatch):
+        monkeypatch.setattr(proplab, "_MAX_ITERATIONS", 5)
         report = minimize_regularizer(
-            RegularizerKind.l1_sd(2), ToyPosterior.single(1e4, 1.0), 0, INIT, settings_
+            RegularizerKind.l1_sd(2), ToyPosterior.single(1e4, 1.0), 0, INIT
         )
-        assert not report.converged and report.converged_by == ""
+        assert not report.converged
         assert report.iterations == 5
 
 
@@ -244,7 +244,7 @@ class TestContourGrid:
         assert sigma_star == 0.0
 
     def test_variance_reward_columns_constant(self):
-        grid = contour_grid(RegularizerKind.l2_var(8), STD_POST, 0, (-3, 3), (0, 3), 64)
+        grid = contour_grid(RegularizerKind(RegKind.L2_VAR, 8), STD_POST, 0, (-3, 3), (0, 3), 64)
         spans = grid.values.max(axis=0) - grid.values.min(axis=0)
         assert np.max(spans) <= 1e-12
 
@@ -271,6 +271,11 @@ class TestContourGrid:
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             contour_grid(RegularizerKind.l2(2), STD_POST, 0, (-3, 3), (0, 3), 8)
+
+    def test_negative_spreads_rejected(self):
+        """The objectives are defined for sigma >= 0 only."""
+        with pytest.raises(ValueError, match="sigma range"):
+            contour_grid(RegularizerKind.l2(2), STD_POST, 0, (-3, 3), (-2, 3), 16)
 
 
 class TestSteepness:

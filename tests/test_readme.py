@@ -1,9 +1,15 @@
-"""The README's library quick tour runs as written against the current API."""
+"""The README's library quick tour runs as written against the current API,
+and its command-line examples parse with the current command line."""
 
 import contextlib
 import io
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+
+from postsamp.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,6 +22,14 @@ def _quick_tour() -> str:
     return match.group(1)
 
 
+def _command_lines() -> list:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1]
+    match = re.search(r"```sh\n(.*?)```", section, re.DOTALL)
+    assert match, "no sh block under 'Command line'"
+    return [line for line in match.group(1).splitlines() if line.startswith("postsamp ")]
+
+
 def test_quick_tour_runs():
     namespace: dict = {}
     printed = io.StringIO()
@@ -26,3 +40,12 @@ def test_quick_tour_runs():
     assert report.converged
     assert abs(float(report.theta_star.mu[0])) < 1e-3
     assert abs(float(report.theta_star.sigma[0]) - 1.0) < 1e-3
+
+
+@pytest.mark.parametrize("line", _command_lines(), ids=lambda line: line.split()[1])
+def test_command_line_example_parses(line):
+    argv = shlex.split(line, comments=True)[1:]
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"README example does not parse: {line}")

@@ -35,7 +35,7 @@ from postsamp import (
     mc_lvarp,
 )
 from postsamp import regularizers
-from postsamp.autotune import e_hat, e_hat_items, make_validation_set
+from postsamp.autotune import ValidationSet, e_hat, e_hat_items
 from postsamp.cli import main
 from postsamp.detect import logistic_classifier, streamed_plug_in_gap
 from postsamp.regularizers import CLOSED_FORMS, folded_normal_abs_mean, mc_losses
@@ -440,9 +440,10 @@ class TestClosedFormTable:
 
     def test_variance_reward_is_flat_in_sigma(self):
         table = CLOSED_FORMS[RegKind.L2_VAR]
+        kind = RegularizerKind(RegKind.L2_VAR, 4)
         sigma = np.linspace(0.0, 3.0, 7)
-        _, g_sigma = table.grad(np.full(7, 0.4), sigma, 1.0, RegularizerKind.l2_var(4))
-        _, h_ms, h_ss = table.hess(np.full(7, 0.4), sigma, 1.0, RegularizerKind.l2_var(4))
+        _, g_sigma = table.grad(np.full(7, 0.4), sigma, 1.0, kind)
+        _, h_ms, h_ss = table.hess(np.full(7, 0.4), sigma, 1.0, kind)
         assert not np.any(g_sigma) and h_ms == 0.0 and h_ss == 0.0
 
 
@@ -661,7 +662,7 @@ def _engine_callers(threads: int) -> dict:
     """Every caller of the engine on one stream; values compared with ==."""
     params, post, P, n = ENGINE_PARAMS, ENGINE_POST, ENGINE_P, ENGINE_N
     stream = STREAM.child("engine")
-    val = make_validation_set(post, n, stream.child("val"))
+    val = ValidationSet(post, 0, n, stream.child("val"))
     return {
         "l1p": mc_l1p(params, post, 0, P, n, stream, threads),
         "lsdp": mc_lsdp(params, P, n, stream, threads),
@@ -773,7 +774,7 @@ class TestEngine:
         monkeypatch.setattr(regularizers, "_usable_cpus", lambda: 2)
         params, post, P, n = ENGINE_PARAMS, ENGINE_POST, ENGINE_P, ENGINE_N
         stream = STREAM.child("engine")
-        val = make_validation_set(post, n, stream.child("val"))
+        val = ValidationSet(post, 0, n, stream.child("val"))
         e_hat_items(params, val, P, stream)
         assert pools == [2]
         e_hat(params, val, P, stream)

@@ -57,7 +57,7 @@ class TestSamplePosterior:
         assert peak <= 1.25 * batch.values.nbytes
 
     def test_context_selection(self):
-        post = ToyPosterior.from_contexts([(0.0, 1.0), (10.0, 0.01)])
+        post = ToyPosterior([[0.0], [10.0]], [[1.0], [0.01]])
         batch = sample_posterior(post, 1, 50, STREAM.child("ctx"))
         assert np.all(np.abs(batch.values - 10.0) < 1.0)
 
@@ -145,4 +145,4 @@ class TestValidation:
 
     def test_contexts_share_dimension(self):
         with pytest.raises(ValueError):
-            ToyPosterior.from_contexts([(0.0, 1.0), ([0.0, 1.0], [1.0, 1.0])])
+            ToyPosterior([[0.0, 0.0], [0.0, 1.0]], [[1.0], [1.0]])
