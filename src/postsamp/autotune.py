@@ -241,6 +241,10 @@ def simulate_autotune(
     """
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
+    # A negative or NaN tolerance can never be met, so the loop would run
+    # every epoch and report non-convergence.
+    if not (math.isfinite(tol_db) and tol_db >= 0.0):
+        raise ValueError(f"tol_db must be finite and >= 0, got {tol_db}")
     mu0, _ = post.context_params(context)
     nominal = beta_sd_nominal(p_train)
 

@@ -4,8 +4,9 @@ Figures are data here: grids, curves, and traces land in CSV, scalar
 results in JSON, and identical argv (seed included) produces
 byte-identical files.  :func:`main` writes every artifact; every CSV
 artifact (grids, traces, the gain curve, ``dc`` vectors) is formatted by
-one writer, :func:`_csv`, one ``repr`` per value.  Timing lives only in
-the stdout run summary so it cannot break artifact reproducibility.
+one writer, :func:`_csv`, one ``repr`` per value (identical contour rows
+are formatted once, with the same bytes).  Timing lives only in the stdout
+run summary so it cannot break artifact reproducibility.
 Existing outputs are never overwritten without --force.
 
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
@@ -115,7 +116,12 @@ def _vector_csv(values: np.ndarray) -> str:
 
 
 def _contour_csv(grid) -> str:
-    """The documented two header lines, then one row per sigma value."""
+    """The documented two header lines, then one row per sigma value.
+
+    A row whose bits equal the previous row's reuses its text (an objective
+    flat in sigma, such as l2var, formats one row); bits, not ``==``, since
+    ``repr(-0.0) != repr(0.0)``.
+    """
     kind = grid.kind
     beta = kind.beta_sd if kind.beta_sd is not None else 0.0
     header = "# kind=%s mu0=%r sigma0=%r P=%s beta_sd=%r\n" % (
@@ -123,8 +129,14 @@ def _contour_csv(grid) -> str:
     )
     columns = grid.mu_axis.size
     header += "sigma\\mu," + _csv([grid.mu_axis.tolist()], columns)
-    rows = ((s, *row.tolist()) for s, row in zip(grid.sigma_axis.tolist(), grid.values))
-    return _csv(rows, columns + 1, header)
+    lines = [header]
+    last_bits = None
+    for s, row in zip(grid.sigma_axis.tolist(), grid.values):
+        bits = row.tobytes()
+        if bits != last_bits:
+            last_bits, text = bits, _csv([row.tolist()], columns)
+        lines += ("%r," % s, text)
+    return "".join(lines)
 
 
 def _trace_csv(trace) -> str:

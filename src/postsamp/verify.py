@@ -153,6 +153,10 @@ def check_average_error_ratio(
     truths, which every pass redraws, and the codes of both averages.
     """
     _require_p_values(p_values)
+    # At P = 1 both runs of a pair score single samples: the target is 1 and
+    # any ratio of two draws of the same error brackets it.
+    if min(p_values) < 2:
+        raise ValueError(f"every P must be >= 2, got {min(p_values)}")
     start = time.perf_counter()
     stream = SeededStream(seed, ("ratio",))
     post = ToyPosterior.single(0.0, 1.0)

@@ -285,6 +285,14 @@ class TestSimulation:
                 STD_POST, 0, 8, 10, 10, 0.1, SeededStream(0),
             )
 
+    @pytest.mark.parametrize("tol_db", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+    def test_unmeetable_tolerance_rejected(self, tol_db):
+        with pytest.raises(ValueError, match="tol_db"):
+            simulate_autotune(
+                lambda beta: max(beta, 0.0), STD_POST, 0, 8, 3, 10, 0.1, SeededStream(0),
+                tol_db=tol_db,
+            )
+
     def test_monte_carlo_mode_matches_closed_form_loop(self):
         plant = lambda beta: max(beta, 0.0) / NOMINAL2  # noqa: E731
         trace = simulate_autotune(

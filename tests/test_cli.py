@@ -16,7 +16,7 @@ from postsamp import RegKind, RegularizerKind, SeededStream, ToyPosterior, regul
 from postsamp.autotune import psnr_gain_curve, simulate_autotune
 from postsamp.cfid import write_embeddings
 from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
-from postsamp.proplab import contour_grid
+from postsamp.proplab import ContourGrid, contour_grid
 
 
 def run_cli(capsys, *argv):
@@ -128,6 +128,18 @@ class TestVerifyCommands:
         assert summary["results"]["passed"] is True
         assert summary["results"]["details"]["n_se"] == 4.0
 
+    def test_ratio_rejects_p_below_2(self, tmp_path, capsys):
+        """At P = 1 the pair's two runs are single-sample errors: nothing is checked."""
+        out = tmp_path / "r.json"
+        code, summary = run_cli(
+            capsys, "verify-prop3", "--seed", "1", "--p-list", "1", "--v", "100",
+            "--out", str(out),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert ">= 2" in summary["error"]["message"]
+        assert not out.exists()
+
     def test_seed_is_required(self, tmp_path, capsys):
         code = main(["verify-prop1", "--out", str(tmp_path / "r.json")])
         capsys.readouterr()
@@ -174,6 +186,17 @@ class TestAutotuneSim:
         assert lines[0] == "epoch,beta_sd,ratio_db,target_db"
         assert len(lines) == 1 + summary["results"]["epochs"]
         assert summary["results"]["normals"] == 0
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_unmeetable_tolerance_rejected(self, tmp_path, capsys, tol):
+        out = tmp_path / "trace.csv"
+        code, summary = run_cli(
+            capsys, "autotune-sim", "--tol-db", tol, "--epochs", "3", "--out", str(out)
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert "tol_db" in summary["error"]["message"]
+        assert not out.exists()
 
     def test_monte_carlo_mode_reports_its_draws(self, tmp_path, capsys):
         """Each epoch's paired pass draws V truths and V * (1 + p_val) codes."""
@@ -402,12 +425,29 @@ def _loop_contour_csv(grid):
 
 class TestCsvWriters:
     @pytest.mark.parametrize(
-        "kind",
-        [RegularizerKind.l1_sd(2), RegularizerKind.l2(8), RegularizerKind(RegKind.L2_VAR, 3)],
+        "kind, resolution",
+        [(RegularizerKind.l1_sd(2), 37), (RegularizerKind.l2(8), 37),
+         (RegularizerKind(RegKind.L2_VAR, 3), 37), (RegularizerKind(RegKind.L2_VAR, 8), 601)],
+        ids=["kind0", "kind1", "kind2", "kind3"],
     )
-    def test_contour_csv_matches_loop(self, kind):
+    def test_contour_csv_matches_loop(self, kind, resolution):
         post = ToyPosterior.single(0.3, 1.1)
-        grid = contour_grid(kind, post, 0, (-2.5, 3.0), (0.0, 2.75), 37)
+        grid = contour_grid(kind, post, 0, (-2.5, 3.0), (0.0, 2.75), resolution)
+        assert _contour_csv(grid) == _loop_contour_csv(grid)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0.0, 1.5, 0.0], [-0.0, 1.5, -0.0], [0.0, 1.5, 0.0]],
+            [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0], [3.0, 4.0], [3.0, 4.0]],
+            [[0.1, -2.5e-300, 7.0]] * 5,
+        ],
+        ids=["signed-zeros", "non-adjacent-repeats", "all-identical"],
+    )
+    def test_contour_csv_matches_loop_on_repeated_rows(self, rows):
+        values = np.array(rows)
+        grid = ContourGrid(np.arange(values.shape[1]) - 1.0, np.arange(values.shape[0]) * 0.5,
+                           values, RegularizerKind.l2(8), (0.0, 1.0))
         assert _contour_csv(grid) == _loop_contour_csv(grid)
 
     @pytest.mark.parametrize("use_mc", [False, True])
@@ -658,10 +698,12 @@ class TestReproducibilityAndErrors:
             assert key in summary
 
 
-# sha256 of small artifacts: a JSON report, the gain-curve and trace CSVs and
-# a complex dc vector.  Each runs in its own directory with relative paths,
-# since a JSON artifact embeds its argv.  cfid and fid are not pinned: their
-# bytes depend on the BLAS thread count.
+# sha256 of small artifacts: a JSON report, the gain-curve and trace CSVs, a
+# complex dc vector, and the benchmark's three seed-1 contour grids.  Each
+# runs in its own directory with relative paths, since a JSON artifact embeds
+# its argv.  cfid and fid are not pinned: their bytes depend on the BLAS
+# thread count.
+_BENCH_TRUTH = ["--mu0=-1.06837", "--sigma0=1.287562", "--resolution", "601"]
 _DC_FILES = {
     "mask.txt": "N=8\n0\n3\n5\n",
     "xraw.csv": "".join(f"{0.1 * k - 0.3!r},{0.7 - 0.3 * k!r}\n" for k in range(8)),
@@ -683,6 +725,18 @@ ARTIFACT_PINS = {
     "dc": (
         ["dc", "--mask", "mask.txt", "--x-raw", "xraw.csv", "--y", "y.csv", "--out", "dc.csv"],
         "0bc3f3f33fe629dbf3fdf881d113e1bae6ef72008e8db402742e2bbec3e71561",
+    ),
+    "contours-l1sd": (
+        ["contours", "--kind", "l1sd", "--p", "2", *_BENCH_TRUTH, "--out", "l1sd.csv"],
+        "5979508be5469df7ed566afff8fe99e042a17cb1851b86ad99321bae7644dd90",
+    ),
+    "contours-l2": (
+        ["contours", "--kind", "l2", "--p", "8", *_BENCH_TRUTH, "--out", "l2.csv"],
+        "c6ee59be52b13c8493ca54d8457e5713de5c5d10f1fef24dec568e4340b87d26",
+    ),
+    "contours-l2var": (
+        ["contours", "--kind", "l2var", "--p", "8", *_BENCH_TRUTH, "--out", "l2var.csv"],
+        "422a47ddddfad23266298643fffbc46ac55ff7703de60ef8a01393a609b7f2c1",
     ),
 }
 

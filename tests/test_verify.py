@@ -25,3 +25,10 @@ def test_minimization_checks_reject_empty_p_values(check):
 def test_ratio_check_rejects_empty_p_values():
     with pytest.raises(ValueError, match="p_values"):
         check_average_error_ratio(1, p_values=(), validation_size=100)
+
+
+@pytest.mark.parametrize("p_values", [(1,), (2, 1, 8), (0,), (-4,)])
+def test_ratio_check_rejects_p_below_2(p_values):
+    """At P = 1 the target is 1 and a ratio of two single-sample errors meets it."""
+    with pytest.raises(ValueError, match=">= 2"):
+        check_average_error_ratio(1, p_values=p_values, validation_size=100)
