@@ -295,7 +295,7 @@ def _cmd_losses(args) -> tuple[int, dict, None]:
     results["closed_form"] = {
         "j": closed_form_j(params, post, 0, args.p, beta),
         "l2p": closed_form_l2p(params, post, 0, args.p),
-        "l2varp": closed_form_l2varp(params, post, 0, args.p),
+        "l2varp": closed_form_l2varp(params, post, 0),
         "beta_sd": beta,
     }
     return 0, results, None

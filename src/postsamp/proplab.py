@@ -14,6 +14,9 @@ Hessians.  The optimizer is a damped Newton method whose trust region is
 measured in units of the natural scale ``s = sqrt(sigma0^2 + sigma^2/P)``
 of each dimension, so the same controls serve posteriors of any scale
 (tested for |mu0| <= 1e4 and 1e-6 <= sigma0 <= 1e3 from a fixed start).
+The objectives are separable, so trust regions are kept per dimension:
+each dimension has its own radius and judges its own step by its own
+value, which the table gives when called with a trailing axis of one.
 Sigma is kept nonnegative by projection and
 convergence is declared only by the projected-gradient (KKT) test: at
 sigma = 0 a nonnegative sigma slope counts as stationary.  Positivity of
@@ -30,6 +33,7 @@ no longer small against ``_GRAD_TOL``, and the report may say
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,7 +46,6 @@ __all__ = [
     "ContourGrid",
     "minimize_regularizer",
     "contour_grid",
-    "steepness_probe",
 ]
 
 # Trust-region radius (in units of s) at the start, and the factor by which
@@ -73,10 +76,11 @@ class OptimizationReport:
     projection_iterations: list = field(default_factory=list)
     grad_norm: float = float("nan")
     evaluations: int = 0  # closed-form table calls (value, gradient, Hessian)
-    rejected_steps: int = 0  # trial steps that did not decrease f (radius shrinks)
+    rejected_steps: int = 0  # per-dimension trial steps that did not decrease f there
+    unbounded: bool = False  # the objective has no minimizer; nothing was iterated
 
 
-def _trust_region_step(grad, hess, sigma, sigma0, P: int, radius: float, sigma_flat: bool):
+def _trust_region_step(grad, hess, sigma, sigma0, P: int, radius, sigma_flat: bool):
     """Per-dimension trial step inside a trust region of radius ``radius * s``.
 
     Each dimension's 2x2 Newton system is solved in closed form.  The full
@@ -87,7 +91,7 @@ def _trust_region_step(grad, hess, sigma, sigma0, P: int, radius: float, sigma_f
     step along a poor direction could otherwise land on sigma = 0, where
     ``s`` collapses to ``sigma0`` and the region with it.
 
-    Returns (step_mu, step_sigma, hit_boundary).
+    Returns (step_mu, step_sigma, hit_boundary), the last per dimension.
     """
     g_mu, g_sigma = grad
     h_mm, h_ms, h_ss = hess
@@ -112,7 +116,7 @@ def _trust_region_step(grad, hess, sigma, sigma0, P: int, radius: float, sigma_f
         too_low = ~fits & (sigma_floor_sq > 0) & (sigma + t * d_sigma < sigma_floor)
         t = np.where(too_low, (sigma - sigma_floor) / -d_sigma, t)
         t = np.where(np.isfinite(t), t, 0.0)
-    return t * d_mu, t * d_sigma, bool(np.any(~fits))
+    return t * d_mu, t * d_sigma, ~fits
 
 
 def minimize_regularizer(
@@ -124,14 +128,18 @@ def minimize_regularizer(
     """Minimize a closed-form objective over (mu, sigma) from ``init``.
 
     A trust-region Newton method (see :func:`_trust_region_step`) whose
-    radius is measured in units of ``s`` per dimension.  A step is
-    accepted only if it decreases the objective; the radius grows 4x
-    after an accepted step that hit the boundary and shrinks 4x after a
+    radius is measured in units of ``s``.  Each dimension has its own
+    radius, and its step is accepted only if it decreases that dimension's
+    objective: the sum rounds at about eps times its size, more than one
+    dimension's last decrease near the optimum.  A dimension's radius grows
+    4x after an accepted step that hit the boundary and shrinks 4x after a
     rejected one.  Sigma is projected onto [0, inf).
 
-    Non-convergence within the iteration budget, or a step too small to
-    move any parameter, is reported through ``converged=False``, never
-    silently.
+    The absolute-error objective with ``beta_sd >= sqrt(2 / (pi P))`` falls
+    without bound as sigma grows; the report then says ``unbounded=True``
+    at the start point, with nothing iterated.  Non-convergence within the
+    iteration budget, or a step too small to move any parameter, is
+    reported through ``converged=False``, never silently.
     """
     if np.any(init.sigma <= 0) and kind.kind is not RegKind.L2_VAR:
         raise ValueError("init.sigma must be > 0")
@@ -139,28 +147,35 @@ def minimize_regularizer(
         raise ValueError(f"dimension mismatch: generator {init.dim}, posterior {post.dim}")
     mu0, sigma0 = post.context_params(context)
     table = CLOSED_FORMS[kind.kind]
+    P, beta_sd = kind.P, kind.beta_sd
     # A flat sigma direction cannot be optimized; flag it and solve mu only.
     sigma_flat = kind.kind is RegKind.L2_VAR
+    sigma0_column = sigma0[:, None]
 
-    def value(mu, sigma) -> float:
-        return float(table.value(mu - mu0, sigma, sigma0, kind).sum())
+    def values(mu, sigma) -> np.ndarray:  # the objective of each dimension
+        return table.value((mu - mu0)[:, None], sigma[:, None], sigma0_column, P, beta_sd)
 
     def derivatives(mu, sigma):
-        g_mu, g_sigma = table.grad(mu - mu0, sigma, sigma0, kind)
+        g_mu, g_sigma = table.grad(mu - mu0, sigma, sigma0, P, beta_sd)
         # KKT at the bound: at sigma = 0 only a negative slope is a violation.
         g_sigma = np.where(sigma > 0, g_sigma, np.minimum(g_sigma, 0.0))
-        return (g_mu, g_sigma), table.hess(mu - mu0, sigma, sigma0, kind)
+        return (g_mu, g_sigma), table.hess(mu - mu0, sigma, sigma0, P, beta_sd)
 
     def max_abs(grad) -> float:
-        return float(max(np.max(np.abs(grad[0])), np.max(np.abs(grad[1]))))
+        return float(max(abs(grad[0]).max(), abs(grad[1]).max()))
 
     mu = init.mu.copy()
     sigma = init.sigma.copy()
-    f = value(mu, sigma)
+    f = values(mu, sigma)
+    if kind.kind is RegKind.L1_SD and beta_sd >= math.sqrt(2.0 / (math.pi * P)):
+        start = GeneratorParams(mu, sigma)
+        return OptimizationReport(
+            kind, start, float(f.sum()), 0, False, evaluations=1, unbounded=True
+        )
     grad, hess = derivatives(mu, sigma)
     evaluations = 3
     rejected = 0
-    radius = _INITIAL_RADIUS
+    radius = np.full(mu.shape, _INITIAL_RADIUS)
     projections: list[int] = []
     converged = False
     iterations = _MAX_ITERATIONS
@@ -171,34 +186,41 @@ def minimize_regularizer(
             iterations = iteration
             break
         d_mu, d_sigma, hit_boundary = _trust_region_step(
-            grad, hess, sigma, sigma0, kind.P, radius, sigma_flat
+            grad, hess, sigma, sigma0, P, radius, sigma_flat
         )
         mu_try = mu + d_mu
         sigma_try = sigma + d_sigma
         clipped = sigma_try < 0
-        if np.any(clipped):
+        if clipped.any():
             sigma_try = np.maximum(sigma_try, 0.0)
-        if np.array_equal(mu_try, mu) and np.array_equal(sigma_try, sigma):
+        if (mu_try == mu).all() and (sigma_try == sigma).all():
             iterations = iteration
             break  # the step no longer moves any parameter
-        f_try = value(mu_try, sigma_try)
+        f_try = values(mu_try, sigma_try)
         evaluations += 1
-        if f_try < f:
-            if np.any(clipped):
-                projections.append(iteration)
-            mu, sigma, f = mu_try, sigma_try, f_try
-            grad, hess = derivatives(mu, sigma)
-            evaluations += 2
-            if hit_boundary:
-                radius *= _RADIUS_FACTOR
-        else:
-            rejected += 1
-            radius /= _RADIUS_FACTOR
+        accept = f_try < f
+        if not accept.all():  # keep the rejected dimensions where they were
+            rejected += int(np.count_nonzero(~accept))
+            radius = np.where(accept, radius, radius / _RADIUS_FACTOR)
+            if not accept.any():
+                continue
+            mu_try = np.where(accept, mu_try, mu)
+            sigma_try = np.where(accept, sigma_try, sigma)
+            f_try = np.where(accept, f_try, f)
+            clipped &= accept
+            hit_boundary &= accept
+        if clipped.any():
+            projections.append(iteration)
+        mu, sigma, f = mu_try, sigma_try, f_try
+        grad, hess = derivatives(mu, sigma)
+        evaluations += 2
+        if hit_boundary.any():
+            radius = np.where(hit_boundary, radius * _RADIUS_FACTOR, radius)
 
     return OptimizationReport(
         kind=kind,
         theta_star=GeneratorParams(mu, sigma),
-        objective_star=f,
+        objective_star=float(f.sum()),
         iterations=iterations,
         converged=converged,
         sigma_indeterminate=sigma_flat,
@@ -255,40 +277,22 @@ def contour_grid(
         raise ValueError("contour grids require a one-dimensional toy posterior")
     if resolution < 16:
         raise ValueError(f"resolution must be >= 16 per axis, got {resolution}")
-    mu0, sigma0 = (float(v[0]) for v in post.context_params(context))
+    mu0, sigma0 = post.context_params(context)  # one element: the table's last axis
+    truth = (float(mu0[0]), float(sigma0[0]))
     mu_lo, mu_hi = map(float, mu_range)
     s_lo, s_hi = map(float, sigma_range)
     if not (mu_lo < mu_hi and s_lo < s_hi):
         raise ValueError("ranges must be nonempty")
     if s_lo < 0:
         raise ValueError(f"sigma range must be >= 0, got {s_lo}")
-    if not (mu_lo <= mu0 <= mu_hi and s_lo <= sigma0 <= s_hi):
+    if not (mu_lo <= truth[0] <= mu_hi and s_lo <= truth[1] <= s_hi):
         raise ValueError("ranges must contain the true (mu0, sigma0)")
 
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     sigma_axis = np.linspace(s_lo, s_hi, resolution)
     mu_grid, sigma_grid = np.meshgrid(mu_axis, sigma_axis)
-    values = CLOSED_FORMS[kind.kind].value(mu_grid - mu0, sigma_grid, sigma0, kind)
-    return ContourGrid(mu_axis, sigma_axis, values, kind, (mu0, sigma0))
+    values = CLOSED_FORMS[kind.kind].value(
+        mu_grid[..., None] - mu0, sigma_grid[..., None], sigma0, kind.P, kind.beta_sd
+    )
+    return ContourGrid(mu_axis, sigma_axis, values, kind, truth)
 
-
-def steepness_probe(
-    post: ToyPosterior,
-    context: int,
-    P_list: list[int],
-) -> list[tuple[int, float]]:
-    """Curvature of the combined objective along sigma at the optimum.
-
-    Returns (P, curvature) pairs, the curvature being the analytic
-    d^2 J / d sigma^2 at the true parameters and the nominal weight
-    ``beta_sd_nominal(P)``, summed over dimensions; it
-    shrinks as P grows, i.e. small P gives the sharpest basin around the
-    true spread.
-    """
-    mu0, sigma0 = post.context_params(context)
-    hess = CLOSED_FORMS[RegKind.L1_SD].hess
-    results = []
-    for P in P_list:
-        _, _, h_sigma = hess(np.zeros_like(mu0), sigma0, sigma0, RegularizerKind.l1_sd(P))
-        results.append((P, float(h_sigma.sum())))
-    return results

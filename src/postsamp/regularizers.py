@@ -498,7 +498,7 @@ def mc_lvarp(
 
 
 # ---------------------------------------------------------------------------
-# Closed forms for the Gaussian toy model
+# Closed forms for the Gaussian toy model: one table by kind
 # ---------------------------------------------------------------------------
 
 
@@ -524,6 +524,105 @@ def folded_normal_abs_mean(delta, s):
     return s * math.sqrt(2.0 / math.pi) * gauss + delta * _erf(ratio / math.sqrt(2.0))
 
 
+class ClosedForm(NamedTuple):
+    """The closed forms of one objective kind, the only place each is written.
+
+    Every entry is called as ``f(delta, sigma, sigma0, P, beta_sd)`` with
+    ``delta = mu - mu0``, on arrays whose last axis is the posterior
+    dimension; ``value`` sums over it.  Called with a trailing axis of
+    one, ``value`` gives one value per leading index (a grid point, or a
+    dimension of a separable objective), bit for bit the single-dimension
+    value.  ``grad`` (the pair d/dmu, d/dsigma) and ``hess`` (the triple
+    mu mu, mu sigma, sigma sigma) act elementwise; constant entries may be
+    returned as scalars, which broadcast.  ``P`` and ``beta_sd`` are read
+    only by the kinds that use them.
+    """
+
+    value: Callable
+    grad: Callable
+    hess: Callable
+
+
+def _l1sd_terms(delta, sigma, sigma0, P):
+    """s, r = delta / s and phi = sqrt(2/pi) exp(-r^2/2)."""
+    s = np.sqrt(sigma0**2 + sigma**2 / P)
+    ratio = delta / s
+    with np.errstate(under="ignore"):
+        phi = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * ratio**2)
+    return s, ratio, phi
+
+
+def _l1sd_value(delta, sigma, sigma0, P, beta_sd):
+    s = np.sqrt(sigma0**2 + sigma**2 / P)
+    return folded_normal_abs_mean(delta, s).sum(-1) - beta_sd * sigma.sum(-1)
+
+
+def _l1sd_grad(delta, sigma, sigma0, P, beta_sd):
+    """See :func:`closed_form_j_grad`."""
+    s, ratio, phi = _l1sd_terms(delta, sigma, sigma0, P)
+    grad_mu = _erf(ratio / math.sqrt(2.0))
+    grad_sigma = phi * sigma / (P * s) - beta_sd
+    return np.asarray(grad_mu, dtype=np.float64), np.asarray(grad_sigma, dtype=np.float64)
+
+
+def _l1sd_hess(delta, sigma, sigma0, P, beta_sd):
+    """The 2x2 Hessian per dimension, with a = sigma / (P s):
+
+        H_mumu = phi / s,  H_musigma = -phi r a / s,
+        H_sigmasigma = phi (r^2 a^2 / s + sigma0^2 / (P s^3)).
+
+    Far from the optimum (|r| beyond about 38) phi underflows to 0.
+    """
+    s, ratio, phi = _l1sd_terms(delta, sigma, sigma0, P)
+    a = sigma / (P * s)
+    return (
+        phi / s,
+        -phi * ratio * a / s,
+        phi * (ratio**2 * a**2 / s + sigma0**2 / (P * s**3)),
+    )
+
+
+def _l2_value(delta, sigma, sigma0, P, beta_sd):
+    return (delta**2).sum(-1) + (sigma**2).sum(-1) / P + (sigma0**2).sum(-1)
+
+
+def _l2_grad(delta, sigma, sigma0, P, beta_sd):
+    return 2.0 * delta, 2.0 * sigma / P
+
+
+def _l2_hess(delta, sigma, sigma0, P, beta_sd):
+    return 2.0, 0.0, 2.0 / P
+
+
+def _l2var_value(delta, sigma, sigma0, P, beta_sd):
+    return (delta**2).sum(-1) + (sigma0**2).sum(-1)
+
+
+def _l2var_grad(delta, sigma, sigma0, P, beta_sd):
+    return 2.0 * delta, 0.0 * sigma
+
+
+def _l2var_hess(delta, sigma, sigma0, P, beta_sd):
+    return 2.0, 0.0, 0.0
+
+
+# The squared-error-plus-variance objective is flat in sigma by construction:
+# its sigma gradient and Hessian are identically zero.
+CLOSED_FORMS: dict[RegKind, ClosedForm] = {
+    RegKind.L1_SD: ClosedForm(_l1sd_value, _l1sd_grad, _l1sd_hess),
+    RegKind.L2: ClosedForm(_l2_value, _l2_grad, _l2_hess),
+    RegKind.L2_VAR: ClosedForm(_l2var_value, _l2var_grad, _l2var_hess),
+}
+
+
+def _closed_form(
+    reg: RegKind, params: GeneratorParams, post: ToyPosterior, context: int, P=None, beta_sd=None
+) -> float:
+    """The table's ``value`` of kind ``reg`` at ``params``, for one context."""
+    mu0, sigma0 = _context_params(params, post, context)
+    return float(CLOSED_FORMS[reg].value(params.mu - mu0, params.sigma, sigma0, P, beta_sd))
+
+
 def closed_form_j(
     params: GeneratorParams,
     post: ToyPosterior,
@@ -532,13 +631,8 @@ def closed_form_j(
     beta_sd: float,
 ) -> float:
     """Exact value of ``l1p - beta_sd * lsdp`` for the Gaussian toy model."""
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
-    if beta_sd < 0:
-        raise ValueError(f"beta_sd must be >= 0, got {beta_sd}")
-    mu0, sigma0 = _context_params(params, post, context)
-    s = np.sqrt(sigma0**2 + params.sigma**2 / P)
-    return float(folded_normal_abs_mean(params.mu - mu0, s).sum() - beta_sd * params.sigma.sum())
+    RegularizerKind(RegKind.L1_SD, P, beta_sd)  # P >= 2 and beta_sd >= 0
+    return _closed_form(RegKind.L1_SD, params, post, context, P, beta_sd)
 
 
 def closed_form_j_grad(
@@ -559,103 +653,9 @@ def closed_form_j_grad(
     cancel exactly, leaving only the erf).  At sigma = 0 the sigma part
     is the right-sided derivative, which equals -beta_sd.
     """
-    kind = RegularizerKind(RegKind.L1_SD, P, beta_sd)
+    RegularizerKind(RegKind.L1_SD, P, beta_sd)  # P >= 2 and beta_sd >= 0
     mu0, sigma0 = _context_params(params, post, context)
-    return CLOSED_FORMS[RegKind.L1_SD].grad(params.mu - mu0, params.sigma, sigma0, kind)
-
-
-# ---------------------------------------------------------------------------
-# One table of per-dimension closed forms: value, gradient, Hessian by kind
-# ---------------------------------------------------------------------------
-
-
-class ClosedForm(NamedTuple):
-    """Elementwise closed forms of one objective kind.
-
-    Every entry is called as ``f(delta, sigma, sigma0, kind)`` with
-    ``delta = mu - mu0`` and acts per dimension, since all objectives are
-    separable: ``value`` is the objective, ``grad`` the pair
-    (d/dmu, d/dsigma) and ``hess`` the triple (mu mu, mu sigma,
-    sigma sigma); constant entries may be returned as scalars, which
-    broadcast.  Summing ``value`` over dimensions gives the objective of a
-    vector posterior.
-    """
-
-    value: Callable
-    grad: Callable
-    hess: Callable
-
-
-def _l1sd_terms(delta, sigma, sigma0, P):
-    """s, r = delta / s and phi = sqrt(2/pi) exp(-r^2/2)."""
-    s = np.sqrt(sigma0**2 + sigma**2 / P)
-    ratio = delta / s
-    with np.errstate(under="ignore"):
-        phi = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * ratio**2)
-    return s, ratio, phi
-
-
-def _l1sd_value(delta, sigma, sigma0, kind):
-    s = np.sqrt(sigma0**2 + sigma**2 / kind.P)
-    return folded_normal_abs_mean(delta, s) - kind.beta_sd * sigma
-
-
-def _l1sd_grad(delta, sigma, sigma0, kind):
-    """See :func:`closed_form_j_grad`."""
-    s, ratio, phi = _l1sd_terms(delta, sigma, sigma0, kind.P)
-    grad_mu = _erf(ratio / math.sqrt(2.0))
-    grad_sigma = phi * sigma / (kind.P * s) - kind.beta_sd
-    return np.asarray(grad_mu, dtype=np.float64), np.asarray(grad_sigma, dtype=np.float64)
-
-
-def _l1sd_hess(delta, sigma, sigma0, kind):
-    """The 2x2 Hessian per dimension, with a = sigma / (P s):
-
-        H_mumu = phi / s,  H_musigma = -phi r a / s,
-        H_sigmasigma = phi (r^2 a^2 / s + sigma0^2 / (P s^3)).
-
-    Far from the optimum (|r| beyond about 38) phi underflows to 0.
-    """
-    s, ratio, phi = _l1sd_terms(delta, sigma, sigma0, kind.P)
-    a = sigma / (kind.P * s)
-    return (
-        phi / s,
-        -phi * ratio * a / s,
-        phi * (ratio**2 * a**2 / s + sigma0**2 / (kind.P * s**3)),
-    )
-
-
-def _l2_value(delta, sigma, sigma0, kind):
-    return delta**2 + sigma**2 / kind.P + sigma0**2
-
-
-def _l2_grad(delta, sigma, sigma0, kind):
-    return 2.0 * delta, 2.0 * sigma / kind.P
-
-
-def _l2_hess(delta, sigma, sigma0, kind):
-    return 2.0, 0.0, 2.0 / kind.P
-
-
-def _l2var_value(delta, sigma, sigma0, kind):
-    return delta**2 + sigma0**2 + 0.0 * sigma
-
-
-def _l2var_grad(delta, sigma, sigma0, kind):
-    return 2.0 * delta, 0.0 * sigma
-
-
-def _l2var_hess(delta, sigma, sigma0, kind):
-    return 2.0, 0.0, 0.0
-
-
-# The squared-error-plus-variance objective is flat in sigma by construction:
-# its sigma gradient and Hessian are identically zero.
-CLOSED_FORMS: dict[RegKind, ClosedForm] = {
-    RegKind.L1_SD: ClosedForm(_l1sd_value, _l1sd_grad, _l1sd_hess),
-    RegKind.L2: ClosedForm(_l2_value, _l2_grad, _l2_hess),
-    RegKind.L2_VAR: ClosedForm(_l2var_value, _l2var_grad, _l2var_hess),
-}
+    return CLOSED_FORMS[RegKind.L1_SD].grad(params.mu - mu0, params.sigma, sigma0, P, beta_sd)
 
 
 def closed_form_l2p(
@@ -664,22 +664,13 @@ def closed_form_l2p(
     """Exact P-sample squared-error loss: bias^2 + variance/P + noise floor."""
     if P < 1:
         raise ValueError(f"P must be >= 1, got {P}")
-    mu0, sigma0 = _context_params(params, post, context)
-    bias = params.mu - mu0
-    return float((bias**2).sum() + (params.sigma**2).sum() / P + (sigma0**2).sum())
+    return _closed_form(RegKind.L2, params, post, context, P)
 
 
-def closed_form_l2varp(
-    params: GeneratorParams, post: ToyPosterior, context: int, P: int
-) -> float:
+def closed_form_l2varp(params: GeneratorParams, post: ToyPosterior, context: int) -> float:
     """Squared-error loss minus the variance reward: ||mu - mu0||^2 + sum(sigma0^2).
 
     The generated spread cancels out entirely, so this objective is flat
-    in sigma.
+    in sigma, and in P.
     """
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
-    mu0, sigma0 = _context_params(params, post, context)
-    bias = params.mu - mu0
-    return float((bias**2).sum() + (sigma0**2).sum())
-
+    return _closed_form(RegKind.L2_VAR, params, post, context)

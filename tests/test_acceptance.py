@@ -88,7 +88,7 @@ class TestAcceptance:
         spans = []
         for mu in (-1.0, 0.0, 2.0):
             values = [
-                closed_form_l2varp(GeneratorParams(mu, sigma), post, 0, 8)
+                closed_form_l2varp(GeneratorParams(mu, sigma), post, 0)
                 for sigma in np.linspace(0.0, 3.0, 301)
             ]
             spans.append(max(values) - min(values))

@@ -698,11 +698,11 @@ class TestReproducibilityAndErrors:
             assert key in summary
 
 
-# sha256 of small artifacts: a JSON report, the gain-curve and trace CSVs, a
-# complex dc vector, and the benchmark's three seed-1 contour grids.  Each
-# runs in its own directory with relative paths, since a JSON artifact embeds
-# its argv.  cfid and fid are not pinned: their bytes depend on the BLAS
-# thread count.
+# sha256 of small artifacts: two JSON reports (one with dimension-3 closed
+# forms), the gain-curve and trace CSVs, a complex dc vector, and the
+# benchmark's three seed-1 contour grids.  Each runs in its own directory
+# with relative paths, since a JSON artifact embeds its argv.  cfid and fid
+# are not pinned: their bytes depend on the BLAS thread count.
 _BENCH_TRUTH = ["--mu0=-1.06837", "--sigma0=1.287562", "--resolution", "601"]
 _DC_FILES = {
     "mask.txt": "N=8\n0\n3\n5\n",
@@ -725,6 +725,12 @@ ARTIFACT_PINS = {
     "dc": (
         ["dc", "--mask", "mask.txt", "--x-raw", "xraw.csv", "--y", "y.csv", "--out", "dc.csv"],
         "0bc3f3f33fe629dbf3fdf881d113e1bae6ef72008e8db402742e2bbec3e71561",
+    ),
+    "losses-d3": (
+        ["losses", "--mu", "0.3,-1,2.5", "--sigma", "1.2,0.5,0", "--mu0", "0,0,1",
+         "--sigma0", "1,2,0.25", "--p", "4", "--n-outer", "20000", "--seed", "9",
+         "--out", "losses.json"],
+        "4d6d0b34989caf2aad8620b9b2aa10099ec64047291cda78a6465ba1a9d136a6",
     ),
     "contours-l1sd": (
         ["contours", "--kind", "l1sd", "--p", "2", *_BENCH_TRUTH, "--out", "l1sd.csv"],

@@ -18,11 +18,7 @@ from postsamp import (
 )
 from postsamp import proplab
 from postsamp.cli import _contour_csv
-from postsamp.proplab import (
-    contour_grid,
-    minimize_regularizer,
-    steepness_probe,
-)
+from postsamp.proplab import contour_grid, minimize_regularizer
 
 STD_POST = ToyPosterior.single(0.0, 1.0)
 INIT = GeneratorParams(5.0, 5.0)
@@ -49,6 +45,24 @@ class TestRecovery:
             assert report.converged, (trial, report.grad_norm)
             assert abs(report.theta_star.mu[0] - mu0) <= 1e-3 * max(1.0, abs(mu0))
             assert abs(report.theta_star.sigma[0] - sigma0) <= 1e-3 * sigma0
+
+    def test_multidimensional_posteriors_converge_by_gradient(self):
+        """Every dimension 2-8 solve meets the gradient test, with few steps.
+
+        A step judged by the summed objective stalls here: near the optimum
+        the sum rounds at more than one dimension's last decrease.
+        """
+        rng = np.random.default_rng(11)
+        for case in range(300):
+            dim = int(rng.integers(2, 9))
+            post = ToyPosterior.single(rng.uniform(-10, 10, dim), rng.uniform(0.1, 10, dim))
+            P = int(rng.integers(2, 9))
+            init = GeneratorParams(np.full(dim, 5.0), np.full(dim, 5.0))
+            for kind in (RegularizerKind.l1_sd(P), RegularizerKind.l2(P)):
+                report = minimize_regularizer(kind, post, 0, init)
+                assert report.converged, (case, kind, report.grad_norm)
+                assert report.grad_norm <= proplab._GRAD_TOL
+                assert report.iterations <= 50
 
     def test_multidimensional_recovery(self):
         post = ToyPosterior.single([1.0, -2.0, 0.3], [0.5, 2.0, 1.0])
@@ -119,6 +133,19 @@ class TestBetaSensitivity:
 
 
 class TestNonConvergence:
+    def test_unbounded_objective_is_reported_at_once(self):
+        """Beyond beta_sd = sqrt(2 / (pi P)) the objective falls without bound in sigma."""
+        P = 2
+        kind = RegularizerKind.l1_sd(P, 1.8 * beta_sd_nominal(P))
+        post = ToyPosterior.single(0.3, 1.5)
+        report = minimize_regularizer(kind, post, 0, INIT)  # warnings are errors here
+        assert report.unbounded and not report.converged
+        assert report.iterations == 0
+        assert report.theta_star.mu[0] == 5.0 and report.theta_star.sigma[0] == 5.0
+        edge = RegularizerKind.l1_sd(P, math.sqrt(2.0 / (math.pi * P)))
+        assert minimize_regularizer(edge, post, 0, INIT).unbounded
+        assert not minimize_regularizer(RegularizerKind.l1_sd(P), post, 0, INIT).unbounded
+
     def test_budget_exhaustion_is_reported_not_hidden(self, monkeypatch):
         monkeypatch.setattr(proplab, "_MAX_ITERATIONS", 3)
         report = minimize_regularizer(RegularizerKind.l1_sd(2), STD_POST, 0, INIT)
@@ -277,18 +304,3 @@ class TestContourGrid:
         with pytest.raises(ValueError, match="sigma range"):
             contour_grid(RegularizerKind.l2(2), STD_POST, 0, (-3, 3), (-2, 3), 16)
 
-
-class TestSteepness:
-    def test_curvature_decreases_with_p(self):
-        probe = dict(steepness_probe(STD_POST, 0, [2, 4, 8, 64]))
-        assert probe[2] > probe[8]
-        assert probe[4] > probe[64]
-        assert all(v > 0 for v in probe.values())
-
-    def test_matches_analytic_curvature(self):
-        """d2J/dsigma2 at the optimum is sqrt(2/pi) / (P sigma0 (1+1/P)^1.5)."""
-        sigma0 = 2.0
-        post = ToyPosterior.single(0.5, sigma0)
-        for P, curvature in steepness_probe(post, 0, [2, 8]):
-            expected = math.sqrt(2.0 / math.pi) / (P * sigma0 * (1 + 1 / P) ** 1.5)
-            assert curvature == pytest.approx(expected, rel=1e-4)

@@ -377,6 +377,26 @@ def _random_kind(reg, rng):
     return RegularizerKind(reg, P)
 
 
+# The public closed forms written out by hand, apart from the table: the
+# oracle whose bits the table-driven values must replay.
+def _oracle_j(params, post, P, beta_sd):
+    mu0, sigma0 = post.context_params(0)
+    s = np.sqrt(sigma0**2 + params.sigma**2 / P)
+    return float(folded_normal_abs_mean(params.mu - mu0, s).sum() - beta_sd * params.sigma.sum())
+
+
+def _oracle_l2p(params, post, P):
+    mu0, sigma0 = post.context_params(0)
+    bias = params.mu - mu0
+    return float((bias**2).sum() + (params.sigma**2).sum() / P + (sigma0**2).sum())
+
+
+def _oracle_l2varp(params, post):
+    mu0, sigma0 = post.context_params(0)
+    bias = params.mu - mu0
+    return float((bias**2).sum() + (sigma0**2).sum())
+
+
 class TestClosedFormTable:
     POST = ToyPosterior.single([0.5, -1.0], [1.2, 0.7])
 
@@ -389,17 +409,18 @@ class TestClosedFormTable:
         for trial in range(20):
             mu, sigma = rng.uniform(-3, 3, 2), rng.uniform(0.1, 10.0, 2)
             kind = _random_kind(reg, rng)
-            hess = table.hess(mu - mu0, sigma, sigma0, kind)
+            P, beta = kind.P, kind.beta_sd
+            hess = table.hess(mu - mu0, sigma, sigma0, P, beta)
             h_mm, h_ms, h_ss = np.broadcast_arrays(*hess, mu)[:3]
             analytic = np.concatenate([h_mm, h_ms, h_ms, h_ss])
             # The objectives are separable, so every dimension is stepped at once.
             h = 1e-6 * np.maximum(1.0, np.abs(mu))
-            up = table.grad(mu + h - mu0, sigma, sigma0, kind)
-            down = table.grad(mu - h - mu0, sigma, sigma0, kind)
+            up = table.grad(mu + h - mu0, sigma, sigma0, P, beta)
+            down = table.grad(mu - h - mu0, sigma, sigma0, P, beta)
             d_mu = [(u - d) / (2 * h) for u, d in zip(up, down)]
             h = 1e-6 * np.maximum(1.0, sigma)
-            up = table.grad(mu - mu0, sigma + h, sigma0, kind)
-            down = table.grad(mu - mu0, sigma - h, sigma0, kind)
+            up = table.grad(mu - mu0, sigma + h, sigma0, P, beta)
+            down = table.grad(mu - mu0, sigma - h, sigma0, P, beta)
             d_sigma = [(u - d) / (2 * h) for u, d in zip(up, down)]
             numeric = np.concatenate([d_mu[0], d_mu[1], d_sigma[0], d_sigma[1]])
             rel = np.linalg.norm(analytic - numeric) / max(
@@ -408,42 +429,69 @@ class TestClosedFormTable:
             assert rel <= 1e-6, (trial, rel)
 
     def test_values_match_closed_forms(self):
-        rng = np.random.default_rng(5)
-        mu0, sigma0 = self.POST.context_params(0)
-        for _ in range(20):
-            params = GeneratorParams(rng.uniform(-3, 3, 2), rng.uniform(0.0, 10.0, 2))
-            P = int(rng.integers(2, 17))
-            beta = float(rng.uniform(0.0, 0.3))
-            expected = {
-                RegKind.L1_SD: closed_form_j(params, self.POST, 0, P, beta),
-                RegKind.L2: closed_form_l2p(params, self.POST, 0, P),
-                RegKind.L2_VAR: closed_form_l2varp(params, self.POST, 0, P),
-            }
-            for reg, value in expected.items():
-                kind = RegularizerKind(reg, P, beta if reg is RegKind.L1_SD else None)
-                table_value = CLOSED_FORMS[reg].value(
-                    params.mu - mu0, params.sigma, sigma0, kind
-                ).sum()
-                assert table_value == pytest.approx(value, rel=1e-12, abs=1e-12)
+        """The public values replay the hand-written formulas, float.hex-exactly.
 
-    def test_l1sd_hessian_at_optimum(self):
-        """At the truth with nominal weight: H = diag(1/s, sigma0^2 / (P s^3)) sqrt(2/pi)."""
-        P, sigma0 = 4, 1.7
+        Random dimensions 1-8 and P 2-39 (P 1 too for the squared error),
+        with a tenth of the spreads at exactly 0.
+        """
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            dim = int(rng.integers(1, 9))
+            sigma = rng.uniform(0.0, 10.0, dim)
+            sigma[rng.uniform(size=dim) < 0.1] = 0.0
+            params = GeneratorParams(rng.uniform(-3, 3, dim), sigma)
+            post = ToyPosterior.single(rng.uniform(-3, 3, dim), rng.uniform(0.1, 5.0, dim))
+            P = int(rng.integers(2, 40))
+            beta = float(rng.uniform(0.0, 0.3))
+            pairs = [
+                (closed_form_j(params, post, 0, P, beta), _oracle_j(params, post, P, beta)),
+                (closed_form_l2p(params, post, 0, P), _oracle_l2p(params, post, P)),
+                (closed_form_l2p(params, post, 0, 1), _oracle_l2p(params, post, 1)),
+                (closed_form_l2varp(params, post, 0), _oracle_l2varp(params, post)),
+            ]
+            for got, expected in pairs:
+                assert got.hex() == expected.hex()
+
+    def test_value_sums_over_the_last_axis(self):
+        """A trailing axis of one gives each leading index its own value."""
+        rng = np.random.default_rng(8)
+        mu0, sigma0 = self.POST.context_params(0)
+        delta, sigma = rng.uniform(-3, 3, 2) - mu0, rng.uniform(0.0, 10.0, 2)
+        for reg in RegKind:
+            kind = _random_kind(reg, rng)
+            value = CLOSED_FORMS[reg].value
+            per_dim = value(delta[:, None], sigma[:, None], sigma0[:, None], kind.P, kind.beta_sd)
+            for i in range(2):
+                one = value(delta[i:i + 1], sigma[i:i + 1], sigma0[i:i + 1], kind.P, kind.beta_sd)
+                assert per_dim[i].hex() == float(one).hex()
+
+    @pytest.mark.parametrize("P", [2, 4, 8, 64])
+    def test_l1sd_hessian_at_optimum(self, P):
+        """At the truth with nominal weight: H = diag(1/s, sigma0^2 / (P s^3)) sqrt(2/pi).
+
+        The sigma curvature, sqrt(2/pi) / (P sigma0 (1 + 1/P)^1.5), falls as P
+        grows: small P gives the sharpest basin around the true spread.
+        """
+        sigma0 = 1.7
+        hess = CLOSED_FORMS[RegKind.L1_SD].hess
+
+        def at_optimum(P):
+            return hess(0.0, sigma0, sigma0, P, beta_sd_nominal(P))
+
         s = sigma0 * math.sqrt(1.0 + 1.0 / P)
-        h_mm, h_ms, h_ss = CLOSED_FORMS[RegKind.L1_SD].hess(
-            0.0, sigma0, sigma0, RegularizerKind.l1_sd(P)
-        )
+        h_mm, h_ms, h_ss = at_optimum(P)
         c = math.sqrt(2.0 / math.pi)
         assert h_mm == pytest.approx(c / s, rel=1e-14)
         assert h_ms == 0.0
         assert h_ss == pytest.approx(c * sigma0**2 / (P * s**3), rel=1e-14)
+        assert h_ss == pytest.approx(c / (P * sigma0 * (1 + 1 / P) ** 1.5), rel=1e-14)
+        assert 0.0 < at_optimum(P + 1)[2] < h_ss
 
     def test_variance_reward_is_flat_in_sigma(self):
         table = CLOSED_FORMS[RegKind.L2_VAR]
-        kind = RegularizerKind(RegKind.L2_VAR, 4)
         sigma = np.linspace(0.0, 3.0, 7)
-        _, g_sigma = table.grad(np.full(7, 0.4), sigma, 1.0, kind)
-        _, h_ms, h_ss = table.hess(np.full(7, 0.4), sigma, 1.0, kind)
+        _, g_sigma = table.grad(np.full(7, 0.4), sigma, 1.0, 4, None)
+        _, h_ms, h_ss = table.hess(np.full(7, 0.4), sigma, 1.0, 4, None)
         assert not np.any(g_sigma) and h_ms == 0.0 and h_ss == 0.0
 
 
@@ -463,15 +511,15 @@ class TestClosedFormL2:
 
     def test_variance_reward_cancels_sigma(self):
         for sigma in (0.0, 1.0, 10.0):
-            value = closed_form_l2varp(GeneratorParams(0.0, sigma), STD_POST, 0, 8)
+            value = closed_form_l2varp(GeneratorParams(0.0, sigma), STD_POST, 0)
             assert value == 1.0
 
     def test_variance_reward_keeps_bias(self):
-        assert closed_form_l2varp(GeneratorParams(2.0, 3.0), STD_POST, 0, 8) == 5.0
+        assert closed_form_l2varp(GeneratorParams(2.0, 3.0), STD_POST, 0) == 5.0
 
     def test_sigma_flatness_is_exact(self):
         values = [
-            closed_form_l2varp(GeneratorParams(0.7, s), STD_POST, 0, 4)
+            closed_form_l2varp(GeneratorParams(0.7, s), STD_POST, 0)
             for s in np.linspace(0.0, 3.0, 31)
         ]
         assert max(values) - min(values) == 0.0
@@ -481,7 +529,7 @@ class TestClosedFormL2:
         params = GeneratorParams(2.0, 1.0)
         l2 = mc_l2p(params, STD_POST, 0, 4, 400_000, STREAM.child("l2v-l2"))
         lv = mc_lvarp(params, 4, 400_000, STREAM.child("l2v-lv"))
-        expected = closed_form_l2varp(params, STD_POST, 0, 4)
+        expected = closed_form_l2varp(params, STD_POST, 0)
         observed = l2.value - lv.value / 4
         se = math.hypot(l2.std_error, lv.std_error / 4)
         assert abs(observed - expected) <= 4.0 * se
