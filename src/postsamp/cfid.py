@@ -376,6 +376,8 @@ def conditional_stats(joint: JointGaussianStats) -> ConditionalStats:
     u = v[:, keep] / np.sqrt(w[keep])
     x_u = np.asarray(joint.s_xy, dtype=np.float64) @ u
     xhat_u = np.asarray(joint.s_xhaty, dtype=np.float64) @ u
+    # Both conditionals are exactly symmetric: the inputs were symmetrized
+    # above, and numpy forms u @ u.T with BLAS syrk, which mirrors a triangle.
     s_xx_given_y = s_xx - x_u @ x_u.T
     s_xhat_given_y = s_xhatxhat - xhat_u @ xhat_u.T
 
@@ -383,8 +385,8 @@ def conditional_stats(joint: JointGaussianStats) -> ConditionalStats:
     mean_gap = float(mu_gap @ mu_gap) + float(np.sum((x_u - xhat_u) ** 2))
     kept = int(keep.sum())
     return ConditionalStats(
-        s_xx_given_y=0.5 * (s_xx_given_y + s_xx_given_y.T),
-        s_xhatxhat_given_y=0.5 * (s_xhat_given_y + s_xhat_given_y.T),
+        s_xx_given_y=s_xx_given_y,
+        s_xhatxhat_given_y=s_xhat_given_y,
         mean_gap_term=mean_gap,
         s_yy_diagnostics={
             "kept": kept,

@@ -192,7 +192,7 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, str]:
     slope = args.plant_slope if args.plant_slope is not None else args.sigma0 / nominal
 
     def plant(beta: float) -> float:
-        return max(slope * beta + args.plant_offset, 0.0)
+        return slope * beta + args.plant_offset
 
     stream = SeededStream(args.seed if args.seed is not None else 0, ("autotune",))
     trace = simulate_autotune(

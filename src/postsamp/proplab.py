@@ -67,9 +67,7 @@ _GRAD_TOL = 1e-8
 
 @dataclass
 class OptimizationReport:
-    kind: RegularizerKind
     theta_star: GeneratorParams
-    objective_star: float
     iterations: int
     converged: bool
     sigma_indeterminate: bool = False
@@ -166,12 +164,9 @@ def minimize_regularizer(
 
     mu = init.mu.copy()
     sigma = init.sigma.copy()
-    f = values(mu, sigma)
     if kind.kind is RegKind.L1_SD and beta_sd >= math.sqrt(2.0 / (math.pi * P)):
-        start = GeneratorParams(mu, sigma)
-        return OptimizationReport(
-            kind, start, float(f.sum()), 0, False, evaluations=1, unbounded=True
-        )
+        return OptimizationReport(GeneratorParams(mu, sigma), 0, False, unbounded=True)
+    f = values(mu, sigma)
     grad, hess = derivatives(mu, sigma)
     evaluations = 3
     rejected = 0
@@ -218,9 +213,7 @@ def minimize_regularizer(
             radius = np.where(hit_boundary, radius * _RADIUS_FACTOR, radius)
 
     return OptimizationReport(
-        kind=kind,
         theta_star=GeneratorParams(mu, sigma),
-        objective_star=float(f.sum()),
         iterations=iterations,
         converged=converged,
         sigma_indeterminate=sigma_flat,

@@ -49,11 +49,12 @@ into fixed draw units of 16384 replicates (``_UNIT``), which one runner,
 the truths its runs share from ``stream.child("truths", u)``, in reused
 blocks of about 1 MiB (``_BLOCK``) reduced before the next is drawn.
 Blocks continue their substream, so neither the block size nor the worker
-count can change a result.  Units of losses are reduced to (count, mean,
-sum of squared deviations) per term, and units of validation errors to
-the means and co-moments of one or two paired runs; either way the units
-merge in unit order (Chan, Golub & LeVeque), so memory is O(unit + block)
-per worker whatever P, the dimension or the replicate count is.
+count can change a result.  Every unit is reduced to (count, means,
+co-moments) of its rows: the loss terms of one run, or the validation
+errors of one or two paired runs.  The standard errors of the losses come
+from the co-moments' diagonal.  Units merge in unit order (Chan, Golub &
+LeVeque), so memory is O(unit + block) per worker whatever P, the
+dimension or the replicate count is.
 
 Threads: every caller spreads its units over a pool of worker threads,
 one per CPU this process may use (its affinity set), but never more than
@@ -126,10 +127,6 @@ class LossEstimate:
     n_outer: int
     P: int
     normals: int
-
-    def __post_init__(self) -> None:
-        if self.std_error < 0:
-            raise ValueError("std_error must be >= 0")
 
     def within(self, target: float, n_se: float = 4.0) -> bool:
         """True if ``target`` lies inside ``n_se`` standard errors."""
@@ -274,12 +271,6 @@ def _block_terms(xhat: np.ndarray, x: np.ndarray | None, spread: bool, out: np.n
         out[1] = np.square(mean, out=mean).sum(axis=1)
 
 
-def _moments(terms: np.ndarray) -> tuple:
-    """(count, means, sums of squared deviations) of the rows of ``terms``."""
-    mean = terms.mean(axis=1)
-    return terms.shape[1], mean, np.square(terms - mean[:, None]).sum(axis=1)
-
-
 def _comoments(items: np.ndarray) -> tuple:
     """(count, means, co-moments) of the rows of ``items``.
 
@@ -292,14 +283,11 @@ def _comoments(items: np.ndarray) -> tuple:
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
-    """Pooled :func:`_moments` or :func:`_comoments` of two disjoint samples.
-
-    Chan, Golub & LeVeque's update; for co-moments, with the outer product
-    of the mean differences.
-    """
+    """Pooled :func:`_comoments` of two disjoint samples: Chan, Golub &
+    LeVeque's update, with the outer product of the mean differences."""
     (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
     n, delta = n_a + n_b, mean_b - mean_a
-    spread = delta**2 if m2_a.ndim == 1 else np.multiply.outer(delta, delta)
+    spread = np.multiply.outer(delta, delta)
     return n, mean_a + delta * (n_b / n), m2_a + m2_b + spread * (n_a * n_b / n)
 
 
@@ -383,7 +371,7 @@ def _mc_pass(
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     truths = None if truth is None else (*truth, stream)
-    reduce = lambda terms: _moments(terms[0])  # noqa: E731
+    reduce = lambda terms: _comoments(terms[0])  # noqa: E731
     units = _run_units(params, ((P, stream),), n_outer, truths, spread, threads, reduce)
     n, mean, m2 = functools.reduce(_merge, units)
     names = ("l1p", "l2p") * (truth is not None) + ("lsdp", "lvarp") * spread
@@ -391,7 +379,7 @@ def _mc_pass(
     normals = n * params.dim * (P + (truth is not None))
     return {
         name: LossEstimate(float(scale[name] * m), float(scale[name] * se), n, P, normals)
-        for name, m, se in zip(names, mean, np.sqrt(m2 / (n - 1) / n))
+        for name, m, se in zip(names, mean, np.sqrt(np.diag(m2) / (n - 1) / n))
     }
 
 

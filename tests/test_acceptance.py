@@ -14,24 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from postsamp import (
-    GeneratorParams,
-    SeededStream,
-    ToyPosterior,
-    beta_sd_nominal,
-    closed_form_j,
-    closed_form_j_grad,
-    closed_form_l2p,
-    closed_form_l2varp,
-    detection_probability,
-    mc_l2p,
-    mc_lsdp,
-    mc_lvarp,
-    sample_posterior,
-    simulate_autotune,
-    threshold_classifier,
-)
-from postsamp.autotune import AutotuneState, update_beta
+from postsamp import GeneratorParams, SeededStream, ToyPosterior, beta_sd_nominal, closed_form_j
+from postsamp.autotune import AutotuneState, simulate_autotune, update_beta
 from postsamp.cfid import (
     EmbeddingSet,
     JointGaussianStats,
@@ -39,7 +23,17 @@ from postsamp.cfid import (
     write_embeddings,
 )
 from postsamp.cli import main as cli_main
+from postsamp.detect import detection_probability, threshold_classifier
 from postsamp.linops import FourierSubsampler, MaskOperator, data_consistency
+from postsamp.regularizers import (
+    closed_form_j_grad,
+    closed_form_l2p,
+    closed_form_l2varp,
+    mc_l2p,
+    mc_lsdp,
+    mc_lvarp,
+)
+from postsamp.toy import sample_posterior
 from postsamp.verify import (
     check_average_error_ratio,
     check_mode_collapse,

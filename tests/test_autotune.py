@@ -1,6 +1,7 @@
 """Feedback-law, averaging-ratio, and spread-statistic checks."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from postsamp.autotune import (
     AutotuneState,
     ValidationSet,
     NonMonotonePlantError,
+    db,
     e_hat,
     e_hat_items,
     psnr_gain_curve,
@@ -347,3 +349,34 @@ class TestGainCurve:
         gains = [gain for _, gain in psnr_gain_curve(200)]
         assert all(b > a for a, b in zip(gains, gains[1:]))
         assert gains[-1] < 10 * math.log10(2.0) < 3.0103000001
+
+
+# Each row triggers one input check and matches its message.
+INPUT_CHECKS = [
+    pytest.param(lambda: AutotuneState(math.nan, 0.1, 8, 2), "beta_sd must be finite",
+                 id="state-nonfinite-beta"),
+    pytest.param(lambda: AutotuneState(0.1, -0.1, 8, 2), "mu_sd must be >= 0",
+                 id="state-negative-mu-sd"),
+    pytest.param(lambda: AutotuneState(0.1, 0.1, 1, 2), "p_val must be >= 2, got 1",
+                 id="state-p-val"),
+    pytest.param(lambda: AutotuneState(0.1, 0.1, 8, 1), "p_train must be >= 2, got 1",
+                 id="state-p-train"),
+    # verify-prop3 --v 1: one paired item has no spread to estimate.
+    pytest.param(lambda: check_average_error_ratio(1, (2,), 1), "need at least 2 paired items",
+                 id="ratio-one-item"),
+    pytest.param(lambda: ratio_with_se(np.ones(3), np.ones(4)),
+                 "need two paired 1-D arrays with at least 2 items", id="ratio-shapes"),
+    pytest.param(lambda: db(0.0), "dB of a nonpositive value: 0.0", id="db-zero"),
+    pytest.param(lambda: target_ratio_db(0), "P must be >= 1, got 0", id="target-p-zero"),
+    pytest.param(
+        lambda: simulate_autotune(lambda beta: beta, STD_POST, 0, 8, 0, 10, 0.1, STREAM),
+        "epochs must be >= 1", id="simulate-zero-epochs",
+    ),
+    pytest.param(lambda: psnr_gain_curve(0), "P_max must be >= 1, got 0", id="curve-zero"),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS)
+def test_input_check_rejects(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

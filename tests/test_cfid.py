@@ -13,6 +13,7 @@ computed here without touching the engine's Schur/pinv/sqrtm path.
 import json
 import math
 import os
+import re
 import struct
 import tracemalloc
 
@@ -770,3 +771,56 @@ class TestMemory:
         for command in ("cfid", "fid"):
             assert small[command] < file_size, command
             assert large[command] - small[command] < 2**20, command
+
+
+@pytest.mark.parametrize("d, d_y", [(3, 2), (40, 24), (130, 70)])
+def test_conditionals_are_exactly_symmetric(d, d_y):
+    """S - x_u x_u^T is symmetric bit for bit, from accumulated rows and from
+    symmetric stats: conditional_stats does not re-symmetrize it."""
+    rng = np.random.default_rng(d)
+    y = rng.standard_normal((6 * d, d_y))
+    x = y @ rng.standard_normal((d_y, d)) + rng.standard_normal((6 * d, d))
+    xhat = x + 0.5 * rng.standard_normal(x.shape)
+    joint, _, _ = _linear_model_stats(rng, d, d_y)
+    symmetric = JointGaussianStats(
+        **{
+            name: 0.5 * (value + value.T) if name in ("s_xx", "s_yy", "s_xhatxhat") else value
+            for name, value in vars(joint).items()
+        }
+    )
+    for stats in (compute_stats(EmbeddingSet(x, y, xhat)), symmetric):
+        cond = conditional_stats(stats)
+        for matrix in (cond.s_xx_given_y, cond.s_xhatxhat_given_y):
+            assert np.array_equal(matrix, matrix.T)
+
+
+def _embedding_file(tmp_path, text):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    return path
+
+
+# Each row triggers one input check and matches its message.
+INPUT_CHECKS = [
+    pytest.param(lambda tmp_path: EmbeddingSet(np.zeros(3), np.zeros((3, 1)), np.zeros((3, 1))),
+                 "x must be a nonempty 2-D matrix, got shape (3,)", id="matrix-one-dimensional"),
+    pytest.param(lambda tmp_path: cfid((np.zeros((4, 1)), np.zeros((4, 1)), np.zeros((4, 1))), 0),
+                 "P must be >= 1, got 0", id="cfid-p-zero"),
+    pytest.param(lambda tmp_path: sqrtm_psd(np.zeros((2, 3))),
+                 "matrix must be square, got shape (2, 3)", id="sqrtm-not-square"),
+    pytest.param(lambda tmp_path: read_embeddings(_embedding_file(tmp_path, "")),
+                 "empty embedding CSV", id="csv-empty"),
+    pytest.param(lambda tmp_path: read_embeddings(_embedding_file(tmp_path, "col0,col1\n")),
+                 "no data rows", id="csv-header-only"),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS)
+def test_input_check_rejects(tmp_path, call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(tmp_path)
+
+
+def test_csv_blank_rows_are_skipped(tmp_path):
+    path = _embedding_file(tmp_path, "col0,col1\n1,2\n\n3,4\n")
+    np.testing.assert_array_equal(read_embeddings(path), [[1.0, 2.0], [3.0, 4.0]])

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 import postsamp
-from postsamp import RegKind, RegularizerKind, SeededStream, ToyPosterior, regularizers
-from postsamp.autotune import psnr_gain_curve, simulate_autotune
+from postsamp import RegularizerKind, SeededStream, ToyPosterior, beta_sd_nominal, regularizers
+from postsamp.autotune import db, psnr_gain_curve, simulate_autotune
 from postsamp.cfid import write_embeddings
 from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
 from postsamp.proplab import ContourGrid, contour_grid
+from postsamp.regularizers import RegKind
 
 
 def run_cli(capsys, *argv):
@@ -816,3 +817,83 @@ class TestColdStart:
         *without, (_, code, loaded) = json.loads(done.stdout.splitlines()[-1])
         assert [step[1:] for step in without] == [[0, []]] * (1 + len(runs)), without
         assert code == 0 and "scipy.special" in loaded
+
+
+def _mask_n4(tmp_path):
+    path = tmp_path / "mask.txt"
+    path.write_text("N=4\n0\n")
+    return str(path)
+
+
+# Each row is an argv that fails an input check: exit 1 with the error JSON.
+CLI_INPUT_CHECKS = [
+    pytest.param(
+        lambda tmp_path: ["losses", "--mu", "1,x", "--sigma", "1,1", "--mu0", "0,0",
+                          "--sigma0", "1,1", "--p", "2", "--seed", "1"],
+        "expected comma-separated floats, got '1,x'", id="losses-mu",
+    ),
+    pytest.param(
+        lambda tmp_path: ["dc", "--mask", _mask_n4(tmp_path), "--coils", "2",
+                          "--x-raw", "unread.csv", "--y", "unread.csv"],
+        "coils only apply to Fourier operators", id="dc-coils-on-mask",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_INPUT_CHECKS)
+def test_input_check_exits_1_with_error_json(tmp_path, capsys, argv, message):
+    code, summary = run_cli(capsys, *argv(tmp_path), "--out", str(tmp_path / "out"))
+    assert code == 1
+    assert summary["status"] == "error"
+    assert summary["error"]["type"] == "ValueError"
+    assert message in summary["error"]["message"]
+    assert not (tmp_path / "out").exists()
+
+
+class TestFlagsAgainstClosedForms:
+    """CLI flags no other test passes, each compared with its closed form."""
+
+    def test_detect_tau(self, tmp_path, capsys):
+        n, tau = 400_000, 0.5
+        code, summary = run_cli(
+            capsys, "detect", "--mu0", "1", "--sigma0", "2", "--tau", str(tau),
+            "--p", str(n), "--seed", "3", "--out", str(tmp_path / "d.json"),
+        )
+        assert code == 0
+        expected = 0.5 * (1.0 + math.erf((1.0 - tau) / 2.0 / math.sqrt(2.0)))
+        se = math.sqrt(expected * (1.0 - expected) / n)
+        assert abs(summary["results"]["probability"] - expected) <= 4.0 * se
+
+    def test_detect_logistic_scale(self, tmp_path, capsys):
+        code, summary = run_cli(
+            capsys, "detect", "--mu0", "0", "--sigma0", "1", "--classifier", "logistic",
+            "--scale", "2", "--p", "1000", "--seed", "3", "--out", str(tmp_path / "d.json"),
+        )
+        assert code == 0
+        assert summary["results"]["classifier"] == "logistic((x[0] - 0.0) / 2.0)"
+
+    def test_contour_ranges(self, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        code, _ = run_cli(
+            capsys, "contours", "--kind", "l2", "--p", "2", "--mu0", "0", "--sigma0", "1",
+            "--mu-min", "-1", "--mu-max", "2", "--sigma-max", "4", "--resolution", "31",
+            "--out", str(out),
+        )
+        assert code == 0
+        lines = out.read_text().splitlines()
+        mu_axis = [float(v) for v in lines[1].split(",")[1:]]
+        assert mu_axis[0] == -1.0 and mu_axis[-1] == 2.0 and len(mu_axis) == 31
+        assert float(lines[-1].split(",")[0]) == 4.0
+
+    def test_autotune_plant_flags(self, tmp_path, capsys):
+        slope, offset, p_val = 0.5, 0.25, 8
+        out = tmp_path / "trace.csv"
+        code, _ = run_cli(
+            capsys, "autotune-sim", "--plant-slope", str(slope), "--plant-offset", str(offset),
+            "--p-train", "3", "--p-val", str(p_val), "--epochs", "1", "--out", str(out),
+        )
+        assert code == 0
+        epoch, beta, ratio_db, _ = out.read_text().splitlines()[1].split(",")
+        assert epoch == "0" and float(beta) == beta_sd_nominal(3)
+        sigma = slope * float(beta) + offset  # sigma0 = 1
+        assert float(ratio_db) == db((1.0 + sigma * sigma) / (1.0 + sigma * sigma / p_val))

@@ -1,22 +1,21 @@
 """Calibrated detection probabilities versus point-estimate plug-ins."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
-from postsamp import (
+from postsamp import GeneratorParams, SeededStream, ToyPosterior
+from postsamp.detect import (
     Classifier,
-    GeneratorParams,
-    SeededStream,
-    ToyPosterior,
     detection_probability,
+    logistic_classifier,
     plug_in_gap,
-    sample_generator,
-    sample_posterior,
+    streamed_plug_in_gap,
     threshold_classifier,
 )
-from postsamp.detect import logistic_classifier
+from postsamp.toy import sample_generator, sample_posterior
 
 STREAM = SeededStream(606, ("detect-tests",))
 
@@ -102,3 +101,24 @@ class TestBuiltinClassifiers:
     def test_negative_coordinate_rejected(self, make):
         with pytest.raises(ValueError, match="coordinate"):
             make(-1)
+
+
+# Each row triggers one input check and matches its message.
+INPUT_CHECKS = [
+    pytest.param(lambda: Classifier(lambda v: np.zeros(2), "two")(np.zeros((3, 1))),
+                 "classifier 'two' returned shape (2,), expected (3,)", id="classifier-shape"),
+    pytest.param(lambda: logistic_classifier(scale=0), "scale must be > 0, got 0",
+                 id="logistic-scale-zero"),
+    pytest.param(
+        lambda: streamed_plug_in_gap(
+            threshold_classifier(), ToyPosterior.single(0.0, 1.0), 0, 1, STREAM
+        ),
+        "need at least 2 samples to compare against their average", id="streamed-one-sample",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS)
+def test_input_check_rejects(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

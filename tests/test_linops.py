@@ -4,12 +4,14 @@ Every FFT path is checked against an explicitly constructed dense
 matrix; the dense path is the oracle throughout.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postsamp import SeededStream, ToyPosterior, sample_posterior
+from postsamp import SeededStream, ToyPosterior
 from postsamp.linops import (
     FourierSubsampler,
     MaskOperator,
@@ -19,6 +21,7 @@ from postsamp.linops import (
     load_operator,
     save_mask_file,
 )
+from postsamp.toy import sample_posterior
 
 RNG = np.random.default_rng(20240818)
 
@@ -252,3 +255,34 @@ class TestMaskFiles:
         path.write_text("SIZE=4\n0\n")
         with pytest.raises(ValueError):
             load_operator(path)
+
+
+def _mask_file(tmp_path, text):
+    path = tmp_path / "mask.txt"
+    path.write_text(text)
+    return path
+
+
+# Each row triggers one input check and matches its exception and message.
+INPUT_CHECKS = [
+    pytest.param(lambda tmp_path: dense_dft_matrix(0), ValueError, "n must be >= 1, got 0",
+                 id="dft-zero"),
+    pytest.param(lambda tmp_path: MaskOperator((0,), 2).apply(np.zeros(3)), ValueError,
+                 "x must have shape (2,), got (3,)", id="mask-input-shape"),
+    pytest.param(lambda tmp_path: FourierSubsampler(4, (0,)).apply(np.zeros(3)), ValueError,
+                 "x must have shape (4,), got (3,)", id="fourier-input-shape"),
+    pytest.param(lambda tmp_path: FourierSubsampler((2, 2, 2), (0,)), ValueError,
+                 "shape must be a 1-D length or 2-D shape, got (2, 2, 2)", id="fourier-3d"),
+    pytest.param(lambda tmp_path: FourierSubsampler(4, (0,), coils=0), ValueError,
+                 "coils must be >= 1, got 0", id="fourier-no-coils"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "\n")), ValueError,
+                 "empty mask file", id="mask-file-empty"),
+    pytest.param(lambda tmp_path: save_mask_file(tmp_path / "m.txt", object()), TypeError,
+                 "unsupported operator type object", id="save-unknown-type"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", INPUT_CHECKS)
+def test_input_check_rejects(tmp_path, call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call(tmp_path)

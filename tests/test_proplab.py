@@ -1,6 +1,7 @@
 """Optimization studies: recovery, collapse, flat directions, contours."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,16 +10,15 @@ from hypothesis import strategies as st
 
 from postsamp import (
     GeneratorParams,
-    RegKind,
     RegularizerKind,
     SeededStream,
     ToyPosterior,
     beta_sd_nominal,
-    closed_form_j_grad,
 )
 from postsamp import proplab
 from postsamp.cli import _contour_csv
 from postsamp.proplab import contour_grid, minimize_regularizer
+from postsamp.regularizers import RegKind, closed_form_j_grad
 
 STD_POST = ToyPosterior.single(0.0, 1.0)
 INIT = GeneratorParams(5.0, 5.0)
@@ -304,3 +304,31 @@ class TestContourGrid:
         with pytest.raises(ValueError, match="sigma range"):
             contour_grid(RegularizerKind.l2(2), STD_POST, 0, (-3, 3), (-2, 3), 16)
 
+
+
+# Each row triggers one input check and matches its message.
+INPUT_CHECKS = [
+    pytest.param(
+        lambda: minimize_regularizer(
+            RegularizerKind.l1_sd(2), ToyPosterior.single([0.0, 0.0], [1.0, 1.0]), 0, INIT
+        ),
+        "dimension mismatch: generator 1, posterior 2", id="minimize-dimension-mismatch",
+    ),
+    pytest.param(
+        lambda: contour_grid(
+            RegularizerKind.l2(2), ToyPosterior.single([0.0, 0.0], [1.0, 1.0]), 0,
+            (-1.0, 1.0), (0.0, 2.0),
+        ),
+        "contour grids require a one-dimensional toy posterior", id="contour-two-dimensional",
+    ),
+    pytest.param(
+        lambda: contour_grid(RegularizerKind.l2(2), STD_POST, 0, (1.0, 1.0), (0.0, 2.0)),
+        "ranges must be nonempty", id="contour-empty-range",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS)
+def test_input_check_rejects(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

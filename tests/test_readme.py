@@ -1,6 +1,7 @@
 """The README's library quick tour runs as written against the current API,
 and its command-line examples parse with the current command line."""
 
+import ast
 import contextlib
 import io
 import re
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import postsamp
 from postsamp.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -40,6 +42,18 @@ def test_quick_tour_runs():
     assert report.converged
     assert abs(float(report.theta_star.mu[0])) < 1e-3
     assert abs(float(report.theta_star.sigma[0]) - 1.0) < 1e-3
+
+
+def test_package_root_exports_the_quick_tour():
+    """The root re-exports the tour's names and __version__, and nothing else:
+    every other public name is imported from its submodule."""
+    imported = [
+        alias.name
+        for node in ast.walk(ast.parse(_quick_tour()))
+        if isinstance(node, ast.ImportFrom) and node.module == "postsamp"
+        for alias in node.names
+    ]
+    assert sorted(postsamp.__all__) == sorted(imported + ["__version__"])
 
 
 @pytest.mark.parametrize("line", _command_lines(), ids=lambda line: line.split()[1])

@@ -10,6 +10,7 @@ import functools
 import hashlib
 import math
 import os
+import re
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -19,26 +20,30 @@ import pytest
 
 from postsamp import (
     GeneratorParams,
-    RegKind,
     RegularizerKind,
     SeededStream,
     ToyPosterior,
     beta_sd_nominal,
     closed_form_j,
-    closed_form_j_grad,
-    closed_form_l2p,
-    closed_form_l2varp,
-    gamma_p,
     mc_l1p,
-    mc_l2p,
-    mc_lsdp,
-    mc_lvarp,
 )
 from postsamp import regularizers
 from postsamp.autotune import ValidationSet, e_hat, e_hat_items
 from postsamp.cli import main
 from postsamp.detect import logistic_classifier, streamed_plug_in_gap
-from postsamp.regularizers import CLOSED_FORMS, folded_normal_abs_mean, mc_losses
+from postsamp.regularizers import (
+    CLOSED_FORMS,
+    RegKind,
+    closed_form_j_grad,
+    closed_form_l2p,
+    closed_form_l2varp,
+    folded_normal_abs_mean,
+    gamma_p,
+    mc_l2p,
+    mc_losses,
+    mc_lsdp,
+    mc_lvarp,
+)
 from postsamp.verify import check_average_error_ratio
 
 STREAM = SeededStream(911, ("regularizer-tests",))
@@ -859,3 +864,24 @@ class TestEngine:
             finally:
                 tracemalloc.stop()
             assert peak <= 8 * 2**20, (n_outer, peak)
+
+
+# Each row triggers one input check and matches its message.
+INPUT_CHECKS = [
+    pytest.param(lambda: RegularizerKind(RegKind.L1_SD, 1, 0.1), "P must be >= 2, got 1",
+                 id="kind-p-one"),
+    pytest.param(lambda: RegularizerKind.l1_sd(2, -0.1), "beta_sd must be >= 0, got -0.1",
+                 id="kind-negative-beta"),
+    pytest.param(lambda: closed_form_l2p(STD_PARAMS, STD_POST, 0, 0), "P must be >= 1, got 0",
+                 id="l2p-p-zero"),
+    pytest.param(
+        lambda: e_hat_items(STD_PARAMS, ValidationSet(STD_POST, 0, 4, STREAM), 0, STREAM),
+        "P must be >= 1, got 0", id="e-hat-items-p-zero",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS)
+def test_input_check_rejects(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()

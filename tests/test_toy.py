@@ -1,19 +1,14 @@
 """Sampler correctness for the Gaussian toy model."""
 
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from postsamp import (
-    GeneratorParams,
-    SeededStream,
-    ToyPosterior,
-    sample_generator,
-    sample_posterior,
-)
-from postsamp.toy import affine_normals
+from postsamp import GeneratorParams, SeededStream, ToyPosterior
+from postsamp.toy import SampleBatch, affine_normals, sample_generator, sample_posterior
 
 STREAM = SeededStream(20240817, ("toy-tests",))
 
@@ -146,3 +141,29 @@ class TestValidation:
     def test_contexts_share_dimension(self):
         with pytest.raises(ValueError):
             ToyPosterior([[0.0, 0.0], [0.0, 1.0]], [[1.0], [1.0]])
+
+
+# Each row triggers one input check and matches its message.
+INPUT_CHECKS = [
+    pytest.param(lambda: GeneratorParams(np.zeros((2, 2)), np.ones((2, 2))),
+                 "mu must be a scalar or 1-D vector, got shape (2, 2)", id="vector-two-dimensional"),
+    pytest.param(lambda: ToyPosterior.single([], []), "mu0 must have at least one element",
+                 id="vector-empty"),
+    pytest.param(lambda: GeneratorParams(0.0, np.inf), "sigma must be finite",
+                 id="vector-nonfinite"),
+    pytest.param(lambda: ToyPosterior(np.zeros((1, 1, 1)), np.ones((1, 1, 1))),
+                 "expected (n_contexts, dim) arrays, got (1, 1, 1)", id="posterior-three-dimensional"),
+    pytest.param(lambda: ToyPosterior([[np.nan]], [[1.0]]), "posterior parameters must be finite",
+                 id="posterior-nonfinite"),
+    pytest.param(lambda: GeneratorParams([0.0, 1.0], [1.0]),
+                 "mu and sigma shapes differ: (2,) vs (1,)", id="generator-shapes"),
+    pytest.param(lambda: SampleBatch(np.zeros(3)),
+                 "values must be an (n, dim) matrix with n >= 1, got (3,)", id="batch-one-dimensional"),
+    pytest.param(lambda: SampleBatch([[np.inf]]), "values must be finite", id="batch-nonfinite"),
+]
+
+
+@pytest.mark.parametrize("call, message", INPUT_CHECKS)
+def test_input_check_rejects(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
