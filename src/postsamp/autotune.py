@@ -197,12 +197,18 @@ class TraceRow:
 
 @dataclass
 class AutotuneTrace:
-    """The loop's rows; ``normals`` counts its Monte Carlo draws (0 in closed form)."""
+    """The loop's rows; ``normals`` counts its Monte Carlo draws (0 in closed form).
+
+    ``clamped_probes`` and ``clamped_epochs`` count the plant spreads below
+    zero that were set to 0, in the monotonicity probe and in the epochs.
+    """
 
     rows: list
     target_db: float
     converged: bool
     normals: int
+    clamped_probes: int
+    clamped_epochs: int
 
     @property
     def final_beta(self) -> float:
@@ -248,8 +254,11 @@ def simulate_autotune(
     mu0, _ = post.context_params(context)
     nominal = beta_sd_nominal(p_train)
 
-    # Monotonicity probe over multiples of the nominal weight.
-    probe = [max(float(plant(c * nominal)), 0.0) for c in np.linspace(0.0, 4.0, 17)]
+    # Monotonicity probe over multiples of the nominal weight.  A spread
+    # below zero is meaningless; it is set to 0 and counted.
+    probe = [float(plant(c * nominal)) for c in np.linspace(0.0, 4.0, 17)]
+    clamped_probes = sum(spread < 0.0 for spread in probe)
+    probe = [max(spread, 0.0) for spread in probe]
     for low, high in zip(probe, probe[1:]):
         if high < low - 1e-12 * max(1.0, abs(low)):
             raise NonMonotonePlantError(
@@ -266,9 +275,13 @@ def simulate_autotune(
     target = target_ratio_db(p_val)
     rows: list[TraceRow] = []
     converged = False
+    clamped_epochs = 0
     for epoch in range(epochs):
         # The generator sits on the posterior mean with the plant's spread.
-        sigma = max(float(plant(state.beta_sd)), 0.0)
+        sigma = float(plant(state.beta_sd))
+        if sigma < 0.0:
+            clamped_epochs += 1
+            sigma = 0.0
         params = GeneratorParams(mu0, np.full(post.dim, sigma))
         if use_mc:
             codes = stream.child("codes", epoch)
@@ -285,7 +298,7 @@ def simulate_autotune(
         state = update_beta(state, e1, ep)
     # Each paired pass draws the truths once and 1 + p_val codes per item.
     normals = len(rows) * V * (2 + p_val) * post.dim if use_mc else 0
-    return AutotuneTrace(rows=rows, target_db=target, converged=converged, normals=normals)
+    return AutotuneTrace(rows, target, converged, normals, clamped_probes, clamped_epochs)
 
 
 def psnr_gain_curve(P_max: int) -> list[tuple[int, float]]:

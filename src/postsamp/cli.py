@@ -216,6 +216,8 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, str]:
         "target_db": trace.target_db,
         "final_ratio_db": trace.rows[-1].ratio_db,
         "normals": trace.normals,
+        "clamped_probes": trace.clamped_probes,
+        "clamped_epochs": trace.clamped_epochs,
     }
     return 0, results, _trace_csv(trace)
 

@@ -15,20 +15,25 @@ measured in units of the natural scale ``s = sqrt(sigma0^2 + sigma^2/P)``
 of each dimension, so the same controls serve posteriors of any scale
 (tested for |mu0| <= 1e4 and 1e-6 <= sigma0 <= 1e3 from a fixed start).
 The objectives are separable, so trust regions are kept per dimension:
-each dimension has its own radius and judges its own step by its own
-value, which the table gives when called with a trailing axis of one.
-Sigma is kept nonnegative by projection and
-convergence is declared only by the projected-gradient (KKT) test: at
-sigma = 0 a nonnegative sigma slope counts as stationary.  Positivity of
-sigma arises naturally near the optimum of the combined objective, so a
-projection firing late in the run would indicate a bug; the report
-records every projection event to let tests assert that.
+each dimension has its own radius, judges its own step by its own value
+(which the table gives when called with a trailing axis of one), and stops
+on its own test.  Sigma is kept nonnegative by projection and convergence
+is declared only by the projected-gradient (KKT) test: at sigma = 0 a
+nonnegative sigma slope counts as stationary.  A dimension stops once it
+passes that test, or once its step no longer moves it (unconverged), and
+then keeps its point, so it ends exactly where a one-dimensional solve of
+it alone would.  The report gives each dimension's iteration count and
+convergence flag (``dim_iterations``, ``dim_converged``); ``iterations``
+is their maximum (the loop count) and ``converged`` says that all passed.
+Positivity of sigma arises naturally near the optimum of the combined
+objective, so a projection firing late in the run would indicate a bug;
+the report records every projection event to let tests assert that.
 
 Resolution limit: the gradient is a function of ``(mu - mu0) / s``, and
 float64 spaces ``mu`` near ``mu0`` by about ``2.2e-16 |mu0|``.  Once
 ``|mu0| / sigma0`` exceeds about 1e6 that spacing, divided by ``s``, is
 no longer small against ``_GRAD_TOL``, and the report may say
-``converged=False`` there.
+``converged=False`` for that dimension.
 """
 
 from __future__ import annotations
@@ -54,13 +59,12 @@ __all__ = [
 _INITIAL_RADIUS = 1.0
 _RADIUS_FACTOR = 4.0
 
-# Convergence is declared when the max-abs projected gradient falls below
-# _GRAD_TOL: the mu components and, for each dimension, the sigma component,
-# except that at sigma = 0 only a negative sigma slope counts (the KKT
-# condition of the bound sigma >= 0).  Every trial step, accepted or
-# rejected, counts against _MAX_ITERATIONS.  Beyond |mu0| / sigma0 of about
-# 1e6 float64 cannot resolve (mu - mu0) / s to _GRAD_TOL; the run then ends
-# with converged=False.
+# A dimension converges when the larger of its two projected-gradient
+# components falls below _GRAD_TOL, except that at sigma = 0 only a
+# negative sigma slope counts (the KKT condition of the bound sigma >= 0).
+# Every trial step, accepted or rejected, counts against _MAX_ITERATIONS.
+# Beyond |mu0| / sigma0 of about 1e6 float64 cannot resolve (mu - mu0) / s
+# to _GRAD_TOL; that dimension then ends with converged=False.
 _MAX_ITERATIONS = 20_000
 _GRAD_TOL = 1e-8
 
@@ -68,14 +72,24 @@ _GRAD_TOL = 1e-8
 @dataclass
 class OptimizationReport:
     theta_star: GeneratorParams
-    iterations: int
-    converged: bool
+    dim_iterations: np.ndarray  # trial steps each dimension took before it stopped
+    dim_converged: np.ndarray  # whether each dimension stopped on its gradient test
     sigma_indeterminate: bool = False
     projection_iterations: list = field(default_factory=list)
     grad_norm: float = float("nan")
     evaluations: int = 0  # closed-form table calls (value, gradient, Hessian)
     rejected_steps: int = 0  # per-dimension trial steps that did not decrease f there
     unbounded: bool = False  # the objective has no minimizer; nothing was iterated
+
+    @property
+    def iterations(self) -> int:
+        """Iterations of the solver's loop: the most any dimension took."""
+        return int(self.dim_iterations.max())
+
+    @property
+    def converged(self) -> bool:
+        """Whether every dimension passed its gradient test."""
+        return bool(self.dim_converged.all())
 
 
 def _trust_region_step(grad, hess, sigma, sigma0, P: int, radius, sigma_flat: bool):
@@ -133,11 +147,18 @@ def minimize_regularizer(
     4x after an accepted step that hit the boundary and shrinks 4x after a
     rejected one.  Sigma is projected onto [0, inf).
 
+    Each dimension also stops on its own test: once its projected gradient
+    passes (``dim_converged``), or once its step no longer moves it (not
+    converged).  ``dim_iterations`` counts its trial steps up to then.  As
+    every operation is elementwise, each dimension follows, bit for bit,
+    the path of a one-dimensional solve of it alone, so independent scalar
+    problems can be solved as the dimensions of one posterior.
+
     The absolute-error objective with ``beta_sd >= sqrt(2 / (pi P))`` falls
     without bound as sigma grows; the report then says ``unbounded=True``
     at the start point, with nothing iterated.  Non-convergence within the
-    iteration budget, or a step too small to move any parameter, is
-    reported through ``converged=False``, never silently.
+    iteration budget, or a step too small to move a parameter, is reported
+    through ``converged=False``, never silently.
     """
     if np.any(init.sigma <= 0) and kind.kind is not RegKind.L2_VAR:
         raise ValueError("init.sigma must be > 0")
@@ -159,27 +180,27 @@ def minimize_regularizer(
         g_sigma = np.where(sigma > 0, g_sigma, np.minimum(g_sigma, 0.0))
         return (g_mu, g_sigma), table.hess(mu - mu0, sigma, sigma0, P, beta_sd)
 
-    def max_abs(grad) -> float:
-        return float(max(abs(grad[0]).max(), abs(grad[1]).max()))
-
     mu = init.mu.copy()
     sigma = init.sigma.copy()
     if kind.kind is RegKind.L1_SD and beta_sd >= math.sqrt(2.0 / (math.pi * P)):
-        return OptimizationReport(GeneratorParams(mu, sigma), 0, False, unbounded=True)
+        return OptimizationReport(
+            GeneratorParams(mu, sigma), np.zeros(mu.shape, int), np.zeros(mu.shape, bool),
+            unbounded=True,
+        )
     f = values(mu, sigma)
     grad, hess = derivatives(mu, sigma)
     evaluations = 3
     rejected = 0
     radius = np.full(mu.shape, _INITIAL_RADIUS)
     projections: list[int] = []
-    converged = False
-    iterations = _MAX_ITERATIONS
+    # Each dimension iterates until its own test stops it; a stopped
+    # dimension keeps its point, its radius and its count.
+    active = np.ones(mu.shape, dtype=bool)
+    converged = np.zeros(mu.shape, dtype=bool)
+    dim_iterations = np.full(mu.shape, _MAX_ITERATIONS)
 
     for iteration in range(_MAX_ITERATIONS):
-        if max_abs(grad) <= _GRAD_TOL:
-            converged = True
-            iterations = iteration
-            break
+        passed = np.maximum(abs(grad[0]), abs(grad[1])) <= _GRAD_TOL
         d_mu, d_sigma, hit_boundary = _trust_region_step(
             grad, hess, sigma, sigma0, P, radius, sigma_flat
         )
@@ -188,37 +209,39 @@ def minimize_regularizer(
         clipped = sigma_try < 0
         if clipped.any():
             sigma_try = np.maximum(sigma_try, 0.0)
-        if (mu_try == mu).all() and (sigma_try == sigma).all():
-            iterations = iteration
-            break  # the step no longer moves any parameter
+        # A step that no longer moves a dimension ends it, unconverged.
+        stopped = active & (passed | ((mu_try == mu) & (sigma_try == sigma)))
+        if stopped.any():
+            converged |= stopped & passed
+            dim_iterations[stopped] = iteration
+            active &= ~stopped
+            if not active.any():
+                break
         f_try = values(mu_try, sigma_try)
         evaluations += 1
-        accept = f_try < f
-        if not accept.all():  # keep the rejected dimensions where they were
-            rejected += int(np.count_nonzero(~accept))
-            radius = np.where(accept, radius, radius / _RADIUS_FACTOR)
-            if not accept.any():
-                continue
-            mu_try = np.where(accept, mu_try, mu)
-            sigma_try = np.where(accept, sigma_try, sigma)
-            f_try = np.where(accept, f_try, f)
-            clipped &= accept
-            hit_boundary &= accept
-        if clipped.any():
+        accept = active & (f_try < f)
+        failed = active & ~accept
+        if failed.any():  # keep the rejected dimensions where they were
+            rejected += int(np.count_nonzero(failed))
+            radius = np.where(failed, radius / _RADIUS_FACTOR, radius)
+        if not accept.any():
+            continue
+        mu = np.where(accept, mu_try, mu)
+        sigma = np.where(accept, sigma_try, sigma)
+        f = np.where(accept, f_try, f)
+        if (clipped & accept).any():
             projections.append(iteration)
-        mu, sigma, f = mu_try, sigma_try, f_try
         grad, hess = derivatives(mu, sigma)
         evaluations += 2
-        if hit_boundary.any():
-            radius = np.where(hit_boundary, radius * _RADIUS_FACTOR, radius)
+        radius = np.where(hit_boundary & accept, radius * _RADIUS_FACTOR, radius)
 
     return OptimizationReport(
         theta_star=GeneratorParams(mu, sigma),
-        iterations=iterations,
-        converged=converged,
+        dim_iterations=dim_iterations,
+        dim_converged=converged,
         sigma_indeterminate=sigma_flat,
         projection_iterations=projections,
-        grad_norm=max_abs(grad),
+        grad_norm=float(max(abs(grad[0]).max(), abs(grad[1]).max())),
         evaluations=evaluations,
         rejected_steps=rejected,
     )

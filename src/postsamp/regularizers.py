@@ -275,11 +275,16 @@ def _comoments(items: np.ndarray) -> tuple:
     """(count, means, co-moments) of the rows of ``items``.
 
     Co-moment ``(i, j)`` sums the products of row i's and row j's deviations.
+    Only the upper triangle is formed and mirrored: the products commute
+    elementwise, so ``(j, i)`` would sum the same numbers.
     """
     mean = items.mean(axis=1)
     d = items - mean[:, None]
-    rows = range(len(d))
-    return items.shape[1], mean, np.array([[(d[i] * d[j]).sum() for j in rows] for i in rows])
+    m2 = np.empty((len(d), len(d)))
+    for i in range(len(d)):
+        for j in range(i, len(d)):
+            m2[i, j] = m2[j, i] = (d[i] * d[j]).sum()
+    return items.shape[1], mean, m2
 
 
 def _merge(a: tuple, b: tuple) -> tuple:

@@ -187,6 +187,18 @@ class TestAutotuneSim:
         assert lines[0] == "epoch,beta_sd,ratio_db,target_db"
         assert len(lines) == 1 + summary["results"]["epochs"]
         assert summary["results"]["normals"] == 0
+        assert summary["results"]["clamped_probes"] == 0
+        assert summary["results"]["clamped_epochs"] == 0
+
+    def test_negative_plant_spreads_are_counted(self, tmp_path, capsys):
+        """A plant offset of -5 puts every probe and epoch spread below 0."""
+        out = tmp_path / "trace.csv"
+        code, summary = run_cli(
+            capsys, "autotune-sim", "--plant-offset", "-5", "--epochs", "3", "--out", str(out)
+        )
+        assert code == 0
+        assert summary["results"]["clamped_epochs"] == 3
+        assert summary["results"]["clamped_probes"] == 17
 
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_unmeetable_tolerance_rejected(self, tmp_path, capsys, tol):
@@ -714,6 +726,15 @@ ARTIFACT_PINS = {
     "verify-prop2": (
         ["verify-prop2", "--trials", "2", "--seed", "1", "--out", "collapse.json"],
         "0dd4aec1044f2748b6e5661b79ce440e6cdbf921c7fddf31502001e03ce08d1b",
+    ),
+    "verify-prop2-plist": (
+        ["verify-prop2", "--p-list", "2,3,8", "--trials", "5", "--seed", "5",
+         "--out", "collapse-plist.json"],
+        "4b0cc366e729224b6fdb0624d3bb528d629dc0ca3113facf889400d73b25752c",
+    ),
+    "verify-prop1": (
+        ["verify-prop1", "--trials", "3", "--seed", "1", "--out", "recovery.json"],
+        "54a0db33876e6745423a3f84dba3d692941fdbe519814e3830bed6429f723933",
     ),
     "psnr-curve": (
         ["psnr-curve", "--pmax", "64", "--out", "curve.csv"],

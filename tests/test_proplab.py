@@ -102,6 +102,62 @@ class TestCollapse:
             assert abs(report.theta_star.mu[0] - mu0) <= 1e-3 * max(1.0, abs(mu0))
 
 
+def _per_dimension(report) -> list[tuple]:
+    """(mu*, sigma*) as float.hex, iterations and convergence of each dimension."""
+    return [
+        (float(mu).hex(), float(sigma).hex(), int(iterations), bool(converged))
+        for mu, sigma, iterations, converged in zip(
+            report.theta_star.mu, report.theta_star.sigma,
+            report.dim_iterations, report.dim_converged,
+        )
+    ]
+
+
+def _solo_solves(kind, post, init) -> list[tuple]:
+    """:func:`_per_dimension` of a one-dimensional solve of each dimension alone."""
+    mu0, sigma0 = post.context_params(0)
+    return [
+        _per_dimension(
+            minimize_regularizer(
+                kind, ToyPosterior.single(mu0[i], sigma0[i]), 0,
+                GeneratorParams(init.mu[i], init.sigma[i]),
+            )
+        )[0]
+        for i in range(post.dim)
+    ]
+
+
+INIT_2D = GeneratorParams([5.0, 5.0], [5.0, 5.0])
+
+
+class TestPerDimensionStopping:
+    """Each dimension stops on its own test and ends, bit for bit, where a
+    one-dimensional solve of it alone ends."""
+
+    @settings(deadline=None, derandomize=True, max_examples=60)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        dim=st.integers(2, 8),
+        P=st.integers(2, 64),
+        name=st.sampled_from(["l1sd", "l2", "l2var"]),
+    )
+    def test_batch_equals_solo_solves(self, seed, dim, P, name):
+        rng = np.random.default_rng(seed)
+        post = ToyPosterior.single(
+            rng.uniform(-100.0, 100.0, dim), 10.0 ** rng.uniform(-3.0, 3.0, dim)
+        )
+        init = GeneratorParams(rng.uniform(-10.0, 10.0, dim), rng.uniform(0.1, 10.0, dim))
+        kind = {
+            "l1sd": RegularizerKind.l1_sd(P),
+            "l2": RegularizerKind.l2(P),
+            "l2var": RegularizerKind(RegKind.L2_VAR, P),
+        }[name]
+        report = minimize_regularizer(kind, post, 0, init)
+        assert _per_dimension(report) == _solo_solves(kind, post, init)
+        assert report.iterations == max(report.dim_iterations)
+        assert report.converged == all(report.dim_converged)
+
+
 class TestFlatDirection:
     def test_variance_reward_flat_sigma_is_flagged(self):
         report = minimize_regularizer(RegularizerKind(RegKind.L2_VAR, 8), STD_POST, 0, INIT)
@@ -158,6 +214,19 @@ class TestNonConvergence:
         assert not report.converged
         assert report.iterations < proplab._MAX_ITERATIONS
         assert abs(report.theta_star.sigma[0] - 1.0) <= 1e-12
+
+    def test_stalled_dimension_is_reported_on_its_own(self, monkeypatch):
+        """With a zero tolerance the second dimension's steps stop moving it
+        while the first lands exactly on its optimum: each keeps its own
+        count and flag, and the first does not wait for the second."""
+        monkeypatch.setattr(proplab, "_GRAD_TOL", 0.0)
+        post = ToyPosterior.single([0.0, 0.1], [1.0, 2.0])
+        report = minimize_regularizer(RegularizerKind.l2(2), post, 0, INIT_2D)
+        assert report.dim_converged.tolist() == [True, False]
+        first, second = report.dim_iterations.tolist()
+        assert first < second == report.iterations < proplab._MAX_ITERATIONS
+        assert not report.converged
+        assert _solo_solves(RegularizerKind.l2(2), post, INIT_2D) == _per_dimension(report)
 
     def test_invalid_init(self):
         with pytest.raises(ValueError):
