@@ -9,6 +9,14 @@ are formatted once, with the same bytes).  Timing lives only in the stdout
 run summary so it cannot break artifact reproducibility.
 Existing outputs are never overwritten without --force.
 
+Memory model: :func:`_csv` yields a CSV artifact's text chunk by chunk (a
+contour grid row by row, a ``dc`` vector 4096 lines at a time) and
+:func:`main` writes each chunk as it is formatted, so a command holds its
+result (for ``contours`` the grid, which
+:func:`~postsamp.proplab.contour_grid` fills one band at a time) and one
+chunk of text, never the whole file.  If writing fails, :func:`main`
+removes the partly written file.
+
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
 error object on stdout), 2 usage error.
 """
@@ -20,8 +28,8 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from dataclasses import asdict
-from itertools import chain
 
 import numpy as np
 
@@ -59,6 +67,10 @@ class ArtifactExistsError(RuntimeError):
     pass
 
 
+# Lines per chunk of a dc vector artifact.
+_VECTOR_LINES = 4096
+
+
 def _parse_vector(text: str) -> np.ndarray:
     try:
         return np.array([float(part) for part in text.split(",")], dtype=np.float64)
@@ -80,8 +92,7 @@ def _read_vector_csv(path: str) -> np.ndarray:
     """One value per line (real) or 're,im' per line (complex), one column
     count per file; blank, whitespace-only and '#' lines are skipped."""
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    lines = [line for line in text.splitlines() if line.strip()[:1] not in ("", "#")]
+        lines = [line for line in handle if line.strip()[:1] not in ("", "#")]
     if not lines:
         raise ValueError(f"{path}: empty vector file")
     try:
@@ -95,27 +106,33 @@ def _read_vector_csv(path: str) -> np.ndarray:
     return arr[:, 0]
 
 
-def _csv(chunks, columns: int, header: str = "") -> str:
+def _csv(chunks, columns: int, header: str = "") -> Iterator[str]:
     """``header``, then each chunk's values row-major, ``columns`` per line.
 
     Every value is written as its ``repr``, one ``%`` format per chunk;
-    chunks hold Python scalars (``tolist``) and whole lines, and only one
-    chunk is held as Python objects at a time.  The header goes into the
-    one join, so the text is not copied again.
+    chunks hold Python scalars (``tolist``) and whole lines.  The text is
+    yielded one chunk at a time, so only one chunk is held as Python
+    objects or text at a time.
     """
     line = ",".join(["%r"] * columns) + "\n"
-    body = ((line * (len(c) // columns)) % tuple(c) for c in chunks)
-    return "".join(chain((header,), body))
+    if header:
+        yield header
+    for c in chunks:
+        yield (line * (len(c) // columns)) % tuple(c)
 
 
-def _vector_csv(values: np.ndarray) -> str:
-    """One value per line, or 're,im' per line for complex values."""
+def _vector_csv(values: np.ndarray) -> Iterator[str]:
+    """One value per line, or 're,im' per line for complex values, in chunks
+    of ``_VECTOR_LINES`` lines."""
     if np.iscomplexobj(values):
-        return _csv([np.column_stack((values.real, values.imag)).ravel().tolist()], 2)
-    return _csv([np.asarray(values, dtype=np.float64).tolist()], 1)
+        lines = np.column_stack((values.real, values.imag))
+    else:
+        lines = np.asarray(values, dtype=np.float64)[:, None]
+    starts = range(0, len(lines), _VECTOR_LINES)
+    return _csv((lines[i:i + _VECTOR_LINES].ravel().tolist() for i in starts), lines.shape[1])
 
 
-def _contour_csv(grid) -> str:
+def _contour_csv(grid) -> Iterator[str]:
     """The documented two header lines, then one row per sigma value.
 
     A row whose bits equal the previous row's reuses its text (an objective
@@ -124,33 +141,33 @@ def _contour_csv(grid) -> str:
     """
     kind = grid.kind
     beta = kind.beta_sd if kind.beta_sd is not None else 0.0
-    header = "# kind=%s mu0=%r sigma0=%r P=%s beta_sd=%r\n" % (
+    yield "# kind=%s mu0=%r sigma0=%r P=%s beta_sd=%r\n" % (
         kind.kind.value, grid.truth[0], grid.truth[1], kind.P, beta,
     )
     columns = grid.mu_axis.size
-    header += "sigma\\mu," + _csv([grid.mu_axis.tolist()], columns)
-    lines = [header]
+    yield from _csv([grid.mu_axis.tolist()], columns, "sigma\\mu,")
     last_bits = None
     for s, row in zip(grid.sigma_axis.tolist(), grid.values):
         bits = row.tobytes()
         if bits != last_bits:
-            last_bits, text = bits, _csv([row.tolist()], columns)
-        lines += ("%r," % s, text)
-    return "".join(lines)
+            (text,) = _csv([row.tolist()], columns)  # one chunk, no header
+            last_bits = bits
+        yield "%r," % s
+        yield text
 
 
-def _trace_csv(trace) -> str:
+def _trace_csv(trace) -> Iterator[str]:
     values = [v for r in trace.rows for v in (r.epoch, r.beta_sd, r.ratio_db, r.target_db)]
     return _csv([values], 4, "epoch,beta_sd,ratio_db,target_db\n")
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (exit_code, results, csv_text); main
-# writes csv_text, or the JSON artifact of results when it is None.
+# Subcommand handlers: each returns (exit_code, results, csv_chunks); main
+# writes csv_chunks, or the JSON artifact of results when it is None.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_contours(args) -> tuple[int, dict, str]:
+def _cmd_contours(args) -> tuple[int, dict, Iterator[str]]:
     post = ToyPosterior.single(args.mu0, args.sigma0)
     reg = RegKind(args.kind)
     # --beta defaults to the nominal weight of l1sd; RegularizerKind rejects
@@ -186,7 +203,7 @@ def _cmd_verify(args) -> tuple[int, dict, None]:
     return (0 if report.passed else 1), results, None
 
 
-def _cmd_autotune_sim(args) -> tuple[int, dict, str]:
+def _cmd_autotune_sim(args) -> tuple[int, dict, Iterator[str]]:
     post = ToyPosterior.single(args.mu0, args.sigma0)
     nominal = beta_sd_nominal(args.p_train)
     slope = args.plant_slope if args.plant_slope is not None else args.sigma0 / nominal
@@ -222,7 +239,7 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, str]:
     return 0, results, _trace_csv(trace)
 
 
-def _cmd_psnr_curve(args) -> tuple[int, dict, str]:
+def _cmd_psnr_curve(args) -> tuple[int, dict, Iterator[str]]:
     curve = psnr_gain_curve(args.pmax)
     values = [v for point in curve for v in point]
     return 0, {"pmax": args.pmax, "final_gain_db": curve[-1][1]}, _csv([values], 2, "P,gain_db\n")
@@ -252,7 +269,7 @@ def _cmd_fid(args) -> tuple[int, dict, None]:
     return 0, results, None
 
 
-def _cmd_dc(args) -> tuple[int, dict, str]:
+def _cmd_dc(args) -> tuple[int, dict, Iterator[str]]:
     operator = load_operator(args.mask, coils=args.coils)
     x_raw = _read_vector_csv(args.x_raw)
     y = _read_vector_csv(args.y)
@@ -446,15 +463,21 @@ def main(argv: list | None = None) -> int:
     start = time.perf_counter()
     summary = {"version": __version__, "argv": raw_argv, "seed": getattr(args, "seed", None)}
     try:
-        exit_code, results, text = args.handler(args)
-        if text is None:  # a JSON artifact: the summary's identity fields and results
-            text = json.dumps({**summary, "results": results}, sort_keys=True, indent=2) + "\n"
+        exit_code, results, chunks = args.handler(args)
+        if chunks is None:  # a JSON artifact: the summary's identity fields and results
+            chunks = [json.dumps({**summary, "results": results}, sort_keys=True, indent=2) + "\n"]
         if os.path.exists(args.out) and not args.force:
             raise ArtifactExistsError(
                 f"refusing to overwrite existing artifact {args.out!r}; pass --force"
             )
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        handle = open(args.out, "w", encoding="utf-8", newline="")
+        try:
+            with handle:
+                handle.writelines(chunks)
+        except BaseException:
+            if os.path.isfile(args.out) and not os.path.islink(args.out):
+                os.remove(args.out)  # a truncated artifact, not a device or a link
+            raise
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         exit_code = 1
         summary.update(status="error", error={"type": type(exc).__name__, "message": str(exc)})

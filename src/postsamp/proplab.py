@@ -68,6 +68,10 @@ _RADIUS_FACTOR = 4.0
 _MAX_ITERATIONS = 20_000
 _GRAD_TOL = 1e-8
 
+# Grid points per band of a contour grid: about 128 KiB per float64
+# temporary of the closed form, and always at least one whole sigma row.
+_BAND = 1 << 14
+
 
 @dataclass
 class OptimizationReport:
@@ -288,6 +292,13 @@ def contour_grid(
 
     Only scalar (one-dimensional) posteriors make sense here.  The ranges
     must bracket the true parameters so the argmin study is meaningful.
+
+    Memory model: the values fill one preallocated grid, a band of whole
+    sigma rows (about ``_BAND`` points) at a time, so the closed form's
+    temporaries are band-sized whatever the resolution.  Each band's
+    inputs are contiguous arrays, as a whole-grid call's would be, so every
+    ufunc takes the same loop and the values are the same bits for any
+    band size.
     """
     if post.dim != 1:
         raise ValueError("contour grids require a one-dimensional toy posterior")
@@ -306,9 +317,14 @@ def contour_grid(
 
     mu_axis = np.linspace(mu_lo, mu_hi, resolution)
     sigma_axis = np.linspace(s_lo, s_hi, resolution)
-    mu_grid, sigma_grid = np.meshgrid(mu_axis, sigma_axis)
-    values = CLOSED_FORMS[kind.kind].value(
-        mu_grid[..., None] - mu0, sigma_grid[..., None], sigma0, kind.P, kind.beta_sd
-    )
+    value = CLOSED_FORMS[kind.kind].value
+    values = np.empty((resolution, resolution))
+    rows = max(1, _BAND // resolution)
+    for start in range(0, resolution, rows):
+        band = slice(start, start + rows)
+        mu_grid, sigma_grid = np.meshgrid(mu_axis, sigma_axis[band])
+        values[band] = value(
+            mu_grid[..., None] - mu0, sigma_grid[..., None], sigma0, kind.P, kind.beta_sd
+        )
     return ContourGrid(mu_axis, sigma_axis, values, kind, truth)
 

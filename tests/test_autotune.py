@@ -330,7 +330,7 @@ class TestSimulation:
             lambda beta: max(beta, 0.0) / NOMINAL2,
             STD_POST, 0, 8, 50, 10, 0.2, SeededStream(0), beta0=2 * NOMINAL2,
         )
-        lines = _trace_csv(trace).splitlines()
+        lines = "".join(_trace_csv(trace)).splitlines()
         assert lines[0] == "epoch,beta_sd,ratio_db,target_db"
         assert len(lines) == 1 + len(trace.rows)
         first = lines[1].split(",")

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import postsamp
-from postsamp import RegularizerKind, SeededStream, ToyPosterior, beta_sd_nominal, regularizers
+from postsamp import (
+    RegularizerKind,
+    SeededStream,
+    ToyPosterior,
+    beta_sd_nominal,
+    cli,
+    regularizers,
+)
 from postsamp.autotune import db, psnr_gain_curve, simulate_autotune
 from postsamp.cfid import write_embeddings
 from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
@@ -374,19 +381,28 @@ SPECIAL_VALUES = [
 class TestVectorCsv:
     def test_real_formatting_matches_loop(self):
         values = np.array(SPECIAL_VALUES)
-        assert _vector_csv(values) == _loop_vector_csv(values)
+        assert "".join(_vector_csv(values)) == _loop_vector_csv(values)
 
     def test_complex_formatting_matches_loop(self):
         values = np.empty(len(SPECIAL_VALUES), dtype=np.complex128)
         values.real, values.imag = SPECIAL_VALUES, SPECIAL_VALUES[::-1]
-        assert _vector_csv(values) == _loop_vector_csv(values)
+        assert "".join(_vector_csv(values)) == _loop_vector_csv(values)
+
+    @pytest.mark.parametrize("lines", [1, 7, 4096])
+    def test_chunked_formatting_matches_loop(self, monkeypatch, lines):
+        """Chunks of 1 and 7 lines (the last one partial) and one whole chunk."""
+        monkeypatch.setattr(cli, "_VECTOR_LINES", lines)
+        rng = np.random.default_rng(3)
+        real = rng.standard_normal(1000)
+        for values in (real, real + 1j * rng.standard_normal(1000), real[:0]):
+            assert "".join(_vector_csv(values)) == _loop_vector_csv(values)
 
     def test_random_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         for values in (rng.standard_normal(1000), rng.standard_normal(1000) * 1j + 1e-300):
             path = tmp_path / "v.csv"
-            path.write_text(_vector_csv(values))
-            assert _vector_csv(values) == _loop_vector_csv(values)
+            path.write_text("".join(_vector_csv(values)))
+            assert "".join(_vector_csv(values)) == _loop_vector_csv(values)
             np.testing.assert_array_equal(_read_vector_csv(str(path)), values)
 
     def test_reader_skips_blank_whitespace_and_comment_lines(self, tmp_path):
@@ -401,6 +417,11 @@ class TestVectorCsv:
         np.testing.assert_array_equal(got.real, [1.0, -0.0, 5e-324])
         np.testing.assert_array_equal(got.imag, [2.0, 4.0, np.nan])
         assert math.copysign(1.0, got[1].real) == -1.0
+
+    def test_reader_accepts_crlf_and_cr_line_ends(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_bytes(b"# re,im\r\n1,2\r\n\r\n3,4\r5,6")
+        np.testing.assert_array_equal(_read_vector_csv(str(path)), [1 + 2j, 3 + 4j, 5 + 6j])
 
     @pytest.mark.parametrize(
         "text", ["1\n2,3\n", "1,2\n3\n", "1,2,3\n", "", "\n  \n# only comments\n", "1\nx\n"]
@@ -446,7 +467,7 @@ class TestCsvWriters:
     def test_contour_csv_matches_loop(self, kind, resolution):
         post = ToyPosterior.single(0.3, 1.1)
         grid = contour_grid(kind, post, 0, (-2.5, 3.0), (0.0, 2.75), resolution)
-        assert _contour_csv(grid) == _loop_contour_csv(grid)
+        assert "".join(_contour_csv(grid)) == _loop_contour_csv(grid)
 
     @pytest.mark.parametrize(
         "rows",
@@ -461,7 +482,7 @@ class TestCsvWriters:
         values = np.array(rows)
         grid = ContourGrid(np.arange(values.shape[1]) - 1.0, np.arange(values.shape[0]) * 0.5,
                            values, RegularizerKind.l2(8), (0.0, 1.0))
-        assert _contour_csv(grid) == _loop_contour_csv(grid)
+        assert "".join(_contour_csv(grid)) == _loop_contour_csv(grid)
 
     @pytest.mark.parametrize("use_mc", [False, True])
     def test_trace_csv_matches_loop(self, use_mc):
@@ -472,7 +493,7 @@ class TestCsvWriters:
         expected = "epoch,beta_sd,ratio_db,target_db\n" + "".join(
             f"{r.epoch},{r.beta_sd!r},{r.ratio_db!r},{r.target_db!r}\n" for r in trace.rows
         )
-        assert _trace_csv(trace) == expected
+        assert "".join(_trace_csv(trace)) == expected
 
     def test_psnr_csv_matches_loop(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
@@ -480,6 +501,22 @@ class TestCsvWriters:
         assert code == 0
         expected = "P,gain_db\n" + "".join(f"{P},{g!r}\n" for P, g in psnr_gain_curve(300))
         assert out.read_text() == expected
+
+    def test_contours_memory_stays_bounded(self, tmp_path, capsys):
+        """The 601 x 601 grid is 2.8 MiB; its closed form runs in bands and its
+        text is written as it is formatted, not held whole (about 26 MB)."""
+        warm = ["contours", "--kind", "l1sd", "--p", "2", "--mu0", "0.3", "--sigma0", "1.1"]
+        assert main([*warm, "--resolution", "16", "--out", str(tmp_path / "warm.csv")]) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            code = main([*warm, "--resolution", "601", "--out", str(tmp_path / "c.csv")])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert code == 0
+        assert peak < 8 * 2**20, peak
 
 
 class TestDetect:
@@ -644,6 +681,28 @@ class TestReproducibilityAndErrors:
         assert "force" in summary["error"]["message"]
         code, _ = run_cli(capsys, "psnr-curve", "--pmax", "4", "--out", str(out), "--force")
         assert code == 0
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "forced-over"])
+    def test_failed_write_leaves_no_artifact(self, tmp_path, capsys, monkeypatch, existing):
+        """A chunk iterator that raises mid-write: exit 1, the error JSON, no file."""
+        def broken_csv(grid):
+            yield "# a header line\n"
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(cli, "_contour_csv", broken_csv)
+        out = tmp_path / "c.csv"
+        if existing:
+            out.write_text("an older artifact\n")
+        code, summary = run_cli(
+            capsys,
+            "contours", "--kind", "l2", "--p", "2", "--mu0", "0", "--sigma0", "1",
+            "--resolution", "16", "--out", str(out), *(["--force"] if existing else []),
+        )
+        assert code == 1
+        assert summary["status"] == "error"
+        assert summary["error"] == {"type": "RuntimeError", "message": "formatting failed"}
+        assert "artifacts" not in summary
+        assert not out.exists()
 
     def test_runtime_failure_emits_json_error(self, tmp_path, capsys):
         code, summary = run_cli(

@@ -354,7 +354,7 @@ class TestContourGrid:
 
     def test_csv_format(self):
         grid = contour_grid(RegularizerKind.l1_sd(2), STD_POST, 0, (-3, 3), (0, 3), 16)
-        lines = _contour_csv(grid).splitlines()
+        lines = "".join(_contour_csv(grid)).splitlines()
         assert lines[0].startswith("# kind=l1sd mu0=0.0 sigma0=1.0 P=2 beta_sd=")
         assert lines[1].startswith("sigma\\mu,-3.0,")
         assert len(lines) == 2 + 16
@@ -372,6 +372,22 @@ class TestContourGrid:
         """The objectives are defined for sigma >= 0 only."""
         with pytest.raises(ValueError, match="sigma range"):
             contour_grid(RegularizerKind.l2(2), STD_POST, 0, (-3, 3), (-2, 3), 16)
+
+    @pytest.mark.parametrize(
+        "kind",
+        [RegularizerKind.l1_sd(2), RegularizerKind.l2(8), RegularizerKind(RegKind.L2_VAR, 8)],
+        ids=["l1sd", "l2", "l2var"],
+    )
+    def test_values_do_not_depend_on_band_size(self, monkeypatch, kind):
+        """Bands of one row (``_BAND`` 1 is less than a row), of 7 rows (the
+        last one partial), of the whole grid and of more than the grid."""
+        post, resolution = ToyPosterior.single(0.3, 1.1), 50
+        grids = []
+        for band in (1, 7 * resolution, resolution**2, (resolution + 3) * resolution):
+            monkeypatch.setattr(proplab, "_BAND", band)
+            grid = contour_grid(kind, post, 0, (-2.5, 3.0), (0.0, 2.75), resolution)
+            grids.append(grid.values.tobytes())
+        assert all(bits == grids[0] for bits in grids)
 
 
 
