@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .regularizers import (
-    _comoments,
+    _check_p,
     _residual_moments,
     _residual_units,
     beta_sd_nominal,
@@ -51,7 +51,6 @@ __all__ = [
     "NonMonotonePlantError",
     "e_hat",
     "e_hat_items",
-    "ratio_with_se",
     "target_ratio_db",
     "db",
     "update_beta",
@@ -145,19 +144,6 @@ def _ratio_from_moments(n: int, mean: np.ndarray, comoments: np.ndarray) -> tupl
     return float(ratio), float(math.sqrt(max(var, 0.0)))
 
 
-def ratio_with_se(numer_items: np.ndarray, denom_items: np.ndarray) -> tuple[float, float]:
-    """Ratio of two Monte Carlo means with a delta-method standard error.
-
-    The items must be paired (same validation set), so the covariance
-    term matters and is included.
-    """
-    a = np.asarray(numer_items, dtype=np.float64)
-    b = np.asarray(denom_items, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1 or a.size < 2:
-        raise ValueError("need two paired 1-D arrays with at least 2 items")
-    return _ratio_from_moments(*_comoments(np.stack([a, b])))
-
-
 def db(x: float) -> float:
     """Decibel transform 10 * log10(x)."""
     if x <= 0:
@@ -167,8 +153,7 @@ def db(x: float) -> float:
 
 def target_ratio_db(P: int) -> float:
     """Correct single-vs-P-average error ratio for true posterior samples, in dB."""
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    _check_p(P, 1)
     return db(2.0 * P / (P + 1))
 
 

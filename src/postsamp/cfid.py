@@ -62,6 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .regularizers import _check_p
+
 __all__ = [
     "EmbeddingSet",
     "JointGaussianStats",
@@ -121,8 +123,7 @@ def _check_shapes(x_shape, y_shape, xhat_shape, P: int) -> bool:
         raise ValueError(
             f"x and xhat must share a column count: {x_shape[1]} vs {xhat_shape[1]}"
         )
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    _check_p(P, 1)
     if rows % P != 0:
         raise ValueError(f"row count {rows} is not a multiple of P={P}")
     return rows < x_shape[1] + y_shape[1] + 2

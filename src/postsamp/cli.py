@@ -24,6 +24,7 @@ error object on stdout), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -90,17 +91,25 @@ def _resolve_beta(beta: str | None, P: int) -> float:
 
 def _read_vector_csv(path: str) -> np.ndarray:
     """One value per line (real) or 're,im' per line (complex), one column
-    count per file; blank, whitespace-only and '#' lines are skipped."""
+    count per file; blank, whitespace-only and '#' lines are skipped.
+
+    ``np.loadtxt`` parses the kept lines as they are read, never a list of
+    them; the first is taken ahead so an empty file is an error, not a
+    numpy warning.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle if line.strip()[:1] not in ("", "#")]
-    if not lines:
-        raise ValueError(f"{path}: empty vector file")
-    try:
-        arr = np.loadtxt(lines, delimiter=",", comments="#", ndmin=2)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if arr.shape[1] == 2:
-        return complex_from_interleaved(arr.ravel())
+        lines = (line for line in handle if line.strip()[:1] not in ("", "#"))
+        first = next(lines, None)
+        if first is None:
+            raise ValueError(f"{path}: empty vector file")
+        try:
+            arr = np.loadtxt(
+                itertools.chain((first,), lines), delimiter=",", comments="#", ndmin=2
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if arr.shape[1] == 2:  # each re,im row viewed as one complex value, bits kept, no copy
+        return arr.view(np.complex128)[:, 0]
     if arr.shape[1] != 1:
         raise ValueError(f"{path}: expected 1 or 2 columns per line")
     return arr[:, 0]

@@ -20,15 +20,13 @@ component of ``x_raw`` untouched; it does nothing about measurement
 noise, so it belongs in low-noise settings.
 
 The DFT is ``numpy.fft`` with ``norm="ortho"`` over the grid axes, for
-any grid size.  ``dense_dft_matrix`` and each operator's ``dense_matrix``
-rebuild the operator as a literal matrix; they are the test oracle for
-the FFT path.  Multi-channel signals are handled block-diagonally via a
+any grid size; the tests check it against the operators rebuilt as dense
+matrices.  Multi-channel signals are handled block-diagonally via a
 ``coils`` count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -38,24 +36,9 @@ __all__ = [
     "MaskOperator",
     "FourierSubsampler",
     "data_consistency",
-    "dense_dft_matrix",
     "load_operator",
-    "save_mask_file",
     "complex_from_interleaved",
 ]
-
-
-# ---------------------------------------------------------------------------
-# Unitary DFT matrix: the dense oracle
-# ---------------------------------------------------------------------------
-
-
-def dense_dft_matrix(n: int) -> np.ndarray:
-    """Unitary DFT matrix F[j, k] = exp(-2 pi i j k / n) / sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    j = np.arange(n)
-    return np.exp(-2j * math.pi * np.outer(j, j) / n) / math.sqrt(n)
 
 
 def _check_indices(indices, dim: int, what: str) -> tuple[int, ...]:
@@ -109,12 +92,6 @@ class MaskOperator:
         out = np.array(x, dtype=np.result_type(x.dtype, np.float64))
         out[list(self.kept)] = 0
         return out
-
-    def dense_matrix(self) -> np.ndarray:
-        matrix = np.zeros((self.out_dim, self.dim))
-        for row, col in enumerate(self.kept):
-            matrix[row, col] = 1.0
-        return matrix
 
 
 @dataclass(frozen=True)
@@ -183,18 +160,6 @@ class FourierSubsampler:
         x = self._check_input(x, "x")
         return x - self.apply(x)
 
-    def dense_matrix(self) -> np.ndarray:
-        if len(self.shape) == 1:
-            f = dense_dft_matrix(self.shape[0])
-        else:
-            f = np.kron(dense_dft_matrix(self.shape[0]), dense_dft_matrix(self.shape[1]))
-        keep = np.zeros(self.grid_size)
-        keep[list(self.kept)] = 1.0
-        block = f.conj().T @ (keep[:, None] * f)
-        if self.coils == 1:
-            return block
-        return np.kron(np.eye(self.coils), block)
-
 
 def data_consistency(operator, x_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Replace the measured component of ``x_raw`` so that ``A result = y``."""
@@ -224,19 +189,6 @@ def complex_from_interleaved(values: np.ndarray) -> np.ndarray:
 # Mask files: "N=<dim>" (pixel mask) or "DIMS=<h>x<w>" / "DIMS=<n>" (Fourier)
 # followed by one kept index per line.
 # ---------------------------------------------------------------------------
-
-
-def save_mask_file(path, operator) -> None:
-    if isinstance(operator, MaskOperator):
-        header = f"N={operator.dim}"
-    elif isinstance(operator, FourierSubsampler):
-        header = "DIMS=" + "x".join(str(s) for s in operator.shape)
-    else:
-        raise TypeError(f"unsupported operator type {type(operator).__name__}")
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(header + "\n")
-        for index in operator.kept:
-            handle.write(f"{index}\n")
 
 
 def load_operator(path, coils: int = 1):

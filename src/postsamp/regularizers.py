@@ -114,6 +114,12 @@ _BLOCK = 1 << 17
 _T = TypeVar("_T")
 
 
+def _check_p(P: int, least: int = 2) -> None:
+    """Raise unless the sample count ``P`` is at least ``least``."""
+    if P < least:
+        raise ValueError(f"P must be >= {least}, got {P}")
+
+
 @dataclass(frozen=True)
 class LossEstimate:
     """A Monte Carlo loss value with its standard error.
@@ -148,8 +154,7 @@ class RegularizerKind:
     beta_sd: float | None = None
 
     def __post_init__(self) -> None:
-        if self.P < 2:
-            raise ValueError(f"P must be >= 2, got {self.P}")
+        _check_p(self.P)
         if self.kind is RegKind.L1_SD:
             if self.beta_sd is None:
                 raise ValueError("L1_SD requires beta_sd")
@@ -178,8 +183,7 @@ def gamma_p(P: int) -> float:
     this scaling the reward is an unbiased standard-deviation estimate
     for Gaussian samples.
     """
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
+    _check_p(P)
     return math.sqrt(math.pi * P / (2.0 * (P - 1)))
 
 
@@ -189,8 +193,7 @@ def beta_sd_nominal(P: int) -> float:
     Under this weight the closed-form combined objective is stationary
     exactly at the true posterior parameters of the Gaussian toy model.
     """
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
+    _check_p(P)
     return math.sqrt(2.0 / (math.pi * P * (P + 1)))
 
 
@@ -326,8 +329,7 @@ def _run_units(
     the OS and faulted in again (a sixth of ``autotune-sim --mc`` on 1 CPU).
     """
     for P, _ in runs:
-        if P < 1:
-            raise ValueError(f"P must be >= 1, got {P}")
+        _check_p(P, 1)
     dim = params.dim
     width = max(P for P, _ in runs) * dim
     draws = [(s, "codes", params.mu, params.sigma, (P, dim)) for P, s in runs]
@@ -369,8 +371,7 @@ def _mc_pass(
     Unit ``u`` draws its codes from ``stream.child("codes", u)`` and, when
     ``truth`` is ``(post, context)``, its truths from ``stream.child("truths", u)``.
     """
-    if P < 2:
-        raise ValueError(f"P must be >= 2, got {P}")
+    _check_p(P)
     if n_outer < 2:
         raise ValueError(f"n_outer must be >= 2, got {n_outer}")
     if threads is not None and threads < 1:
@@ -655,8 +656,7 @@ def closed_form_l2p(
     params: GeneratorParams, post: ToyPosterior, context: int, P: int
 ) -> float:
     """Exact P-sample squared-error loss: bias^2 + variance/P + noise floor."""
-    if P < 1:
-        raise ValueError(f"P must be >= 1, got {P}")
+    _check_p(P, 1)
     return _closed_form(RegKind.L2, params, post, context, P)
 
 

@@ -19,7 +19,7 @@ from typing import Callable
 
 from .autotune import ValidationSet, _ratio_from_moments
 from .proplab import minimize_regularizer
-from .regularizers import RegularizerKind, _residual_moments
+from .regularizers import RegularizerKind, _check_p, _residual_moments
 from .streams import SeededStream
 from .toy import GeneratorParams, ToyPosterior
 
@@ -159,8 +159,7 @@ def check_average_error_ratio(
     _require_p_values(p_values)
     # At P = 1 both runs of a pair score single samples: the target is 1 and
     # any ratio of two draws of the same error brackets it.
-    if min(p_values) < 2:
-        raise ValueError(f"every P must be >= 2, got {min(p_values)}")
+    _check_p(min(p_values))
     start = time.perf_counter()
     stream = SeededStream(seed, ("ratio",))
     post = ToyPosterior.single(0.0, 1.0)

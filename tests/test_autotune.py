@@ -23,7 +23,6 @@ from postsamp.autotune import (
     e_hat,
     e_hat_items,
     psnr_gain_curve,
-    ratio_with_se,
     simulate_autotune,
     target_ratio_db,
     update_beta,
@@ -31,6 +30,8 @@ from postsamp.autotune import (
 from postsamp import regularizers
 from postsamp.cli import _trace_csv
 from postsamp.verify import check_average_error_ratio
+
+from oracles import ratio_with_se
 
 STREAM = SeededStream(77, ("autotune-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
@@ -248,6 +249,17 @@ class TestAveragingRatio:
         averaged = e_hat_items(STD_TRUTH, val, P, stream.child("avg"))
         ratio, se = ratio_with_se(single, averaged)
         assert abs(ratio - 2 * P / (P + 1)) <= 4 * se
+
+    def test_standard_error_matches_its_closed_form(self):
+        """On true samples d_1 = x - xhat_1 and d_P = x - xbar_P are jointly
+        normal with Cov(d_1, d_P) = 1, so the delta-method SE of the ratio
+        is R sqrt((4 - R) / V) with R = 2P / (P+1)."""
+        V = 100_000
+        report = check_average_error_ratio(1, validation_size=V)
+        assert [run["P"] for run in report.details["runs"]] == [2, 4, 8, 32]
+        for run in report.details["runs"]:
+            R = 2 * run["P"] / (run["P"] + 1)
+            assert run["std_error"] == pytest.approx(R * math.sqrt((4 - R) / V), rel=0.03), run
 
 
 class TestSimulation:

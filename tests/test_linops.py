@@ -17,11 +17,11 @@ from postsamp.linops import (
     MaskOperator,
     complex_from_interleaved,
     data_consistency,
-    dense_dft_matrix,
     load_operator,
-    save_mask_file,
 )
 from postsamp.toy import sample_posterior
+
+from oracles import dense_dft_matrix, dense_matrix
 
 RNG = np.random.default_rng(20240818)
 
@@ -60,7 +60,7 @@ class TestMaskOperator:
 
     def test_dense_matrix_equivalence(self):
         op = MaskOperator((0, 3, 7), 8)
-        a = op.dense_matrix()
+        a = dense_matrix(op)
         x = RNG.standard_normal(8)
         np.testing.assert_allclose(op.apply(x), a @ x, atol=1e-14)
         pinv = np.linalg.pinv(a)
@@ -123,7 +123,7 @@ class TestFourierSubsampler:
         grid = int(np.prod(shape))
         kept = tuple(sorted(RNG.choice(grid, size=max(1, grid // 3), replace=False).tolist()))
         op = FourierSubsampler(shape, kept, coils=coils)
-        a = op.dense_matrix()
+        a = dense_matrix(op)
         x = _random_complex(grid * coils)
         np.testing.assert_allclose(op.apply(x), a @ x, atol=1e-10)
         # A's singular values are 0 or 1; the cutoff drops the rounding noise
@@ -133,7 +133,7 @@ class TestFourierSubsampler:
 
     def test_operator_is_orthogonal_projection(self):
         op = FourierSubsampler((4, 4), (0, 3, 5, 9))
-        a = op.dense_matrix()
+        a = dense_matrix(op)
         np.testing.assert_allclose(a, a.conj().T, atol=1e-12)
         np.testing.assert_allclose(a @ a, a, atol=1e-12)
 
@@ -234,21 +234,15 @@ class TestInterleaved:
 
 
 class TestMaskFiles:
-    def test_pixel_mask_round_trip(self, tmp_path):
-        op = MaskOperator((1, 4, 5), 8)
+    def test_pixel_mask_file_loads(self, tmp_path):
         path = tmp_path / "mask.txt"
-        save_mask_file(path, op)
-        assert path.read_text().splitlines()[0] == "N=8"
-        loaded = load_operator(path)
-        assert loaded == op
+        path.write_text("N=8\n1\n4\n5\n")
+        assert load_operator(path) == MaskOperator((1, 4, 5), 8)
 
-    def test_fourier_mask_round_trip(self, tmp_path):
-        op = FourierSubsampler((4, 8), (0, 5, 31))
+    def test_fourier_mask_file_loads(self, tmp_path):
         path = tmp_path / "fmask.txt"
-        save_mask_file(path, op)
-        assert path.read_text().splitlines()[0] == "DIMS=4x8"
-        loaded = load_operator(path, coils=1)
-        assert loaded == op
+        path.write_text("DIMS=4x8\n0\n5\n31\n")
+        assert load_operator(path, coils=1) == FourierSubsampler((4, 8), (0, 5, 31))
 
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -277,8 +271,6 @@ INPUT_CHECKS = [
                  "coils must be >= 1, got 0", id="fourier-no-coils"),
     pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "\n")), ValueError,
                  "empty mask file", id="mask-file-empty"),
-    pytest.param(lambda tmp_path: save_mask_file(tmp_path / "m.txt", object()), TypeError,
-                 "unsupported operator type object", id="save-unknown-type"),
 ]
 
 

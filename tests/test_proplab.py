@@ -172,7 +172,11 @@ class TestFlatDirection:
 
 
 class TestBetaSensitivity:
-    """Stationarity solve: sigma*(c) = c * sigma0 * sqrt(P / (P + 1 - c^2))."""
+    """Stationarity solve: sigma*(c) = c * sigma0 * sqrt(P / (P + 1 - c^2)).
+
+    In terms of beta = c * beta_nominal(P) that is sigma0 b / sqrt(1 - b^2 / P)
+    with b = beta P sqrt(pi / 2), which diverges at beta_max = sqrt(2 / (pi P)).
+    """
 
     @pytest.mark.parametrize("c", [0.5, 1.5])
     def test_off_nominal_weights(self, c):
@@ -186,6 +190,27 @@ class TestBetaSensitivity:
             assert report.theta_star.sigma[0] > sigma0
         else:
             assert report.theta_star.sigma[0] < sigma0
+
+    @pytest.mark.parametrize("ratio", [0.05, 0.3, 0.6, 0.9, 0.99])
+    @pytest.mark.parametrize("P", [2, 3, 8, 32])
+    def test_sigma_star_over_beta(self, P, ratio):
+        beta = ratio * math.sqrt(2.0 / (math.pi * P))
+        b = beta * P * math.sqrt(math.pi / 2.0)
+        for sigma0 in (1e-3, 1.0, 50.0):
+            post = ToyPosterior.single(0.0, sigma0)
+            init = GeneratorParams(0.3 * sigma0, sigma0)
+            report = minimize_regularizer(RegularizerKind.l1_sd(P, beta), post, 0, init)
+            expected = sigma0 * b / math.sqrt(1.0 - b**2 / P)
+            assert report.converged and not report.unbounded, sigma0
+            assert report.theta_star.sigma[0] == pytest.approx(expected, rel=1e-5), sigma0
+
+    @pytest.mark.parametrize("P", [2, 3, 8, 32])
+    def test_beta_max_is_unbounded(self, P):
+        kind = RegularizerKind.l1_sd(P, math.sqrt(2.0 / (math.pi * P)))
+        for sigma0 in (1e-3, 1.0, 50.0):
+            init = GeneratorParams(0.3 * sigma0, sigma0)
+            report = minimize_regularizer(kind, ToyPosterior.single(0.0, sigma0), 0, init)
+            assert report.unbounded, sigma0
 
 
 class TestNonConvergence:
