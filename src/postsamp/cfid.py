@@ -75,7 +75,6 @@ __all__ = [
     "gaussian_w2_squared",
     "cfid",
     "fid",
-    "write_embeddings",
     "read_embeddings",
 ]
 
@@ -539,16 +538,6 @@ def fid(x, xhat) -> FrechetResult:
 # Binary layout (little-endian): magic "EMB1", u32 rows, u32 cols, u8 dtype
 # tag (1 = float64), 3 reserved zero bytes, then the row-major payload.
 # CSV files with a "col0,col1,..." header are accepted as an alternative.
-
-
-def write_embeddings(path, matrix: np.ndarray) -> None:
-    matrix = _as_matrix(matrix, "matrix")
-    rows, cols = matrix.shape
-    header = _MAGIC + struct.pack("<IIB3x", rows, cols, _DTYPE_F64)
-    payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
-    with open(path, "wb") as handle:
-        handle.write(header)
-        handle.write(payload)
 
 
 def _read_embeddings_csv(raw: bytes, path) -> np.ndarray:

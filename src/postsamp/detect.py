@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .regularizers import _blocks, _map_units
+from .regularizers import _blocks, _check_finite, _map_units
 from .streams import SeededStream
 from .toy import SampleBatch, ToyPosterior
 
@@ -72,6 +72,7 @@ def threshold_classifier(coordinate: int = 0, tau: float = 0.0) -> Classifier:
     # A negative index would silently pick a coordinate counted from the end.
     if coordinate < 0:
         raise ValueError(f"coordinate must be >= 0, got {coordinate}")
+    _check_finite("tau", tau)
 
     def fn(values: np.ndarray) -> np.ndarray:
         return (values[:, coordinate] > tau).astype(np.float64)
@@ -85,6 +86,8 @@ def logistic_classifier(
     """Logistic squashing of one coordinate around a threshold."""
     if coordinate < 0:
         raise ValueError(f"coordinate must be >= 0, got {coordinate}")
+    _check_finite("tau", tau)
+    _check_finite("scale", scale)
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
 

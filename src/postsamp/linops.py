@@ -41,15 +41,32 @@ __all__ = [
 ]
 
 
+class _BadIndex(ValueError):
+    """An index check that the index at ``position`` of the list failed."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(message)
+        self.position = position
+
+
 def _check_indices(indices, dim: int, what: str) -> tuple[int, ...]:
     kept = tuple(int(i) for i in indices)
     if not kept:
         raise ValueError(f"{what} must keep at least one index")
-    if any(not 0 <= i < dim for i in kept):
-        raise ValueError(f"{what} indices must lie in [0, {dim})")
-    if any(b <= a for a, b in zip(kept, kept[1:])):
-        raise ValueError(f"{what} indices must be strictly increasing")
+    outside = (k for k, i in enumerate(kept) if not 0 <= i < dim)
+    unsorted = (k for k in range(1, len(kept)) if kept[k] <= kept[k - 1])
+    for failed, rule in ((outside, f"lie in [0, {dim})"), (unsorted, "be strictly increasing")):
+        position = next(failed, None)
+        if position is not None:
+            raise _BadIndex(f"{what} indices must {rule}", position)
     return kept
+
+
+def _check_vector(x, length: int, what: str, dtype=None) -> np.ndarray:
+    x = np.asarray(x, dtype=dtype)
+    if x.shape != (length,):
+        raise ValueError(f"{what} must have shape ({length},), got {x.shape}")
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -71,24 +88,18 @@ class MaskOperator:
     def out_dim(self) -> int:
         return len(self.kept)
 
-    def _check_input(self, x: np.ndarray, length: int, what: str) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != (length,):
-            raise ValueError(f"{what} must have shape ({length},), got {x.shape}")
-        return x
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x, self.dim, "x")
+        x = _check_vector(x, self.dim, "x")
         return x[list(self.kept)].copy()
 
     def pinv_apply(self, y: np.ndarray) -> np.ndarray:
-        y = self._check_input(y, self.out_dim, "y")
+        y = _check_vector(y, self.out_dim, "y")
         out = np.zeros(self.dim, dtype=np.result_type(y.dtype, np.float64))
         out[list(self.kept)] = y
         return out
 
     def nullspace_project(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x, self.dim, "x")
+        x = _check_vector(x, self.dim, "x")
         out = np.array(x, dtype=np.result_type(x.dtype, np.float64))
         out[list(self.kept)] = 0
         return out
@@ -135,29 +146,20 @@ class FourierSubsampler:
         weights[list(self.kept)] = 1.0
         return weights.reshape(self.shape)
 
-    def _spectrum(self, blocks: np.ndarray, inverse: bool) -> np.ndarray:
-        # blocks: (coils, *shape); transform over the grid axes only.
-        transform = np.fft.ifftn if inverse else np.fft.fftn
-        return transform(blocks, axes=range(1, blocks.ndim), norm="ortho")
-
-    def _check_input(self, x: np.ndarray, what: str) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.dim,):
-            raise ValueError(f"{what} must have shape ({self.dim},), got {x.shape}")
-        return x
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x, "x")
-        blocks = x.reshape((self.coils,) + self.shape)
-        spectrum = self._spectrum(blocks, inverse=False) * self._keep_weights
-        return self._spectrum(spectrum, inverse=True).reshape(self.dim)
+        x = _check_vector(x, self.dim, "x", np.complex128)
+        # (coils, *shape) blocks, transformed over the grid axes only.
+        axes = range(1, len(self.shape) + 1)
+        spectrum = np.fft.fftn(x.reshape((self.coils,) + self.shape), axes=axes, norm="ortho")
+        spectrum *= self._keep_weights
+        return np.fft.ifftn(spectrum, axes=axes, norm="ortho").reshape(self.dim)
 
     # A is Hermitian idempotent, so the adjoint and pseudo-inverse are A.
     def pinv_apply(self, y: np.ndarray) -> np.ndarray:
-        return self.apply(y)
+        return self.apply(_check_vector(y, self.dim, "y", np.complex128))
 
     def nullspace_project(self, x: np.ndarray) -> np.ndarray:
-        x = self._check_input(x, "x")
+        x = _check_vector(x, self.dim, "x", np.complex128)
         return x - self.apply(x)
 
 
@@ -191,19 +193,40 @@ def complex_from_interleaved(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _numbered_lines(handle):
+    """(line number, stripped text) of each nonblank line of an open text file."""
+    return ((number, line.strip()) for number, line in enumerate(handle, 1) if line.strip())
+
+
 def load_operator(path, coils: int = 1):
-    """Load a MaskOperator or FourierSubsampler from a mask file."""
+    """Load a MaskOperator or FourierSubsampler from a mask file.
+
+    An error in the header or in an index names the file and that line.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = [line.strip() for line in handle if line.strip()]
-    if not lines:
-        raise ValueError(f"{path}: empty mask file")
-    header = lines[0]
-    indices = [int(line) for line in lines[1:]]
-    if header.startswith("N="):
+        lines = _numbered_lines(handle)
+        number, header = next(lines, (0, ""))
+        if not header:
+            raise ValueError(f"{path}: empty mask file")
+        indices = []
+        try:
+            kind, _, text = header.partition("=")
+            if kind not in ("N", "DIMS"):
+                raise ValueError(f"expected 'N=<dim>' or 'DIMS=<h>x<w>' header, got {header!r}")
+            size = int(text) if kind == "N" else tuple(int(part) for part in text.split("x"))
+            for number, line in lines:
+                indices.append(int(line))
+        except UnicodeDecodeError:  # not a fault of one line's text
+            raise
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from None
+    try:
+        if kind == "DIMS":
+            return FourierSubsampler(size, tuple(indices), coils=coils)
         if coils != 1:
             raise ValueError("coils only apply to Fourier operators")
-        return MaskOperator(tuple(indices), int(header[2:]))
-    if header.startswith("DIMS="):
-        shape = tuple(int(part) for part in header[5:].split("x"))
-        return FourierSubsampler(shape, tuple(indices), coils=coils)
-    raise ValueError(f"{path}: expected 'N=<dim>' or 'DIMS=<h>x<w>' header, got {header!r}")
+        return MaskOperator(tuple(indices), size)
+    except _BadIndex as exc:  # read the file again for the line of the index at fault
+        with open(path, "r", encoding="utf-8") as handle:
+            number = list(_numbered_lines(handle))[1 + exc.position][0]
+        raise ValueError(f"{path}: line {number}: {exc}") from None

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .regularizers import CLOSED_FORMS, RegKind, RegularizerKind
+from .regularizers import CLOSED_FORMS, RegKind, RegularizerKind, _context_params
 from .toy import GeneratorParams, ToyPosterior
 
 __all__ = [
@@ -166,9 +166,7 @@ def minimize_regularizer(
     """
     if np.any(init.sigma <= 0) and kind.kind is not RegKind.L2_VAR:
         raise ValueError("init.sigma must be > 0")
-    if init.dim != post.dim:
-        raise ValueError(f"dimension mismatch: generator {init.dim}, posterior {post.dim}")
-    mu0, sigma0 = post.context_params(context)
+    mu0, sigma0 = _context_params(init, post, context)
     table = CLOSED_FORMS[kind.kind]
     P, beta_sd = kind.P, kind.beta_sd
     # A flat sigma direction cannot be optimized; flag it and solve mu only.

@@ -120,6 +120,12 @@ def _check_p(P: int, least: int = 2) -> None:
         raise ValueError(f"P must be >= {least}, got {P}")
 
 
+def _check_finite(name: str, value: float) -> None:
+    """Raise unless the parameter ``name`` is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class LossEstimate:
     """A Monte Carlo loss value with its standard error.
@@ -158,6 +164,7 @@ class RegularizerKind:
         if self.kind is RegKind.L1_SD:
             if self.beta_sd is None:
                 raise ValueError("L1_SD requires beta_sd")
+            _check_finite("beta_sd", self.beta_sd)
             if self.beta_sd < 0:
                 raise ValueError(f"beta_sd must be >= 0, got {self.beta_sd}")
         elif self.beta_sd is not None:
@@ -364,7 +371,6 @@ def _mc_pass(
     n_outer: int,
     stream: SeededStream,
     threads: int | None,
-    spread: bool,
 ) -> dict[str, LossEstimate]:
     """The losses that one pass over ``n_outer`` replicates gives, by name.
 
@@ -378,9 +384,9 @@ def _mc_pass(
         raise ValueError(f"threads must be >= 1, got {threads}")
     truths = None if truth is None else (*truth, stream)
     reduce = lambda terms: _comoments(terms[0])  # noqa: E731
-    units = _run_units(params, ((P, stream),), n_outer, truths, spread, threads, reduce)
+    units = _run_units(params, ((P, stream),), n_outer, truths, True, threads, reduce)
     n, mean, m2 = functools.reduce(_merge, units)
-    names = ("l1p", "l2p") * (truth is not None) + ("lsdp", "lvarp") * spread
+    names = ("l1p", "l2p") * (truth is not None) + ("lsdp", "lvarp")
     scale = {"l1p": 1.0, "l2p": 1.0, "lsdp": gamma_p(P) / P, "lvarp": 1.0 / (P - 1)}
     normals = n * params.dim * (P + (truth is not None))
     return {
@@ -427,7 +433,7 @@ def mc_losses(
     same arguments, bit for bit; the pass draws ``n_outer * (P + 1) * dim``
     normals once instead of once per loss.
     """
-    return _mc_pass(params, (post, context), P, n_outer, stream, threads, spread=True)
+    return _mc_pass(params, (post, context), P, n_outer, stream, threads)
 
 
 def mc_l1p(
@@ -439,12 +445,12 @@ def mc_l1p(
     stream: SeededStream,
     threads: int | None = None,
 ) -> LossEstimate:
-    """Monte Carlo estimate of E ||x - xhat_bar||_1.
+    """Monte Carlo estimate of E ||x - xhat_bar||_1: the ``l1p`` of :func:`mc_losses`.
 
     Each outer replicate pairs one fresh posterior draw with P fresh
     generator draws.
     """
-    return _mc_pass(params, (post, context), P, n_outer, stream, threads, spread=False)["l1p"]
+    return mc_losses(params, post, context, P, n_outer, stream, threads)["l1p"]
 
 
 def mc_lsdp(
@@ -459,7 +465,7 @@ def mc_lsdp(
     For the Gaussian toy generator its expectation is exactly
     ``sum(sigma)``, independent of P.
     """
-    return _mc_pass(params, None, P, n_outer, stream, threads, spread=True)["lsdp"]
+    return _mc_pass(params, None, P, n_outer, stream, threads)["lsdp"]
 
 
 def mc_l2p(
@@ -471,8 +477,8 @@ def mc_l2p(
     stream: SeededStream,
     threads: int | None = None,
 ) -> LossEstimate:
-    """Monte Carlo estimate of E ||x - xhat_bar||_2^2."""
-    return _mc_pass(params, (post, context), P, n_outer, stream, threads, spread=False)["l2p"]
+    """Monte Carlo estimate of E ||x - xhat_bar||_2^2: the ``l2p`` of :func:`mc_losses`."""
+    return mc_losses(params, post, context, P, n_outer, stream, threads)["l2p"]
 
 
 def mc_lvarp(
@@ -488,7 +494,7 @@ def mc_lvarp(
     over dimensions, so its expectation is ``sum(sigma^2)`` for any
     P >= 2.
     """
-    return _mc_pass(params, None, P, n_outer, stream, threads, spread=True)["lvarp"]
+    return _mc_pass(params, None, P, n_outer, stream, threads)["lvarp"]
 
 
 # ---------------------------------------------------------------------------

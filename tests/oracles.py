@@ -3,14 +3,17 @@
 The tests check the package against these: each operator rebuilt as a
 dense matrix (the FFT path's oracle), and the delta-method ratio of two
 paired Monte Carlo means taken from whole per-item arrays (the streamed
-moments' oracle).
+moments' oracle).  :func:`write_embeddings` writes the binary embedding
+files that the package only reads.
 """
 
 import math
+import struct
 
 import numpy as np
 
 from postsamp.autotune import _ratio_from_moments
+from postsamp.cfid import _DTYPE_F64, _MAGIC, _as_matrix
 from postsamp.linops import MaskOperator
 from postsamp.regularizers import _comoments
 
@@ -53,3 +56,14 @@ def ratio_with_se(numer_items: np.ndarray, denom_items: np.ndarray) -> tuple[flo
     if a.shape != b.shape or a.ndim != 1 or a.size < 2:
         raise ValueError("need two paired 1-D arrays with at least 2 items")
     return _ratio_from_moments(*_comoments(np.stack([a, b])))
+
+
+def write_embeddings(path, matrix: np.ndarray) -> None:
+    """``matrix`` as a binary embedding file (the layout :mod:`postsamp.cfid` reads)."""
+    matrix = _as_matrix(matrix, "matrix")
+    rows, cols = matrix.shape
+    header = _MAGIC + struct.pack("<IIB3x", rows, cols, _DTYPE_F64)
+    payload = np.ascontiguousarray(matrix, dtype="<f8").tobytes()
+    with open(path, "wb") as handle:
+        handle.write(header)
+        handle.write(payload)

@@ -20,7 +20,6 @@ from postsamp.cfid import (
     EmbeddingSet,
     JointGaussianStats,
     cfid,
-    write_embeddings,
 )
 from postsamp.cli import main as cli_main
 from postsamp.detect import detection_probability, threshold_classifier
@@ -40,7 +39,7 @@ from postsamp.verify import (
     check_posterior_recovery,
 )
 
-from oracles import dense_matrix
+from oracles import dense_matrix, write_embeddings
 
 SEED = 20250810
 

@@ -2,7 +2,6 @@
 
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +30,7 @@ from postsamp import regularizers
 from postsamp.cli import _trace_csv
 from postsamp.verify import check_average_error_ratio
 
+from memory import traced_peak
 from oracles import ratio_with_se
 
 STREAM = SeededStream(77, ("autotune-tests",))
@@ -168,25 +168,8 @@ class TestEHat:
         post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
         val = ValidationSet(post, 0, 4096, STREAM.child("val-memory"))
         params = GeneratorParams(np.zeros(dim), np.ones(dim))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            e_hat_items(params, val, 32, STREAM.child("memory"))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: e_hat_items(params, val, 32, STREAM.child("memory")))
         assert peak <= 8 * 2**20, peak
-
-
-def _traced_peak(call) -> int:
-    """Bytes ``call()`` allocated at its traced peak, above what it started with."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
 
 
 class TestStreamedErrors:
@@ -235,7 +218,7 @@ class TestStreamedErrors:
             ),
         }
         for name, call in calls.items():
-            peaks = [_traced_peak(lambda: call(V)) for V in sizes]
+            peaks = [traced_peak(lambda: call(V))[1] for V in sizes]
             assert peaks[1] - peaks[0] < 2**20, (name, peaks)
 
 

@@ -18,8 +18,9 @@ import sys
 import numpy as np
 import pytest
 
-from postsamp.cfid import write_embeddings
 from postsamp.cli import main
+
+from oracles import write_embeddings
 
 BENCHMARKS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks")
 

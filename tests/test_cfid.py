@@ -15,7 +15,6 @@ import math
 import os
 import re
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +30,11 @@ from postsamp.cfid import (
     gaussian_w2_squared,
     read_embeddings,
     sqrtm_psd,
-    write_embeddings,
 )
 from postsamp.cli import main
+
+from memory import traced_peak
+from oracles import write_embeddings
 
 
 def _stats_1d(mu_x, var_x, mu_xhat, var_xhat, cov_xy=0.0, cov_xhaty=0.0, var_y=1.0):
@@ -756,12 +757,9 @@ class TestMemory:
                 ("cfid", ["cfid", "--x", paths[0], "--y", paths[1], "--xhat", paths[2]]),
                 ("fid", ["fid", "--x", paths[0], "--xhat", paths[2]]),
             ):
-                tracemalloc.start()
-                try:
-                    code = main(argv + ["--out", str(tmp_path / f"{command}.json"), "--force"])
-                    out[command] = tracemalloc.get_traced_memory()[1]
-                finally:
-                    tracemalloc.stop()
+                code, out[command] = traced_peak(
+                    lambda: main(argv + ["--out", str(tmp_path / f"{command}.json"), "--force"])
+                )
                 assert code == 0, capsys.readouterr().out
             return out, os.path.getsize(paths[0])
 

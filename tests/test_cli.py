@@ -6,7 +6,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +20,12 @@ from postsamp import (
     regularizers,
 )
 from postsamp.autotune import db, psnr_gain_curve, simulate_autotune
-from postsamp.cfid import write_embeddings
 from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
 from postsamp.proplab import ContourGrid, contour_grid
 from postsamp.regularizers import RegKind
+
+from memory import traced_peak
+from oracles import write_embeddings
 
 
 def run_cli(capsys, *argv):
@@ -432,13 +433,7 @@ class TestVectorCsv:
         path = tmp_path / "v.csv"
         with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(_vector_csv(values))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            got = _read_vector_csv(str(path))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        got, peak = traced_peak(lambda: _read_vector_csv(str(path)))
         np.testing.assert_array_equal(got, values)
         assert peak <= 8 * 2**20, peak
 
@@ -526,13 +521,9 @@ class TestCsvWriters:
         text is written as it is formatted, not held whole (about 26 MB)."""
         warm = ["contours", "--kind", "l1sd", "--p", "2", "--mu0", "0.3", "--sigma0", "1.1"]
         assert main([*warm, "--resolution", "16", "--out", str(tmp_path / "warm.csv")]) == 0
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            code = main([*warm, "--resolution", "601", "--out", str(tmp_path / "c.csv")])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            lambda: main([*warm, "--resolution", "601", "--out", str(tmp_path / "c.csv")])
+        )
         capsys.readouterr()
         assert code == 0
         assert peak < 8 * 2**20, peak
@@ -587,16 +578,10 @@ class TestDetect:
 
     def test_streamed_draws_keep_memory_bounded(self, tmp_path, capsys):
         """1e7 two-dimensional draws would be 153 MiB at once."""
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            code = main([
-                "detect", "--mu0", "1,0", "--sigma0", "1,2", "--p", "10000000",
-                "--seed", "3", "--out", str(tmp_path / "d.json"),
-            ])
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(lambda: main([
+            "detect", "--mu0", "1,0", "--sigma0", "1,2", "--p", "10000000",
+            "--seed", "3", "--out", str(tmp_path / "d.json"),
+        ]))
         capsys.readouterr()
         assert code == 0
         assert peak < 64 * 2**20, peak
@@ -858,6 +843,16 @@ def test_artifact_replays_its_sha256(tmp_path, capsys, monkeypatch, name):
     assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digest
 
 
+def _python(*args) -> subprocess.CompletedProcess:
+    """``python args...`` in a fresh interpreter that imports this checkout's postsamp."""
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(postsamp.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=300
+    )
+
+
 # Runs each argv of sys.argv[1] through main() in one fresh interpreter and
 # prints, as JSON, the scipy modules loaded after build_parser() and after
 # each command, with the command's exit code.
@@ -905,17 +900,24 @@ class TestColdStart:
                        "--sigma0", "1", "--resolution", "21"]
         argvs = [argv + ["--out", str(tmp_path / f"out{i}")]
                  for i, argv in enumerate(runs + [closed_form])]
-        env = dict(os.environ)
-        src = os.path.dirname(os.path.dirname(postsamp.__file__))
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        done = subprocess.run(
-            [sys.executable, "-c", _COLD_START_SCRIPT, json.dumps(argvs)],
-            env=env, capture_output=True, text=True, timeout=300,
-        )
+        done = _python("-c", _COLD_START_SCRIPT, json.dumps(argvs))
         assert done.returncode == 0, done.stderr
         *without, (_, code, loaded) = json.loads(done.stdout.splitlines()[-1])
         assert [step[1:] for step in without] == [[0, []]] * (1 + len(runs)), without
         assert code == 0 and "scipy.special" in loaded
+
+
+def test_memory_script_measures_one_cli_run(tmp_path):
+    """tests/memory.py as the CI memory gates run it: it prints one number, the
+    max RSS growth in MiB, and exits 1 when that exceeds --max."""
+    script = os.path.join(os.path.dirname(os.path.abspath(__file__)), "memory.py")
+    argv = ["--", "psnr-curve", "--pmax", "4", "--out"]
+    within = _python(script, "--max", "1000", *argv, str(tmp_path / "within.csv"))
+    assert within.returncode == 0, within.stderr
+    assert len(within.stdout.split()) == 1 and float(within.stdout) >= 0.0, within.stdout
+    over = _python(script, "--max", "-1", *argv, str(tmp_path / "over.csv"))
+    assert over.returncode == 1
+    assert "more than -1" in over.stderr
 
 
 def _mask_n4(tmp_path):
@@ -935,6 +937,26 @@ CLI_INPUT_CHECKS = [
         lambda tmp_path: ["dc", "--mask", _mask_n4(tmp_path), "--coils", "2",
                           "--x-raw", "unread.csv", "--y", "unread.csv"],
         "coils only apply to Fourier operators", id="dc-coils-on-mask",
+    ),
+    pytest.param(
+        lambda tmp_path: ["losses", "--mu", "0", "--sigma", "1", "--mu0", "0", "--sigma0", "1",
+                          "--p", "2", "--n-outer", "100", "--beta", "nan", "--seed", "1"],
+        "beta_sd must be finite, got nan", id="losses-beta-nan",
+    ),
+    pytest.param(
+        lambda tmp_path: ["contours", "--kind", "l1sd", "--p", "2", "--mu0", "0", "--sigma0", "1",
+                          "--beta", "inf"],
+        "beta_sd must be finite, got inf", id="contours-beta-infinite",
+    ),
+    pytest.param(
+        lambda tmp_path: ["detect", "--mu0", "0", "--sigma0", "1", "--tau", "nan", "--p", "100",
+                          "--seed", "1"],
+        "tau must be finite, got nan", id="detect-tau-nan",
+    ),
+    pytest.param(
+        lambda tmp_path: ["detect", "--mu0", "0", "--sigma0", "1", "--classifier", "logistic",
+                          "--scale", "inf", "--p", "100", "--seed", "1"],
+        "scale must be finite, got inf", id="detect-scale-infinite",
     ),
 ]
 

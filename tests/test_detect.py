@@ -109,6 +109,12 @@ INPUT_CHECKS = [
                  "classifier 'two' returned shape (2,), expected (3,)", id="classifier-shape"),
     pytest.param(lambda: logistic_classifier(scale=0), "scale must be > 0, got 0",
                  id="logistic-scale-zero"),
+    pytest.param(lambda: logistic_classifier(scale=math.inf), "scale must be finite, got inf",
+                 id="logistic-scale-infinite"),
+    pytest.param(lambda: logistic_classifier(tau=math.nan), "tau must be finite, got nan",
+                 id="logistic-tau-nan"),
+    pytest.param(lambda: threshold_classifier(tau=math.nan), "tau must be finite, got nan",
+                 id="threshold-tau-nan"),
     pytest.param(
         lambda: streamed_plug_in_gap(
             threshold_classifier(), ToyPosterior.single(0.0, 1.0), 0, 1, STREAM

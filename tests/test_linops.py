@@ -253,7 +253,7 @@ class TestMaskFiles:
 
 def _mask_file(tmp_path, text):
     path = tmp_path / "mask.txt"
-    path.write_text(text)
+    path.write_bytes(text) if isinstance(text, bytes) else path.write_text(text)
     return path
 
 
@@ -271,6 +271,27 @@ INPUT_CHECKS = [
                  "coils must be >= 1, got 0", id="fourier-no-coils"),
     pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "\n")), ValueError,
                  "empty mask file", id="mask-file-empty"),
+    pytest.param(lambda tmp_path: FourierSubsampler((4, 4), (0,)).pinv_apply(np.zeros(8)),
+                 ValueError, "y must have shape (16,), got (8,)", id="fourier-pinv-input-shape"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "N=abc\n0\n")), ValueError,
+                 "mask.txt: line 1: invalid literal for int() with base 10: 'abc'",
+                 id="mask-file-bad-size"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "N=4\n0\n\nx\n")),
+                 ValueError, "mask.txt: line 4: invalid literal for int() with base 10: 'x'",
+                 id="mask-file-bad-index"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "DIMS=4\n1.5\n")),
+                 ValueError, "mask.txt: line 2: invalid literal for int() with base 10: '1.5'",
+                 id="mask-file-fractional-index"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "DIMS=2x4\n3\n\n5\n1\n")),
+                 ValueError, "mask.txt: line 5: frequency indices must be strictly increasing",
+                 id="mask-file-unsorted"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "N=4\n0\n4\n")),
+                 ValueError, "mask.txt: line 3: mask indices must lie in [0, 4)",
+                 id="mask-file-index-outside"),
+    # The bad byte lies past the first block the reader decodes.
+    pytest.param(lambda tmp_path: load_operator(_mask_file(
+        tmp_path, b"N=9999\n" + b"".join(b"%d\n" % i for i in range(5000)) + b"\xff\n"
+    )), UnicodeDecodeError, "can't decode byte 0xff", id="mask-file-not-utf8"),
 ]
 
 

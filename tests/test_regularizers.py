@@ -12,7 +12,6 @@ import math
 import os
 import re
 import threading
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -45,6 +44,8 @@ from postsamp.regularizers import (
     mc_lvarp,
 )
 from postsamp.verify import check_average_error_ratio
+
+from memory import traced_peak
 
 STREAM = SeededStream(911, ("regularizer-tests",))
 STD_POST = ToyPosterior.single(0.0, 1.0)
@@ -592,6 +593,48 @@ class TestBiasVarianceGrid:
                 ), (offset, sigma)
 
 
+def _term_variances(params, post, P):
+    """Closed-form variance of one replicate's term of each mc_losses estimate.
+
+    Per dimension, x - xhat_bar ~ N(-delta, s^2) with s^2 = sigma0^2 + sigma^2/P,
+    and the deviations xhat_i - xhat_bar are N(0, v sigma^2), v = 1 - 1/P, with
+    pairwise correlation rho = -1/(P-1); E|X||Y| = (2/pi) v sigma^2
+    (sqrt(1 - rho^2) + rho asin(rho)) for such a pair.
+    """
+    mu0, sigma0 = post.context_params(0)
+    delta, sigma = params.mu - mu0, params.sigma
+    s2 = sigma0**2 + sigma**2 / P
+    m = folded_normal_abs_mean(delta, np.sqrt(s2))
+    v, rho = 1.0 - 1.0 / P, -1.0 / (P - 1)
+    pair = 2.0 * v / math.pi * (math.sqrt(1.0 - rho**2) + rho * math.asin(rho) - 1.0)
+    spread = P * v * (1.0 - 2.0 / math.pi) + P * (P - 1) * pair
+    return {
+        "l1p": np.sum(delta**2 + s2 - m**2),
+        "l2p": np.sum(2.0 * s2**2 + 4.0 * delta**2 * s2),
+        "lsdp": (gamma_p(P) / P) ** 2 * np.sum(sigma**2) * spread,
+        "lvarp": np.sum(2.0 * sigma**4 / (P - 1)),
+    }
+
+
+class TestStandardErrors:
+    """Each mc_losses standard error, times sqrt(n), within 3% of its closed form."""
+
+    @pytest.mark.parametrize("mu, sigma, mu0, sigma0, P", [
+        # The CLI's pinned losses-d3 case, with a sigma = 0 dimension.
+        ((0.3, -1.0, 2.5), (1.2, 0.5, 0.0), (0.0, 0.0, 1.0), (1.0, 2.0, 0.25), 4),
+        ((0.4,), (0.8,), (0.0,), (1.0,), 2),
+        ((0.4,), (0.8,), (0.0,), (1.0,), 32),
+    ])
+    def test_standard_errors_match_their_closed_forms(self, mu, sigma, mu0, sigma0, P):
+        n = 200_000
+        params, post = GeneratorParams(mu, sigma), ToyPosterior.single(mu0, sigma0)
+        estimates = mc_losses(params, post, 0, P, n, STREAM.child("se", P))
+        for name, variance in _term_variances(params, post, P).items():
+            assert estimates[name].std_error * math.sqrt(n) == pytest.approx(
+                math.sqrt(variance), rel=0.03
+            ), name
+
+
 # ---------------------------------------------------------------------------
 # Blocked draws: bit-exact pins and memory bounds
 # ---------------------------------------------------------------------------
@@ -691,13 +734,7 @@ class TestBlockedDraws:
             "lvarp": lambda: mc_lvarp(params, 32, 64, stream),
         }
         for name, call in calls.items():
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                call()
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(call)
             assert peak <= 8 * 2**20, (name, peak)
 
 
@@ -856,13 +893,9 @@ class TestEngine:
         params = GeneratorParams(np.zeros(dim), np.ones(dim))
         post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
         for n_outer in (2_000, 200_000):
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                mc_l1p(params, post, 0, 4, n_outer, STREAM.child("memory-n"), threads)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
+            _, peak = traced_peak(
+                lambda: mc_l1p(params, post, 0, 4, n_outer, STREAM.child("memory-n"), threads)
+            )
             assert peak <= 8 * 2**20, (n_outer, peak)
 
 
@@ -872,6 +905,10 @@ INPUT_CHECKS = [
                  id="kind-p-one"),
     pytest.param(lambda: RegularizerKind.l1_sd(2, -0.1), "beta_sd must be >= 0, got -0.1",
                  id="kind-negative-beta"),
+    pytest.param(lambda: RegularizerKind.l1_sd(2, math.nan), "beta_sd must be finite, got nan",
+                 id="kind-nan-beta"),
+    pytest.param(lambda: closed_form_j(STD_PARAMS, STD_POST, 0, 2, math.inf),
+                 "beta_sd must be finite, got inf", id="j-infinite-beta"),
     pytest.param(lambda: closed_form_l2p(STD_PARAMS, STD_POST, 0, 0), "P must be >= 1, got 0",
                  id="l2p-p-zero"),
     pytest.param(

@@ -1,7 +1,6 @@
 """Sampler correctness for the Gaussian toy model."""
 
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +8,8 @@ from scipy import stats
 
 from postsamp import GeneratorParams, SeededStream, ToyPosterior
 from postsamp.toy import SampleBatch, affine_normals, sample_generator, sample_posterior
+
+from memory import traced_peak
 
 STREAM = SeededStream(20240817, ("toy-tests",))
 
@@ -42,13 +43,9 @@ class TestSamplePosterior:
     def test_peak_memory_close_to_output(self):
         """Drawing 1e6 x 2 rows holds little beyond the 16 MB result."""
         post = ToyPosterior.single([1.0, -2.0], [0.5, 3.0])
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            batch = sample_posterior(post, 0, 1_000_000, STREAM.child("mem"))
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+        batch, peak = traced_peak(
+            lambda: sample_posterior(post, 0, 1_000_000, STREAM.child("mem"))
+        )
         assert peak <= 1.25 * batch.values.nbytes
 
     def test_context_selection(self):
