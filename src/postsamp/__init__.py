@@ -6,25 +6,39 @@ forms, the recovery/collapse optimization studies, the spread-weight
 feedback controller, conditional and unconditional Frechet metrics on
 Gaussian-approximated embeddings, masking / subsampled-Fourier operators
 with exact data consistency, and calibrated detection from samples.
+
+``import postsamp`` loads no submodule: each quick-tour name below is
+looked up in its submodule on first access (a module ``__getattr__``), so
+the command line, which imports ``postsamp.cli``, pays only for what the
+subcommand it runs needs.
 """
 
-from .streams import SeededStream
-from .toy import GeneratorParams, ToyPosterior
-from .regularizers import RegularizerKind, beta_sd_nominal, closed_form_j, mc_l1p
-from .proplab import minimize_regularizer
+import importlib
 
 __version__ = "0.1.0"
 
 # The package root re-exports exactly the names of the README's library
-# quick tour; every other public name has one import path, its submodule.
-__all__ = [
-    "SeededStream",
-    "ToyPosterior",
-    "GeneratorParams",
-    "RegularizerKind",
-    "beta_sd_nominal",
-    "mc_l1p",
-    "closed_form_j",
-    "minimize_regularizer",
-    "__version__",
-]
+# quick tour, each from the submodule named here; every other public name
+# has one import path, its submodule.
+_SUBMODULE = {
+    "SeededStream": "streams",
+    "ToyPosterior": "toy",
+    "GeneratorParams": "toy",
+    "RegularizerKind": "regularizers",
+    "beta_sd_nominal": "regularizers",
+    "mc_l1p": "regularizers",
+    "closed_form_j": "regularizers",
+    "minimize_regularizer": "proplab",
+}
+
+__all__ = [*_SUBMODULE, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_SUBMODULE})

@@ -17,6 +17,12 @@ result (for ``contours`` the grid, which
 chunk of text, never the whole file.  If writing fails, :func:`main`
 removes the partly written file.
 
+Start-up: this module imports only the standard library, numpy and
+``__version__``, and :func:`build_parser` refers to no lab module (the
+``--kind`` choices are literals, each ``verify-*`` parser names its check).
+Each ``_cmd_*`` handler imports what it runs when it runs, so a command
+loads only its own modules: ``dc`` loads ``linops`` alone, for instance.
+
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
 error object on stdout), 2 usage error.
 """
@@ -35,31 +41,6 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .autotune import psnr_gain_curve, simulate_autotune
-from .cfid import cfid, fid
-from .detect import logistic_classifier, streamed_plug_in_gap, threshold_classifier
-from .linops import (
-    complex_from_interleaved,
-    data_consistency,
-    load_operator,
-)
-from .proplab import contour_grid
-from .regularizers import (
-    RegKind,
-    RegularizerKind,
-    beta_sd_nominal,
-    closed_form_j,
-    closed_form_l2p,
-    closed_form_l2varp,
-    mc_losses,
-)
-from .streams import SeededStream
-from .toy import GeneratorParams, ToyPosterior
-from .verify import (
-    check_average_error_ratio,
-    check_mode_collapse,
-    check_posterior_recovery,
-)
 
 __all__ = ["main"]
 
@@ -85,6 +66,8 @@ def _parse_int_list(text: str) -> tuple:
 
 def _resolve_beta(beta: str | None, P: int) -> float:
     if beta in (None, "nominal"):
+        from .regularizers import beta_sd_nominal
+
         return beta_sd_nominal(P)
     return float(beta)
 
@@ -177,6 +160,10 @@ def _trace_csv(trace) -> Iterator[str]:
 
 
 def _cmd_contours(args) -> tuple[int, dict, Iterator[str]]:
+    from .proplab import contour_grid
+    from .regularizers import RegKind, RegularizerKind
+    from .toy import ToyPosterior
+
     post = ToyPosterior.single(args.mu0, args.sigma0)
     reg = RegKind(args.kind)
     # --beta defaults to the nominal weight of l1sd; RegularizerKind rejects
@@ -203,7 +190,9 @@ def _cmd_contours(args) -> tuple[int, dict, Iterator[str]]:
 
 
 def _cmd_verify(args) -> tuple[int, dict, None]:
-    report = args.check(args.seed, _parse_int_list(args.p_list), args.size)
+    from . import verify
+
+    report = getattr(verify, args.check)(args.seed, _parse_int_list(args.p_list), args.size)
     results = {
         "name": report.name,
         "passed": report.passed,
@@ -213,6 +202,11 @@ def _cmd_verify(args) -> tuple[int, dict, None]:
 
 
 def _cmd_autotune_sim(args) -> tuple[int, dict, Iterator[str]]:
+    from .autotune import simulate_autotune
+    from .regularizers import beta_sd_nominal
+    from .streams import SeededStream
+    from .toy import ToyPosterior
+
     post = ToyPosterior.single(args.mu0, args.sigma0)
     nominal = beta_sd_nominal(args.p_train)
     slope = args.plant_slope if args.plant_slope is not None else args.sigma0 / nominal
@@ -249,12 +243,16 @@ def _cmd_autotune_sim(args) -> tuple[int, dict, Iterator[str]]:
 
 
 def _cmd_psnr_curve(args) -> tuple[int, dict, Iterator[str]]:
+    from .autotune import psnr_gain_curve
+
     curve = psnr_gain_curve(args.pmax)
     values = [v for point in curve for v in point]
     return 0, {"pmax": args.pmax, "final_gain_db": curve[-1][1]}, _csv([values], 2, "P,gain_db\n")
 
 
 def _cmd_cfid(args) -> tuple[int, dict, None]:
+    from .cfid import cfid
+
     result = cfid((args.x, args.y, args.xhat), args.p)
     results = {
         "cfid": result.value,
@@ -268,6 +266,8 @@ def _cmd_cfid(args) -> tuple[int, dict, None]:
 
 
 def _cmd_fid(args) -> tuple[int, dict, None]:
+    from .cfid import fid
+
     result = fid(args.x, args.xhat)
     results = {
         "fid": result.value,
@@ -279,6 +279,8 @@ def _cmd_fid(args) -> tuple[int, dict, None]:
 
 
 def _cmd_dc(args) -> tuple[int, dict, Iterator[str]]:
+    from .linops import complex_from_interleaved, data_consistency, load_operator
+
     operator = load_operator(args.mask, coils=args.coils)
     x_raw = _read_vector_csv(args.x_raw)
     y = _read_vector_csv(args.y)
@@ -291,6 +293,10 @@ def _cmd_dc(args) -> tuple[int, dict, Iterator[str]]:
 
 
 def _cmd_detect(args) -> tuple[int, dict, None]:
+    from .detect import logistic_classifier, streamed_plug_in_gap, threshold_classifier
+    from .streams import SeededStream
+    from .toy import ToyPosterior
+
     post = ToyPosterior.single(_parse_vector(args.mu0), _parse_vector(args.sigma0))
     if args.coordinate >= post.dim:
         raise ValueError(
@@ -314,9 +320,20 @@ def _cmd_detect(args) -> tuple[int, dict, None]:
 
 
 def _cmd_losses(args) -> tuple[int, dict, None]:
+    from .regularizers import (
+        RegularizerKind,
+        closed_form_j,
+        closed_form_l2p,
+        closed_form_l2varp,
+        mc_losses,
+    )
+    from .streams import SeededStream
+    from .toy import GeneratorParams, ToyPosterior
+
     params = GeneratorParams(_parse_vector(args.mu), _parse_vector(args.sigma))
     post = ToyPosterior.single(_parse_vector(args.mu0), _parse_vector(args.sigma0))
-    beta = _resolve_beta(args.beta, args.p)
+    # Checked here, not first in closed_form_j, so a bad --beta costs no draws.
+    beta = RegularizerKind.l1_sd(args.p, _resolve_beta(args.beta, args.p)).beta_sd
     stream = SeededStream(args.seed, ("losses",))
     estimates = mc_losses(params, post, 0, args.p, args.n_outer, stream, args.threads)
     results = {name: asdict(est) for name, est in estimates.items()}
@@ -355,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("contours", help="closed-form objective grid over (mu, sigma)")
-    p.add_argument("--kind", choices=[k.value for k in RegKind], required=True)
+    # The values of regularizers.RegKind, written out: the parser imports no lab module.
+    p.add_argument("--kind", choices=("l1sd", "l2", "l2var"), required=True)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--beta", default=None,
                    help="'nominal' (the default) or a number; l1sd only")
@@ -370,12 +388,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_contours)
 
     # Each check's third argument is its trial count or its validation size.
+    # Each check is named here and looked up in postsamp.verify when it runs.
     for name, text, check, p_list, size_flag, size in (
-        ("verify-prop1", "posterior recovery check", check_posterior_recovery,
+        ("verify-prop1", "posterior recovery check", "check_posterior_recovery",
          "2,3,8", "--trials", 10),
-        ("verify-prop2", "mode collapse check", check_mode_collapse,
+        ("verify-prop2", "mode collapse check", "check_mode_collapse",
          "2,3,8", "--trials", 10),
-        ("verify-prop3", "averaging error-ratio check", check_average_error_ratio,
+        ("verify-prop3", "averaging error-ratio check", "check_average_error_ratio",
          "2,4,8,32", "--v", 100_000),
     ):
         p = sub.add_parser(name, help=text)

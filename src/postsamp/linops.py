@@ -42,17 +42,22 @@ __all__ = [
 
 
 class _BadIndex(ValueError):
-    """An index check that the index at ``position`` of the list failed."""
+    """An index check that the index at ``position`` of the list failed, or
+    the list as a whole when ``position`` is None."""
 
-    def __init__(self, message: str, position: int):
+    def __init__(self, message: str, position: int | None):
         super().__init__(message)
         self.position = position
+
+
+class _BadShape(ValueError):
+    """The shape check of :class:`FourierSubsampler` (a mask file's header)."""
 
 
 def _check_indices(indices, dim: int, what: str) -> tuple[int, ...]:
     kept = tuple(int(i) for i in indices)
     if not kept:
-        raise ValueError(f"{what} must keep at least one index")
+        raise _BadIndex(f"{what} must keep at least one index", None)
     outside = (k for k, i in enumerate(kept) if not 0 <= i < dim)
     unsorted = (k for k in range(1, len(kept)) if kept[k] <= kept[k - 1])
     for failed, rule in ((outside, f"lie in [0, {dim})"), (unsorted, "be strictly increasing")):
@@ -124,7 +129,7 @@ class FourierSubsampler:
             (self.shape,) if np.isscalar(self.shape) else self.shape
         ))
         if len(shape) not in (1, 2) or any(s < 1 for s in shape):
-            raise ValueError(f"shape must be a 1-D length or 2-D shape, got {shape}")
+            raise _BadShape(f"shape must be a 1-D length or 2-D shape, got {shape}")
         if self.coils < 1:
             raise ValueError(f"coils must be >= 1, got {self.coils}")
         object.__setattr__(self, "shape", shape)
@@ -201,11 +206,14 @@ def _numbered_lines(handle):
 def load_operator(path, coils: int = 1):
     """Load a MaskOperator or FourierSubsampler from a mask file.
 
-    An error in the header or in an index names the file and that line.
+    An error in the header or in an index names the file and that line, and
+    an empty index list names the file.  The ``coils`` checks name neither:
+    ``coils`` is not read from the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
         lines = _numbered_lines(handle)
         number, header = next(lines, (0, ""))
+        header_number = number
         if not header:
             raise ValueError(f"{path}: empty mask file")
         indices = []
@@ -226,7 +234,12 @@ def load_operator(path, coils: int = 1):
         if coils != 1:
             raise ValueError("coils only apply to Fourier operators")
         return MaskOperator(tuple(indices), size)
-    except _BadIndex as exc:  # read the file again for the line of the index at fault
+    except _BadShape as exc:
+        raise ValueError(f"{path}: line {header_number}: {exc}") from None
+    except _BadIndex as exc:
+        if exc.position is None:
+            raise ValueError(f"{path}: {exc}") from None
+        # Read the file again for the line of the index at fault.
         with open(path, "r", encoding="utf-8") as handle:
             number = list(_numbered_lines(handle))[1 + exc.position][0]
         raise ValueError(f"{path}: line {number}: {exc}") from None

@@ -7,8 +7,9 @@ Run as a script, it measures one CLI run in a process of its own::
 
     python tests/memory.py [--preload MODULE] [--max MIB] -- ARGV...
 
-It imports ``postsamp.cli`` and each ``--preload`` module, so that their
-imports do not count, runs ``postsamp ARGV...`` with the CLI's own output
+It imports every ``postsamp`` submodule and each ``--preload`` module, so
+that their imports do not count (the CLI imports a command's modules only
+when it runs it), runs ``postsamp ARGV...`` with the CLI's own output
 sent to stderr, and prints how far the process's max RSS grew over the
 imports, in MiB (Linux reports ``ru_maxrss`` in KiB).  It exits 1 if the
 CLI run fails or the growth exceeds ``--max``.
@@ -17,6 +18,7 @@ CLI run fails or the growth exceeds ``--max``.
 import argparse
 import contextlib
 import importlib
+import pkgutil
 import sys
 import tracemalloc
 
@@ -43,9 +45,12 @@ def main(argv=None) -> None:
 
     import resource
 
-    for name in args.preload:
+    import postsamp
+
+    submodules = [f"postsamp.{m.name}" for m in pkgutil.iter_modules(postsamp.__path__)]
+    for name in submodules + args.preload:
         importlib.import_module(name)
-    cli = importlib.import_module("postsamp.cli")
+    cli = sys.modules["postsamp.cli"]
     base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     with contextlib.redirect_stdout(sys.stderr):
         code = cli.main(args.argv)

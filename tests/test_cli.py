@@ -4,8 +4,10 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -873,17 +875,121 @@ print(json.dumps(steps))
 """
 
 
+def _readme_loads() -> dict:
+    """Subcommand -> the lab modules README § Install says it loads."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Install", 1)[1].split("\n## ", 1)[0]
+    loads = {}
+    for commands, modules in re.findall(r"^\| (`.+`) \| (`.+`) \|$", section, re.MULTILINE):
+        for command in re.findall(r"`([^`]+)`", commands):
+            loads[command] = re.findall(r"`([^`]+)`", modules)
+    return loads
+
+
+_README_LOADS = _readme_loads()
+
+
+def _subcommand_parsers() -> dict:
+    """Subcommand name -> its parser."""
+    return next(a for a in cli.build_parser()._actions if a.dest == "command").choices
+
+
+def _write_inputs(tmp_path) -> None:
+    """Small embedding, mask and vector files for cfid, fid and dc."""
+    rng = np.random.default_rng(0)
+    for name, cols in (("x", 3), ("y", 2), ("xhat", 3)):
+        write_embeddings(str(tmp_path / f"{name}.emb"), rng.standard_normal((40, cols)))
+    (tmp_path / "m.txt").write_text("N=4\n0\n2\n")
+    (tmp_path / "xr.csv").write_text("1\n2\n3\n4\n")
+    (tmp_path / "y.csv").write_text("10\n30\n")
+
+
+# A small run of each subcommand, on the inputs of _write_inputs.
+_SMALL_ARGV = {
+    "contours": "--kind l2 --p 2 --mu0 0 --sigma0 1 --resolution 16",
+    "verify-prop1": "--seed 1 --trials 1 --p-list 2",
+    "verify-prop2": "--seed 1 --trials 1 --p-list 2",
+    "verify-prop3": "--seed 1 --v 100 --p-list 2",
+    "autotune-sim": "--epochs 2",
+    "psnr-curve": "--pmax 2",
+    "cfid": "--x x.emb --y y.emb --xhat xhat.emb",
+    "fid": "--x x.emb --xhat xhat.emb",
+    "dc": "--mask m.txt --x-raw xr.csv --y y.csv",
+    "detect": "--mu0 1 --sigma0 1 --p 100 --seed 3",
+    "losses": "--mu 0 --sigma 1 --mu0 0 --sigma0 1 --p 2 --n-outer 100 --seed 1",
+}
+
+
+# Runs sys.argv[1] in a fresh interpreter and prints, as JSON, the loaded
+# modules of postsamp, scipy and concurrent.futures.
+_LOADED_SCRIPT = """
+import json, sys
+exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("postsamp", "scipy", "concurrent"))))
+"""
+
+
+def _loaded_after(code: str) -> list:
+    done = _python("-c", _LOADED_SCRIPT, code)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 class TestColdStart:
+    def test_parser_loads_no_lab_module(self):
+        """Every invocation pays for the parser, so it loads only the CLI."""
+        loaded = _loaded_after("import postsamp.cli; postsamp.cli.build_parser()")
+        assert loaded == ["postsamp", "postsamp.cli"]
+
+    def test_package_root_loads_no_submodule(self):
+        assert _loaded_after("import postsamp") == ["postsamp"]
+
+    def test_quick_tour_names_resolve_to_their_submodules(self):
+        from postsamp import proplab, streams, toy
+
+        expected = {
+            "SeededStream": streams.SeededStream,
+            "ToyPosterior": toy.ToyPosterior,
+            "GeneratorParams": toy.GeneratorParams,
+            "RegularizerKind": regularizers.RegularizerKind,
+            "beta_sd_nominal": regularizers.beta_sd_nominal,
+            "mc_l1p": regularizers.mc_l1p,
+            "closed_form_j": regularizers.closed_form_j,
+            "minimize_regularizer": proplab.minimize_regularizer,
+        }
+        assert sorted(expected) == sorted(set(postsamp.__all__) - {"__version__"})
+        for name, obj in expected.items():
+            assert getattr(postsamp, name) is obj, name
+        with pytest.raises(AttributeError, match="no attribute 'mc_l2p'"):
+            getattr(postsamp, "mc_l2p")
+
+    def test_kind_choices_are_the_regkind_values(self):
+        kind = next(a for a in _subcommand_parsers()["contours"]._actions if a.dest == "kind")
+        assert list(kind.choices) == [k.value for k in RegKind]
+
+    def test_readme_lists_every_subcommand(self):
+        assert sorted(_README_LOADS) == sorted(_subcommand_parsers())
+
+    @pytest.mark.parametrize("command", sorted(_README_LOADS))
+    def test_each_subcommand_loads_what_the_readme_lists(self, tmp_path, command):
+        """README § Install lists each subcommand's lab modules; a fresh
+        interpreter that runs it loads those and the CLI, and no other."""
+        _write_inputs(tmp_path)
+        argv = [command, *_SMALL_ARGV[command].split(), "--out", "out"]
+        loaded = _loaded_after(
+            f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert postsamp.cli.main({argv!r}) == 0\n"
+        )
+        lab = sorted(m.split(".", 1)[1] for m in loaded if m.startswith("postsamp."))
+        assert lab == sorted({"cli", *_README_LOADS[command]})
+
     def test_scipy_loads_only_at_the_first_closed_form(self, tmp_path):
         """Importing the CLI and every command without an absolute-error
         closed form leaves scipy unloaded; `contours --kind l1sd` loads it.
         A fresh interpreter, since other test modules import scipy here."""
-        rng = np.random.default_rng(0)
-        for name, cols in (("x", 3), ("y", 2), ("xhat", 3)):
-            write_embeddings(str(tmp_path / f"{name}.emb"), rng.standard_normal((40, cols)))
-        (tmp_path / "m.txt").write_text("N=4\n0\n2\n")
-        (tmp_path / "xr.csv").write_text("1\n2\n3\n4\n")
-        (tmp_path / "y.csv").write_text("10\n30\n")
+        _write_inputs(tmp_path)
         emb = {name: str(tmp_path / f"{name}.emb") for name in ("x", "y", "xhat")}
         runs = [
             ["psnr-curve", "--pmax", "4"],
@@ -969,6 +1075,25 @@ def test_input_check_exits_1_with_error_json(tmp_path, capsys, argv, message):
     assert summary["error"]["type"] == "ValueError"
     assert message in summary["error"]["message"]
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("beta, message", [
+    ("nan", "beta_sd must be finite, got nan"),
+    ("-1", "beta_sd must be >= 0, got -1.0"),
+])
+def test_losses_rejects_a_bad_beta_before_drawing(tmp_path, capsys, monkeypatch, beta, message):
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew before checking --beta")
+
+    monkeypatch.setattr(regularizers, "mc_losses", no_draws)
+    monkeypatch.setattr(SeededStream, "generator", no_draws)
+    code, summary = run_cli(
+        capsys, "losses", "--mu", "0", "--sigma", "1", "--mu0", "0", "--sigma0", "1",
+        "--p", "8", "--beta", beta, "--seed", "1", "--out", str(tmp_path / "l.json"),
+    )
+    assert code == 1
+    assert summary["error"] == {"type": "ValueError", "message": message}
+    assert not (tmp_path / "l.json").exists()
 
 
 class TestFlagsAgainstClosedForms:

@@ -244,6 +244,16 @@ class TestMaskFiles:
         path.write_text("DIMS=4x8\n0\n5\n31\n")
         assert load_operator(path, coils=1) == FourierSubsampler((4, 8), (0, 5, 31))
 
+    @pytest.mark.parametrize("text, coils, message", [
+        ("DIMS=4\n0\n", 0, "coils must be >= 1, got 0"),
+        ("N=4\n0\n", 2, "coils only apply to Fourier operators"),
+    ])
+    def test_coils_errors_do_not_name_the_file(self, tmp_path, text, coils, message):
+        """--coils is a flag, not a line of the file, so its errors carry no position."""
+        with pytest.raises(ValueError) as caught:
+            load_operator(_mask_file(tmp_path, text), coils=coils)
+        assert str(caught.value) == message
+
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("SIZE=4\n0\n")
@@ -288,6 +298,16 @@ INPUT_CHECKS = [
     pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "N=4\n0\n4\n")),
                  ValueError, "mask.txt: line 3: mask indices must lie in [0, 4)",
                  id="mask-file-index-outside"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "\nDIMS=0x4\n0\n")),
+                 ValueError,
+                 "mask.txt: line 2: shape must be a 1-D length or 2-D shape, got (0, 4)",
+                 id="mask-file-empty-grid"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "DIMS=2x2\n")),
+                 ValueError, "mask.txt: frequency must keep at least one index",
+                 id="mask-file-no-frequencies"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "N=4\n\n")),
+                 ValueError, "mask.txt: mask must keep at least one index",
+                 id="mask-file-no-indices"),
     # The bad byte lies past the first block the reader decodes.
     pytest.param(lambda tmp_path: load_operator(_mask_file(
         tmp_path, b"N=9999\n" + b"".join(b"%d\n" % i for i in range(5000)) + b"\xff\n"
