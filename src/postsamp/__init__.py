@@ -34,6 +34,17 @@ _SUBMODULE = {
 __all__ = [*_SUBMODULE, "__version__"]
 
 
+def _check_p(P: int, least: int = 2) -> None:
+    """Raise unless the sample count ``P`` is at least ``least``.
+
+    Here, which every submodule loads anyway, rather than in
+    :mod:`~postsamp.regularizers`, so that :mod:`postsamp.cfid` loads no
+    Monte Carlo engine for it.
+    """
+    if P < least:
+        raise ValueError(f"P must be >= {least}, got {P}")
+
+
 def __getattr__(name: str):
     if name not in _SUBMODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

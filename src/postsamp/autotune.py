@@ -35,8 +35,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import _check_p
 from .regularizers import (
-    _check_p,
     _residual_moments,
     _residual_units,
     beta_sd_nominal,

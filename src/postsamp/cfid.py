@@ -62,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regularizers import _check_p
+from . import _check_p
 
 __all__ = [
     "EmbeddingSet",

@@ -17,11 +17,14 @@ result (for ``contours`` the grid, which
 chunk of text, never the whole file.  If writing fails, :func:`main`
 removes the partly written file.
 
-Start-up: this module imports only the standard library, numpy and
+Start-up: this module imports only the standard library and
 ``__version__``, and :func:`build_parser` refers to no lab module (the
 ``--kind`` choices are literals, each ``verify-*`` parser names its check).
-Each ``_cmd_*`` handler imports what it runs when it runs, so a command
-loads only its own modules: ``dc`` loads ``linops`` alone, for instance.
+So parsing, ``--help``, a usage error and the refusal of an existing
+``--out``, which :func:`main` checks before any handler runs, load no
+numpy.  Each ``_cmd_*`` handler imports what it runs when it runs (numpy
+with the first of them), so a command loads only its own modules: ``dc``
+loads ``linops`` alone, for instance.
 
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
 error object on stdout), 2 usage error.
@@ -37,10 +40,12 @@ import sys
 import time
 from collections.abc import Iterator
 from dataclasses import asdict
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["main"]
 
@@ -53,9 +58,9 @@ class ArtifactExistsError(RuntimeError):
 _VECTOR_LINES = 4096
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str) -> list[float]:
     try:
-        return np.array([float(part) for part in text.split(",")], dtype=np.float64)
+        return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ValueError(f"expected comma-separated floats, got {text!r}") from exc
 
@@ -80,6 +85,8 @@ def _read_vector_csv(path: str) -> np.ndarray:
     them; the first is taken ahead so an empty file is an error, not a
     numpy warning.
     """
+    import numpy as np
+
     with open(path, "r", encoding="utf-8") as handle:
         lines = (line for line in handle if line.strip()[:1] not in ("", "#"))
         first = next(lines, None)
@@ -116,6 +123,8 @@ def _csv(chunks, columns: int, header: str = "") -> Iterator[str]:
 def _vector_csv(values: np.ndarray) -> Iterator[str]:
     """One value per line, or 're,im' per line for complex values, in chunks
     of ``_VECTOR_LINES`` lines."""
+    import numpy as np
+
     if np.iscomplexobj(values):
         lines = np.column_stack((values.real, values.imag))
     else:
@@ -279,6 +288,8 @@ def _cmd_fid(args) -> tuple[int, dict, None]:
 
 
 def _cmd_dc(args) -> tuple[int, dict, Iterator[str]]:
+    import numpy as np
+
     from .linops import complex_from_interleaved, data_consistency, load_operator
 
     operator = load_operator(args.mask, coils=args.coils)
@@ -491,14 +502,16 @@ def main(argv: list | None = None) -> int:
     start = time.perf_counter()
     summary = {"version": __version__, "argv": raw_argv, "seed": getattr(args, "seed", None)}
     try:
-        exit_code, results, chunks = args.handler(args)
-        if chunks is None:  # a JSON artifact: the summary's identity fields and results
-            chunks = [json.dumps({**summary, "results": results}, sort_keys=True, indent=2) + "\n"]
+        # Refused before the handler runs, so a refusal costs no work.
         if os.path.exists(args.out) and not args.force:
             raise ArtifactExistsError(
                 f"refusing to overwrite existing artifact {args.out!r}; pass --force"
             )
-        handle = open(args.out, "w", encoding="utf-8", newline="")
+        exit_code, results, chunks = args.handler(args)
+        if chunks is None:  # a JSON artifact: the summary's identity fields and results
+            chunks = [json.dumps({**summary, "results": results}, sort_keys=True, indent=2) + "\n"]
+        # Mode "x" fails on a file that appeared while the handler ran.
+        handle = open(args.out, "w" if args.force else "x", encoding="utf-8", newline="")
         try:
             with handle:
                 handle.writelines(chunks)

@@ -80,6 +80,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
+from . import _check_p
 from .streams import SeededStream
 from .toy import GeneratorParams, ToyPosterior, affine_normals
 
@@ -112,12 +113,6 @@ _UNIT = 1 << 14
 _BLOCK = 1 << 17
 
 _T = TypeVar("_T")
-
-
-def _check_p(P: int, least: int = 2) -> None:
-    """Raise unless the sample count ``P`` is at least ``least``."""
-    if P < least:
-        raise ValueError(f"P must be >= {least}, got {P}")
 
 
 def _check_finite(name: str, value: float) -> None:

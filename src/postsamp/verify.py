@@ -17,9 +17,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from . import _check_p
 from .autotune import ValidationSet, _ratio_from_moments
 from .proplab import minimize_regularizer
-from .regularizers import RegularizerKind, _check_p, _residual_moments
+from .regularizers import RegularizerKind, _residual_moments
 from .streams import SeededStream
 from .toy import GeneratorParams, ToyPosterior
 

@@ -688,6 +688,46 @@ class TestReproducibilityAndErrors:
         code, _ = run_cli(capsys, "psnr-curve", "--pmax", "4", "--out", str(out), "--force")
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("verify-prop3", "--seed", "1"),
+         ("losses", "--mu", "1,x", "--sigma", "1", "--mu0", "0", "--sigma0", "1", "--p", "2",
+          "--seed", "1")],
+        ids=["verify-prop3", "losses-bad-mu"],
+    )
+    def test_refusal_comes_before_the_handler(self, tmp_path, capsys, monkeypatch, argv):
+        """An existing --out is refused before the command does any work, so
+        the refusal also wins over the handler's own input errors."""
+        def unreachable(args):
+            raise AssertionError("the handler ran")
+
+        monkeypatch.setattr(cli, "_cmd_verify", unreachable)
+        monkeypatch.setattr(cli, "_cmd_losses", unreachable)
+        out = tmp_path / "r.json"
+        out.write_text("an older artifact\n")
+        code, summary = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert summary["error"] == {
+            "type": "ArtifactExistsError",
+            "message": f"refusing to overwrite existing artifact {str(out)!r}; pass --force",
+        }
+        assert out.read_text() == "an older artifact\n"
+
+    def test_file_appearing_during_the_run_is_not_overwritten(self, tmp_path, capsys,
+                                                               monkeypatch):
+        out = tmp_path / "c.csv"
+        handler = cli._cmd_psnr_curve
+
+        def racing(args):
+            out.write_text("written meanwhile\n")
+            return handler(args)
+
+        monkeypatch.setattr(cli, "_cmd_psnr_curve", racing)
+        code, summary = run_cli(capsys, "psnr-curve", "--pmax", "4", "--out", str(out))
+        assert code == 1
+        assert summary["error"]["type"] == "FileExistsError"
+        assert out.read_text() == "written meanwhile\n"
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "forced-over"])
     def test_failed_write_leaves_no_artifact(self, tmp_path, capsys, monkeypatch, existing):
         """A chunk iterator that raises mid-write: exit 1, the error JSON, no file."""
@@ -921,12 +961,12 @@ _SMALL_ARGV = {
 
 
 # Runs sys.argv[1] in a fresh interpreter and prints, as JSON, the loaded
-# modules of postsamp, scipy and concurrent.futures.
+# modules of postsamp, numpy, scipy and concurrent.futures.
 _LOADED_SCRIPT = """
 import json, sys
 exec(sys.argv[1])
 print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("postsamp", "scipy", "concurrent"))))
+                        if m.split(".")[0] in ("postsamp", "numpy", "scipy", "concurrent"))))
 """
 
 
@@ -938,8 +978,27 @@ def _loaded_after(code: str) -> list:
 
 class TestColdStart:
     def test_parser_loads_no_lab_module(self):
-        """Every invocation pays for the parser, so it loads only the CLI."""
+        """Every invocation pays for the parser, so it loads only the CLI:
+        no lab module and no numpy."""
         loaded = _loaded_after("import postsamp.cli; postsamp.cli.build_parser()")
+        assert loaded == ["postsamp", "postsamp.cli"]
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["--help"], 0),
+         (["contours", "--kind", "l3"], 2),
+         (["verify-prop3", "--seed", "1", "--out", "existing.json"], 1)],
+        ids=["help", "usage-error", "refused-out"],
+    )
+    def test_front_end_loads_no_numpy(self, tmp_path, argv, code):
+        """--help, a usage error and a refused --out finish in the CLI alone."""
+        (tmp_path / "existing.json").write_text("{}\n")
+        loaded = _loaded_after(
+            f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})\n"
+            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+            "        contextlib.redirect_stderr(io.StringIO()):\n"
+            f"    assert postsamp.cli.main({argv!r}) == {code}\n"
+        )
         assert loaded == ["postsamp", "postsamp.cli"]
 
     def test_package_root_loads_no_submodule(self):
