@@ -22,6 +22,8 @@ set's stream and is reduced to moments as it is drawn, so memory is
 O(unit + block) per worker whatever P, the dimension and the validation
 size are, and results are the same bits for any worker count.
 :func:`e_hat_items` keeps the per-item values of the same draws.
+The engine and numpy are imported by the functions that draw or call
+them, so :func:`psnr_gain_curve`, which needs neither, loads neither.
 
 ``beta_sd`` is deliberately not clamped at zero: if the error signal
 demands a negative weight, the trace shows it.
@@ -31,19 +33,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from . import _check_p
-from .regularizers import (
-    _residual_moments,
-    _residual_units,
-    beta_sd_nominal,
-    closed_form_l2p,
-)
-from .streams import SeededStream
-from .toy import GeneratorParams, ToyPosterior
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .streams import SeededStream
+    from .toy import GeneratorParams, ToyPosterior
 
 __all__ = [
     "AutotuneState",
@@ -110,6 +108,10 @@ def e_hat_items(
     unit ``u`` take theirs from ``stream.child("codes", u)``.  To score the
     true posterior, pass its own ``(mu0, sigma0)`` as ``params``.
     """
+    import numpy as np
+
+    from .regularizers import _residual_units
+
     units = _residual_units(params, val, ((P, stream),), lambda items: items[0])
     return np.concatenate(list(units))
 
@@ -122,6 +124,8 @@ def e_hat(
     The mean of :func:`e_hat_items`, streamed unit by unit without the
     per-item values.
     """
+    from .regularizers import _residual_moments
+
     return float(_residual_moments(params, val, ((P, stream),))[1][0])
 
 
@@ -165,6 +169,8 @@ def update_beta(state: AutotuneState, e1_hat: float, ep_hat: float) -> AutotuneS
     No clamping is applied; a persistent shortfall keeps increasing the
     weight and vice versa.
     """
+    from .regularizers import beta_sd_nominal
+
     if e1_hat <= 0 or ep_hat <= 0:
         raise ValueError("error estimates must be positive")
     error_db = db(e1_hat / ep_hat) - target_ratio_db(state.p_val)
@@ -230,6 +236,11 @@ def simulate_autotune(
     which is what the convergence guarantees are stated for.  Each step
     is :func:`update_beta`.
     """
+    import numpy as np
+
+    from .regularizers import _residual_moments, beta_sd_nominal, closed_form_l2p
+    from .toy import GeneratorParams
+
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
     # A negative or NaN tolerance can never be met, so the loop would run

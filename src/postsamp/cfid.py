@@ -34,10 +34,13 @@ Each metric has one function (``cfid``, ``fid``, ``gaussian_w2_squared``)
 that returns one :class:`FrechetResult`: the value, its parts and the
 diagnostics.  CFID's parts are the mean-gap and covariance terms: the
 first quantifies conditional-mean error, the second conditional-covariance
-error, and they sum to the value.  The covariance term carries most of
-the small-sample estimation bias, so comparisons at small row counts
-should be read with that in mind.  Clamps of rounding-negative values and
-rank deficiency are reported only in the diagnostics.
+error, and they sum to the value.  The plug-in value is biased upward
+at finite row counts, by a term that falls as 1/rows.  With an exact
+sampler (true CFID 0) at d = d_y = 64, it read 2.21, 0.587 and 0.144 at
+1,024, 4,096 and 16,384 rows, and the mean-gap term carried 85-88% of
+that bias, so comparisons at small row counts should be read with that
+in mind.  Clamps of rounding-negative values and rank deficiency are
+reported only in the diagnostics.
 
 Embedding files are read block by block into reused buffers of about
 ``_BUDGET`` bytes in all, so file input takes O(block + D^2) memory

@@ -17,14 +17,15 @@ result (for ``contours`` the grid, which
 chunk of text, never the whole file.  If writing fails, :func:`main`
 removes the partly written file.
 
-Start-up: this module imports only the standard library and
-``__version__``, and :func:`build_parser` refers to no lab module (the
-``--kind`` choices are literals, each ``verify-*`` parser names its check).
-So parsing, ``--help``, a usage error and the refusal of an existing
-``--out``, which :func:`main` checks before any handler runs, load no
-numpy.  Each ``_cmd_*`` handler imports what it runs when it runs (numpy
-with the first of them), so a command loads only its own modules: ``dc``
-loads ``linops`` alone, for instance.
+Start-up: this module imports only ``argparse``, a few other
+standard-library modules and ``__version__``, and :func:`build_parser`
+refers to no lab module (the ``--kind`` choices are literals, each
+``verify-*`` parser names its check).  So parsing, ``--help`` and a usage
+error load no numpy, ``dataclasses`` or ``json``; :func:`main` imports
+``json`` once the arguments parse, and refuses an existing ``--out``
+before any handler runs.  Each ``_cmd_*`` handler imports what it runs
+when it runs, so a command loads only its own modules: ``dc`` loads
+``linops`` alone, for instance, and ``psnr-curve`` no numpy.
 
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
 error object on stdout), 2 usage error.
@@ -34,12 +35,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import sys
 import time
 from collections.abc import Iterator
-from dataclasses import asdict
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -331,6 +330,8 @@ def _cmd_detect(args) -> tuple[int, dict, None]:
 
 
 def _cmd_losses(args) -> tuple[int, dict, None]:
+    from dataclasses import asdict
+
     from .regularizers import (
         RegularizerKind,
         closed_form_j,
@@ -498,6 +499,8 @@ def main(argv: list | None = None) -> int:
         args = parser.parse_args(raw_argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0,) else 0
+    # Here, not at the top, so that --help and a usage error do not load it.
+    import json
 
     start = time.perf_counter()
     summary = {"version": __version__, "argv": raw_argv, "seed": getattr(args, "seed", None)}

@@ -198,11 +198,6 @@ def complex_from_interleaved(values: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _numbered_lines(handle):
-    """(line number, stripped text) of each nonblank line of an open text file."""
-    return ((number, line.strip()) for number, line in enumerate(handle, 1) if line.strip())
-
-
 def load_operator(path, coils: int = 1):
     """Load a MaskOperator or FourierSubsampler from a mask file.
 
@@ -211,12 +206,13 @@ def load_operator(path, coils: int = 1):
     ``coils`` is not read from the file.
     """
     with open(path, "r", encoding="utf-8") as handle:
-        lines = _numbered_lines(handle)
+        # (line number, stripped text) of each nonblank line
+        lines = ((n, line) for n, line in enumerate(map(str.strip, handle), 1) if line)
         number, header = next(lines, (0, ""))
         header_number = number
         if not header:
             raise ValueError(f"{path}: empty mask file")
-        indices = []
+        indices, numbers = [], []  # each index and the line it is on
         try:
             kind, _, text = header.partition("=")
             if kind not in ("N", "DIMS"):
@@ -224,6 +220,7 @@ def load_operator(path, coils: int = 1):
             size = int(text) if kind == "N" else tuple(int(part) for part in text.split("x"))
             for number, line in lines:
                 indices.append(int(line))
+                numbers.append(number)
         except UnicodeDecodeError:  # not a fault of one line's text
             raise
         except ValueError as exc:
@@ -239,7 +236,4 @@ def load_operator(path, coils: int = 1):
     except _BadIndex as exc:
         if exc.position is None:
             raise ValueError(f"{path}: {exc}") from None
-        # Read the file again for the line of the index at fault.
-        with open(path, "r", encoding="utf-8") as handle:
-            number = list(_numbered_lines(handle))[1 + exc.position][0]
-        raise ValueError(f"{path}: line {number}: {exc}") from None
+        raise ValueError(f"{path}: line {numbers[exc.position]}: {exc}") from None

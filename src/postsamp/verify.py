@@ -13,6 +13,7 @@ single pass/fail verdict plus per-trial numbers for the JSON artifact:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -156,6 +157,8 @@ def check_average_error_ratio(
     the paired per-item errors; one pass per P streams their moments).
     Each run's ``normals`` counts the draws of its pass: the validation
     truths, which every pass redraws, and the codes of both averages.
+    Next to the estimated ``std_error``, ``std_error_closed_form`` is the SE
+    on exact samples, ``R sqrt((4 - R) / V)`` with R = 2P/(P+1).
     """
     _require_p_values(p_values)
     # At P = 1 both runs of a pair score single samples: the target is 1 and
@@ -181,6 +184,7 @@ def check_average_error_ratio(
                 "ratio": ratio,
                 "target": target,
                 "std_error": se,
+                "std_error_closed_form": target * math.sqrt((4.0 - target) / validation_size),
                 "z": (ratio - target) / se if se > 0 else float("inf"),
                 "normals": validation_size * (2 + P) * truth.dim,
                 "ok": ok,

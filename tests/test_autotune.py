@@ -236,13 +236,16 @@ class TestAveragingRatio:
     def test_standard_error_matches_its_closed_form(self):
         """On true samples d_1 = x - xhat_1 and d_P = x - xbar_P are jointly
         normal with Cov(d_1, d_P) = 1, so the delta-method SE of the ratio
-        is R sqrt((4 - R) / V) with R = 2P / (P+1)."""
+        is R sqrt((4 - R) / V) with R = 2P / (P+1); each run records it as
+        ``std_error_closed_form``."""
         V = 100_000
         report = check_average_error_ratio(1, validation_size=V)
         assert [run["P"] for run in report.details["runs"]] == [2, 4, 8, 32]
         for run in report.details["runs"]:
             R = 2 * run["P"] / (run["P"] + 1)
-            assert run["std_error"] == pytest.approx(R * math.sqrt((4 - R) / V), rel=0.03), run
+            closed_form = run["std_error_closed_form"]
+            assert closed_form == pytest.approx(R * math.sqrt((4 - R) / V), rel=1e-12), run
+            assert run["std_error"] == pytest.approx(closed_form, rel=0.03), run
 
 
 class TestSimulation:

@@ -961,12 +961,17 @@ _SMALL_ARGV = {
 
 
 # Runs sys.argv[1] in a fresh interpreter and prints, as JSON, the loaded
-# modules of postsamp, numpy, scipy and concurrent.futures.
+# modules of postsamp, numpy, scipy and concurrent.futures, and of the
+# standard-library modules the front end leaves to the handlers: dataclasses
+# (which loads inspect) and json.  The list is taken before this script
+# imports json to print it.
 _LOADED_SCRIPT = """
-import json, sys
+import sys
 exec(sys.argv[1])
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.split(".")[0] in ("postsamp", "numpy", "scipy", "concurrent"))))
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in (
+    "postsamp", "numpy", "scipy", "concurrent", "dataclasses", "inspect", "json"))
+import json
+print(json.dumps(loaded))
 """
 
 
@@ -979,7 +984,7 @@ def _loaded_after(code: str) -> list:
 class TestColdStart:
     def test_parser_loads_no_lab_module(self):
         """Every invocation pays for the parser, so it loads only the CLI:
-        no lab module and no numpy."""
+        no lab module, no numpy, and neither dataclasses nor json."""
         loaded = _loaded_after("import postsamp.cli; postsamp.cli.build_parser()")
         assert loaded == ["postsamp", "postsamp.cli"]
 
@@ -991,7 +996,9 @@ class TestColdStart:
         ids=["help", "usage-error", "refused-out"],
     )
     def test_front_end_loads_no_numpy(self, tmp_path, argv, code):
-        """--help, a usage error and a refused --out finish in the CLI alone."""
+        """--help, a usage error and a refused --out finish in the CLI alone,
+        without dataclasses; only the refusal, which prints its JSON error
+        object, loads json."""
         (tmp_path / "existing.json").write_text("{}\n")
         loaded = _loaded_after(
             f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})\n"
@@ -999,7 +1006,20 @@ class TestColdStart:
             "        contextlib.redirect_stderr(io.StringIO()):\n"
             f"    assert postsamp.cli.main({argv!r}) == {code}\n"
         )
+        if code == 1:
+            assert "json" in loaded
+            loaded = [m for m in loaded if m.split(".")[0] != "json"]
         assert loaded == ["postsamp", "postsamp.cli"]
+
+    def test_psnr_curve_loads_no_numpy(self, tmp_path):
+        """psnr-curve computes dB values of 2P/(P+1) only: besides the lab
+        modules README lists, it loads no numpy, scipy or worker pool."""
+        loaded = _loaded_after(
+            f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert postsamp.cli.main(['psnr-curve', '--pmax', '4', '--out', 'c.csv']) == 0\n"
+        )
+        assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy", "concurrent")] == []
 
     def test_package_root_loads_no_submodule(self):
         assert _loaded_after("import postsamp") == ["postsamp"]

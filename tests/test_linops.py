@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from postsamp import SeededStream, ToyPosterior
+from postsamp import SeededStream, ToyPosterior, linops
 from postsamp.linops import (
     FourierSubsampler,
     MaskOperator,
@@ -253,6 +253,25 @@ class TestMaskFiles:
         with pytest.raises(ValueError) as caught:
             load_operator(_mask_file(tmp_path, text), coils=coils)
         assert str(caught.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("N=4\n0\n\n3\n2\n", "line 5: mask indices must be strictly increasing"),
+        ("DIMS=4\n\n1\n4\n", "line 4: frequency indices must lie in [0, 4)"),
+    ], ids=["unsorted", "outside"])
+    def test_bad_index_error_opens_the_file_once(self, tmp_path, monkeypatch, text, message):
+        """The line of an index at fault is kept from the one read of the file."""
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(linops, "open", counting_open, raising=False)
+        path = _mask_file(tmp_path, text)
+        with pytest.raises(ValueError) as caught:
+            load_operator(path)
+        assert str(caught.value) == f"{path}: {message}"
+        assert opened == [path]
 
     def test_unknown_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
