@@ -9,13 +9,13 @@ are formatted once, with the same bytes).  Timing lives only in the stdout
 run summary so it cannot break artifact reproducibility.
 Existing outputs are never overwritten without --force.
 
-Memory model: :func:`_csv` yields a CSV artifact's text chunk by chunk (a
-contour grid row by row, a ``dc`` vector 4096 lines at a time) and
-:func:`main` writes each chunk as it is formatted, so a command holds its
-result (for ``contours`` the grid, which
-:func:`~postsamp.proplab.contour_grid` fills one band at a time) and one
-chunk of text, never the whole file.  If writing fails, :func:`main`
-removes the partly written file.
+Memory model: :func:`_csv` yields a CSV artifact's text in pieces of at
+most ``_VECTOR_LINES`` lines (a contour grid row by row) and :func:`main`
+writes each piece as it is formatted, so a command holds its result (for
+``contours`` the grid, which :func:`~postsamp.proplab.contour_grid` fills
+one band at a time) and one piece of text, never the whole file.  A JSON
+artifact is formatted whole.  If writing fails, :func:`main` removes the
+partly written file.
 
 Start-up: this module imports only ``argparse``, a few other
 standard-library modules and ``__version__``, and :func:`build_parser`
@@ -53,7 +53,7 @@ class ArtifactExistsError(RuntimeError):
     pass
 
 
-# Lines per chunk of a dc vector artifact.
+# Most lines per piece of CSV text.
 _VECTOR_LINES = 4096
 
 
@@ -107,29 +107,33 @@ def _read_vector_csv(path: str) -> np.ndarray:
 def _csv(chunks, columns: int, header: str = "") -> Iterator[str]:
     """``header``, then each chunk's values row-major, ``columns`` per line.
 
-    Every value is written as its ``repr``, one ``%`` format per chunk;
-    chunks hold Python scalars (``tolist``) and whole lines.  The text is
-    yielded one chunk at a time, so only one chunk is held as Python
-    objects or text at a time.
+    A chunk is a list of Python scalars or a float array of whole lines.
+    Every value is written as its ``repr``, one ``%`` format per piece of
+    at most ``_VECTOR_LINES`` lines, and the text is yielded piece by piece,
+    so only one piece is held as text (and, from an array, as Python
+    floats) at a time.
     """
     line = ",".join(["%r"] * columns) + "\n"
     if header:
         yield header
+    step = _VECTOR_LINES * columns
     for c in chunks:
-        yield (line * (len(c) // columns)) % tuple(c)
+        for start in range(0, len(c), step):
+            piece = c[start:start + step]
+            if not isinstance(piece, list):
+                piece = piece.tolist()
+            yield (line * (len(piece) // columns)) % tuple(piece)
 
 
 def _vector_csv(values: np.ndarray) -> Iterator[str]:
-    """One value per line, or 're,im' per line for complex values, in chunks
-    of ``_VECTOR_LINES`` lines."""
+    """One value per line, or 're,im' per line for complex values."""
     import numpy as np
 
     if np.iscomplexobj(values):
         lines = np.column_stack((values.real, values.imag))
     else:
         lines = np.asarray(values, dtype=np.float64)[:, None]
-    starts = range(0, len(lines), _VECTOR_LINES)
-    return _csv((lines[i:i + _VECTOR_LINES].ravel().tolist() for i in starts), lines.shape[1])
+    return _csv([lines.ravel()], lines.shape[1])
 
 
 def _contour_csv(grid) -> Iterator[str]:
@@ -145,12 +149,12 @@ def _contour_csv(grid) -> Iterator[str]:
         kind.kind.value, grid.truth[0], grid.truth[1], kind.P, beta,
     )
     columns = grid.mu_axis.size
-    yield from _csv([grid.mu_axis.tolist()], columns, "sigma\\mu,")
+    yield from _csv([grid.mu_axis], columns, "sigma\\mu,")
     last_bits = None
     for s, row in zip(grid.sigma_axis.tolist(), grid.values):
         bits = row.tobytes()
         if bits != last_bits:
-            (text,) = _csv([row.tolist()], columns)  # one chunk, no header
+            (text,) = _csv([row], columns)  # one line: one piece, no header
             last_bits = bits
         yield "%r," % s
         yield text

@@ -92,7 +92,9 @@ def logistic_classifier(
         raise ValueError(f"scale must be > 0, got {scale}")
 
     def fn(values: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.exp(-(values[:, coordinate] - tau) / scale))
+        # exp overflows to inf far below tau, where 1 / (1 + inf) = 0 is exact.
+        with np.errstate(over="ignore"):
+            return 1.0 / (1.0 + np.exp(-(values[:, coordinate] - tau) / scale))
 
     return Classifier(fn, f"logistic((x[{coordinate}] - {tau}) / {scale})")
 

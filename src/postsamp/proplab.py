@@ -306,6 +306,8 @@ def contour_grid(
     truth = (float(mu0[0]), float(sigma0[0]))
     mu_lo, mu_hi = map(float, mu_range)
     s_lo, s_hi = map(float, sigma_range)
+    if not all(map(math.isfinite, (mu_lo, mu_hi, s_lo, s_hi))):
+        raise ValueError(f"ranges must be finite, got mu {mu_range}, sigma {sigma_range}")
     if not (mu_lo < mu_hi and s_lo < s_hi):
         raise ValueError("ranges must be nonempty")
     if s_lo < 0:

@@ -58,7 +58,7 @@ dimension or the replicate count is.
 
 Threads: every caller spreads its units over a pool of worker threads,
 one per CPU this process may use (its affinity set), but never more than
-there are units; ``threads=N`` on the loss estimators caps the pool at N.
+there are units; ``threads=N`` on :func:`mc_losses` caps the pool at N.
 Philox is counter-based, so any unit can be drawn on any thread, and the
 results are the same bits for every worker count.  Unit reductions stay
 elementwise and call no BLAS: with ``@``, two pool threads contended in
@@ -438,14 +438,13 @@ def mc_l1p(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of E ||x - xhat_bar||_1: the ``l1p`` of :func:`mc_losses`.
 
     Each outer replicate pairs one fresh posterior draw with P fresh
     generator draws.
     """
-    return mc_losses(params, post, context, P, n_outer, stream, threads)["l1p"]
+    return mc_losses(params, post, context, P, n_outer, stream)["l1p"]
 
 
 def mc_lsdp(
@@ -453,14 +452,13 @@ def mc_lsdp(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of the spread reward.
 
     For the Gaussian toy generator its expectation is exactly
     ``sum(sigma)``, independent of P.
     """
-    return _mc_pass(params, None, P, n_outer, stream, threads)["lsdp"]
+    return _mc_pass(params, None, P, n_outer, stream, None)["lsdp"]
 
 
 def mc_l2p(
@@ -470,10 +468,9 @@ def mc_l2p(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of E ||x - xhat_bar||_2^2: the ``l2p`` of :func:`mc_losses`."""
-    return mc_losses(params, post, context, P, n_outer, stream, threads)["l2p"]
+    return mc_losses(params, post, context, P, n_outer, stream)["l2p"]
 
 
 def mc_lvarp(
@@ -481,7 +478,6 @@ def mc_lvarp(
     P: int,
     n_outer: int,
     stream: SeededStream,
-    threads: int | None = None,
 ) -> LossEstimate:
     """Monte Carlo estimate of the variance reward.
 
@@ -489,7 +485,7 @@ def mc_lvarp(
     over dimensions, so its expectation is ``sum(sigma^2)`` for any
     P >= 2.
     """
-    return _mc_pass(params, None, P, n_outer, stream, threads)["lvarp"]
+    return _mc_pass(params, None, P, n_outer, stream, None)["lvarp"]
 
 
 # ---------------------------------------------------------------------------

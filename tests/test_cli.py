@@ -1,6 +1,7 @@
 """CLI surface: artifacts, reproducibility, exit codes, error objects."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -21,7 +22,7 @@ from postsamp import (
     cli,
     regularizers,
 )
-from postsamp.autotune import db, psnr_gain_curve, simulate_autotune
+from postsamp.autotune import AutotuneTrace, TraceRow, db, psnr_gain_curve, simulate_autotune
 from postsamp.cli import _contour_csv, _read_vector_csv, _trace_csv, _vector_csv, main
 from postsamp.proplab import ContourGrid, contour_grid
 from postsamp.regularizers import RegKind
@@ -511,6 +512,17 @@ class TestCsvWriters:
         )
         assert "".join(_trace_csv(trace)) == expected
 
+    def test_long_trace_is_formatted_in_pieces(self):
+        """A 10,000-epoch trace, one chunk of values, is formatted in pieces of
+        at most _VECTOR_LINES lines that join to the text of every row."""
+        rows = [TraceRow(e, e / 3, -e / 7, 0.1) for e in range(10_000)]
+        trace = AutotuneTrace(rows, 0.1, False, 0, 0, 0)
+        header, *pieces = _trace_csv(trace)
+        assert len(pieces) > 1 and max(p.count("\n") for p in pieces) <= cli._VECTOR_LINES
+        assert header + "".join(pieces) == "epoch,beta_sd,ratio_db,target_db\n" + "".join(
+            f"{r.epoch},{r.beta_sd!r},{r.ratio_db!r},{r.target_db!r}\n" for r in rows
+        )
+
     def test_psnr_csv_matches_loop(self, tmp_path, capsys):
         out = tmp_path / "c.csv"
         code, _ = run_cli(capsys, "psnr-curve", "--pmax", "300", "--out", str(out))
@@ -895,26 +907,6 @@ def _python(*args) -> subprocess.CompletedProcess:
     )
 
 
-# Runs each argv of sys.argv[1] through main() in one fresh interpreter and
-# prints, as JSON, the scipy modules loaded after build_parser() and after
-# each command, with the command's exit code.
-_COLD_START_SCRIPT = """
-import contextlib, io, json, sys
-import postsamp.cli
-
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-postsamp.cli.build_parser()
-steps = [["build_parser", 0, scipy_modules()]]
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = postsamp.cli.main(argv)
-    steps.append([" ".join(argv[:2]), code, scipy_modules()])
-print(json.dumps(steps))
-"""
-
-
 def _readme_loads() -> dict:
     """Subcommand -> the lab modules README § Install says it loads."""
     readme = Path(__file__).resolve().parents[1] / "README.md"
@@ -960,25 +952,41 @@ _SMALL_ARGV = {
 }
 
 
-# Runs sys.argv[1] in a fresh interpreter and prints, as JSON, the loaded
-# modules of postsamp, numpy, scipy and concurrent.futures, and of the
-# standard-library modules the front end leaves to the handlers: dataclasses
-# (which loads inspect) and json.  The list is taken before this script
-# imports json to print it.
-_LOADED_SCRIPT = """
+# Runs each code step of sys.argv[1:] in order, in one namespace of one fresh
+# interpreter, and after each step takes the loaded modules of postsamp,
+# numpy, scipy and concurrent.futures, and of the standard-library modules
+# the front end leaves to the handlers: dataclasses (which loads inspect) and
+# json.  The probe imports nothing after sys, so each list holds what the
+# steps loaded; it prints one space-separated line per step at the end.
+_PROBE_SCRIPT = """
 import sys
-exec(sys.argv[1])
-loaded = sorted(m for m in sys.modules if m.split(".")[0] in (
-    "postsamp", "numpy", "scipy", "concurrent", "dataclasses", "inspect", "json"))
-import json
-print(json.dumps(loaded))
+scope, steps = {}, []
+for code in sys.argv[1:]:
+    exec(code, scope)
+    steps.append(" ".join(sorted(m for m in sys.modules if m.split(".")[0] in (
+        "postsamp", "numpy", "scipy", "concurrent", "dataclasses", "inspect", "json"))))
+print("\\n".join(steps))
 """
 
 
-def _loaded_after(code: str) -> list:
-    done = _python("-c", _LOADED_SCRIPT, code)
+def _loaded_after(*steps: str) -> list:
+    """The probe's module list after each code step."""
+    done = _python("-c", _PROBE_SCRIPT, *steps)
     assert done.returncode == 0, done.stderr
-    return json.loads(done.stdout.splitlines()[-1])
+    return [line.split() for line in done.stdout.split("\n")[-1 - len(steps):-1]]
+
+
+def _loaded_by_main(tmp_path, *runs) -> list:
+    """The probe's module list after importing the CLI, then after each
+    ``(argv, exit_code)`` run of main() in ``tmp_path`` with its output
+    swallowed."""
+    quiet = ("with contextlib.redirect_stdout(io.StringIO()), "
+             "contextlib.redirect_stderr(io.StringIO()):\n")
+    return _loaded_after(
+        f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})",
+        *(f"{quiet}    assert postsamp.cli.main({argv!r}) == {code}, {argv!r}"
+          for argv, code in runs),
+    )
 
 
 class TestColdStart:
@@ -986,7 +994,7 @@ class TestColdStart:
         """Every invocation pays for the parser, so it loads only the CLI:
         no lab module, no numpy, and neither dataclasses nor json."""
         loaded = _loaded_after("import postsamp.cli; postsamp.cli.build_parser()")
-        assert loaded == ["postsamp", "postsamp.cli"]
+        assert loaded == [["postsamp", "postsamp.cli"]]
 
     @pytest.mark.parametrize(
         "argv, code",
@@ -1000,12 +1008,7 @@ class TestColdStart:
         without dataclasses; only the refusal, which prints its JSON error
         object, loads json."""
         (tmp_path / "existing.json").write_text("{}\n")
-        loaded = _loaded_after(
-            f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})\n"
-            "with contextlib.redirect_stdout(io.StringIO()), \\\n"
-            "        contextlib.redirect_stderr(io.StringIO()):\n"
-            f"    assert postsamp.cli.main({argv!r}) == {code}\n"
-        )
+        _, loaded = _loaded_by_main(tmp_path, (argv, code))
         if code == 1:
             assert "json" in loaded
             loaded = [m for m in loaded if m.split(".")[0] != "json"]
@@ -1014,15 +1017,11 @@ class TestColdStart:
     def test_psnr_curve_loads_no_numpy(self, tmp_path):
         """psnr-curve computes dB values of 2P/(P+1) only: besides the lab
         modules README lists, it loads no numpy, scipy or worker pool."""
-        loaded = _loaded_after(
-            f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert postsamp.cli.main(['psnr-curve', '--pmax', '4', '--out', 'c.csv']) == 0\n"
-        )
+        _, loaded = _loaded_by_main(tmp_path, (["psnr-curve", "--pmax", "4", "--out", "c.csv"], 0))
         assert [m for m in loaded if m.split(".")[0] in ("numpy", "scipy", "concurrent")] == []
 
     def test_package_root_loads_no_submodule(self):
-        assert _loaded_after("import postsamp") == ["postsamp"]
+        assert _loaded_after("import postsamp") == [["postsamp"]]
 
     def test_quick_tour_names_resolve_to_their_submodules(self):
         from postsamp import proplab, streams, toy
@@ -1047,6 +1046,17 @@ class TestColdStart:
         kind = next(a for a in _subcommand_parsers()["contours"]._actions if a.dest == "kind")
         assert list(kind.choices) == [k.value for k in RegKind]
 
+    def test_verify_defaults_are_the_checks_defaults(self):
+        """Each verify-* parser writes its check's defaults as literals."""
+        from postsamp import verify
+
+        for name in ("verify-prop1", "verify-prop2", "verify-prop3"):
+            sub = _subcommand_parsers()[name]
+            check = getattr(verify, sub.get_default("check"))
+            _, p_values, size = inspect.signature(check).parameters.values()
+            assert cli._parse_int_list(sub.get_default("p_list")) == p_values.default, name
+            assert sub.get_default("size") == size.default, name
+
     def test_readme_lists_every_subcommand(self):
         assert sorted(_README_LOADS) == sorted(_subcommand_parsers())
 
@@ -1056,11 +1066,7 @@ class TestColdStart:
         interpreter that runs it loads those and the CLI, and no other."""
         _write_inputs(tmp_path)
         argv = [command, *_SMALL_ARGV[command].split(), "--out", "out"]
-        loaded = _loaded_after(
-            f"import contextlib, io, os, postsamp.cli\nos.chdir({str(tmp_path)!r})\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            f"    assert postsamp.cli.main({argv!r}) == 0\n"
-        )
+        _, loaded = _loaded_by_main(tmp_path, (argv, 0))
         lab = sorted(m.split(".", 1)[1] for m in loaded if m.startswith("postsamp."))
         assert lab == sorted({"cli", *_README_LOADS[command]})
 
@@ -1069,27 +1075,22 @@ class TestColdStart:
         closed form leaves scipy unloaded; `contours --kind l1sd` loads it.
         A fresh interpreter, since other test modules import scipy here."""
         _write_inputs(tmp_path)
-        emb = {name: str(tmp_path / f"{name}.emb") for name in ("x", "y", "xhat")}
         runs = [
-            ["psnr-curve", "--pmax", "4"],
-            ["dc", "--mask", str(tmp_path / "m.txt"), "--x-raw", str(tmp_path / "xr.csv"),
-             "--y", str(tmp_path / "y.csv")],
-            ["cfid", "--x", emb["x"], "--y", emb["y"], "--xhat", emb["xhat"]],
-            ["fid", "--x", emb["x"], "--xhat", emb["xhat"]],
-            ["detect", "--mu0", "1", "--sigma0", "1", "--p", "1000", "--seed", "3"],
-            ["verify-prop3", "--seed", "5", "--v", "20000", "--p-list", "2,8"],
-            ["autotune-sim", "--p-val", "8", "--mu-sd", "0.2", "--beta0", "0.9"],
-            ["autotune-sim", "--mc", "--v", "2000", "--epochs", "20", "--seed", "1"],
+            "psnr-curve --pmax 4",
+            "dc --mask m.txt --x-raw xr.csv --y y.csv",
+            "cfid --x x.emb --y y.emb --xhat xhat.emb",
+            "fid --x x.emb --xhat xhat.emb",
+            "detect --mu0 1 --sigma0 1 --p 1000 --seed 3",
+            "verify-prop3 --seed 5 --v 20000 --p-list 2,8",
+            "autotune-sim --p-val 8 --mu-sd 0.2 --beta0 0.9",
+            "autotune-sim --mc --v 2000 --epochs 20 --seed 1",
+            "contours --kind l1sd --p 2 --mu0 0 --sigma0 1 --resolution 21",
         ]
-        closed_form = ["contours", "--kind", "l1sd", "--p", "2", "--mu0", "0",
-                       "--sigma0", "1", "--resolution", "21"]
-        argvs = [argv + ["--out", str(tmp_path / f"out{i}")]
-                 for i, argv in enumerate(runs + [closed_form])]
-        done = _python("-c", _COLD_START_SCRIPT, json.dumps(argvs))
-        assert done.returncode == 0, done.stderr
-        *without, (_, code, loaded) = json.loads(done.stdout.splitlines()[-1])
-        assert [step[1:] for step in without] == [[0, []]] * (1 + len(runs)), without
-        assert code == 0 and "scipy.special" in loaded
+        *without, loaded = _loaded_by_main(
+            tmp_path, *(([*argv.split(), "--out", f"out{i}"], 0) for i, argv in enumerate(runs))
+        )
+        assert [[m for m in step if m.startswith("scipy")] for step in without] == [[]] * len(runs)
+        assert "scipy.special" in loaded
 
 
 def test_memory_script_measures_one_cli_run(tmp_path):
@@ -1142,6 +1143,17 @@ CLI_INPUT_CHECKS = [
         lambda tmp_path: ["detect", "--mu0", "0", "--sigma0", "1", "--classifier", "logistic",
                           "--scale", "inf", "--p", "100", "--seed", "1"],
         "scale must be finite, got inf", id="detect-scale-infinite",
+    ),
+    pytest.param(
+        lambda tmp_path: ["contours", "--kind", "l2", "--p", "2", "--mu0", "0", "--sigma0", "1",
+                          "--mu-max", "inf"],
+        "ranges must be finite, got mu (-3.0, inf)", id="contours-mu-max-infinite",
+    ),
+    pytest.param(
+        lambda tmp_path: ["contours", "--kind", "l2", "--p", "2", "--mu0", "0", "--sigma0", "1",
+                          "--sigma-min", "nan"],
+        "ranges must be finite, got mu (-3.0, 3.0), sigma (nan, 3.0)",
+        id="contours-sigma-min-nan",
     ),
 ]
 

@@ -46,6 +46,11 @@ class TestDetectionProbability:
             value = detection_probability(classifier, batch)
             assert 0.0 <= value <= 1.0
 
+    def test_saturated_logistic_is_exact_without_a_warning(self):
+        """At scale 1e-3, exp overflows for x = -1; the output is exactly 0."""
+        output = logistic_classifier(0, 0.0, 1e-3)(np.array([[-1.0], [1.0]]))
+        assert output.tolist() == [0.0, 1.0]
+
     def test_out_of_range_classifier_rejected(self):
         bad = Classifier(lambda v: np.full(v.shape[0], 1.5), "bad")
         batch = sample_posterior(ToyPosterior.single(0.0, 1.0), 0, 10, STREAM)

@@ -549,10 +549,9 @@ class TestEstimatorContracts:
             mc_lsdp(STD_PARAMS, 2, 1, STREAM)
 
     def test_thread_count_floor(self):
-        with pytest.raises(ValueError, match="threads"):
-            mc_l1p(STD_PARAMS, STD_POST, 0, 2, 100, STREAM, threads=0)
-        with pytest.raises(ValueError, match="threads"):
-            mc_lvarp(STD_PARAMS, 2, 100, STREAM, threads=-1)
+        for threads in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                mc_losses(STD_PARAMS, STD_POST, 0, 2, 100, STREAM, threads)
 
     def test_invalid_context(self):
         with pytest.raises(IndexError):
@@ -564,10 +563,9 @@ class TestEstimatorContracts:
 
     def test_worker_count_does_not_change_estimates(self):
         """Draw units make thread counts invisible in the result."""
-        one = mc_l1p(STD_PARAMS, STD_POST, 0, 2, 100_000, STREAM.child("thr"), threads=1)
-        four = mc_l1p(STD_PARAMS, STD_POST, 0, 2, 100_000, STREAM.child("thr"), threads=4)
-        assert one.value == four.value
-        assert one.std_error == four.std_error
+        one = mc_losses(STD_PARAMS, STD_POST, 0, 2, 100_000, STREAM.child("thr"), threads=1)
+        four = mc_losses(STD_PARAMS, STD_POST, 0, 2, 100_000, STREAM.child("thr"), threads=4)
+        assert one == four
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
@@ -696,18 +694,21 @@ PINNED = {
 }
 
 
-def _run_kernels(params, post, P, n_outer, stream, threads=1) -> dict:
+def _run_kernels(params, post, P, n_outer, stream) -> dict:
     return {
-        "l1p": mc_l1p(params, post, 0, P, n_outer, stream.child("l1p"), threads),
-        "lsdp": mc_lsdp(params, P, n_outer, stream.child("lsdp"), threads),
-        "l2p": mc_l2p(params, post, 0, P, n_outer, stream.child("l2p"), threads),
-        "lvarp": mc_lvarp(params, P, n_outer, stream.child("lvarp"), threads),
+        "l1p": mc_l1p(params, post, 0, P, n_outer, stream.child("l1p")),
+        "lsdp": mc_lsdp(params, P, n_outer, stream.child("lsdp")),
+        "l2p": mc_l2p(params, post, 0, P, n_outer, stream.child("l2p")),
+        "lvarp": mc_lvarp(params, P, n_outer, stream.child("lvarp")),
     }
 
 
 @functools.lru_cache(maxsize=None)
-def _pinned_run(name: str, threads: int) -> dict:
-    estimates = _run_kernels(*PIN_CONFIGS[name], STREAM.child("pins", name), threads)
+def _pinned_run(name: str, cpus: int) -> dict:
+    """The pinned config's estimates as float.hex, with ``cpus`` usable CPUs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(regularizers, "_usable_cpus", lambda: cpus)
+        estimates = _run_kernels(*PIN_CONFIGS[name], STREAM.child("pins", name))
     return {k: (e.value.hex(), e.std_error.hex()) for k, e in estimates.items()}
 
 
@@ -718,7 +719,7 @@ class TestBlockedDraws:
         assert _pinned_run(name, 1) == PINNED[name]
 
     def test_all_kernels_thread_invariant(self):
-        """40,000 replicates are three units, so two threads really split them."""
+        """40,000 replicates are three units, so two usable CPUs really split them."""
         assert _pinned_run("d64-p8", 2) == _pinned_run("d64-p8", 1)
 
     def test_memory_bounded_independent_of_p(self):
@@ -748,17 +749,17 @@ ENGINE_POST = ToyPosterior.single(np.linspace(0.5, -0.5, 5), np.linspace(2.0, 0.
 ENGINE_P, ENGINE_N = 4, 40_001
 
 
-def _engine_callers(threads: int) -> dict:
+def _engine_callers() -> dict:
     """Every caller of the engine on one stream; values compared with ==."""
     params, post, P, n = ENGINE_PARAMS, ENGINE_POST, ENGINE_P, ENGINE_N
     stream = STREAM.child("engine")
     val = ValidationSet(post, 0, n, stream.child("val"))
     return {
-        "l1p": mc_l1p(params, post, 0, P, n, stream, threads),
-        "lsdp": mc_lsdp(params, P, n, stream, threads),
-        "l2p": mc_l2p(params, post, 0, P, n, stream, threads),
-        "lvarp": mc_lvarp(params, P, n, stream, threads),
-        "fused": mc_losses(params, post, 0, P, n, stream, threads),
+        "l1p": mc_l1p(params, post, 0, P, n, stream),
+        "lsdp": mc_lsdp(params, P, n, stream),
+        "l2p": mc_l2p(params, post, 0, P, n, stream),
+        "lvarp": mc_lvarp(params, P, n, stream),
+        "fused": mc_losses(params, post, 0, P, n, stream),
         "e_hat_items": e_hat_items(params, val, P, stream).tobytes(),
         "e_hat": e_hat(params, val, P, stream),
         "ratio": check_average_error_ratio(7, (2, 8), n).details,
@@ -771,7 +772,7 @@ def _engine_baseline() -> dict:
     """Every caller on one thread: one usable CPU."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(regularizers, "_usable_cpus", lambda: 1)
-        return _engine_callers(1)
+        return _engine_callers()
 
 
 @pytest.fixture()
@@ -795,19 +796,17 @@ class TestEngine:
     def test_results_do_not_depend_on_threads_or_block(self, monkeypatch, threads, block):
         """Threads 1, 2 and 4 and two block sizes replay the baseline bit for bit.
 
-        ``threads`` CPUs are usable, so the validation errors (``e_hat_items``,
-        ``e_hat`` and the paired ratio of ``check_average_error_ratio``) and
-        the streamed detection run on that many workers by default; the loss
-        estimators also get ``threads`` as their explicit cap.
+        ``threads`` CPUs are usable, so every caller runs on that many
+        workers by default.
         """
         baseline = _engine_baseline()
         monkeypatch.setattr(regularizers, "_usable_cpus", lambda: threads)
         if block is not None:
             monkeypatch.setattr(regularizers, "_BLOCK", block)
-        assert _engine_callers(threads) == baseline
+        assert _engine_callers() == baseline
 
     def test_seed_replay(self):
-        assert _engine_callers(1) == _engine_baseline()
+        assert _engine_callers() == _engine_baseline()
 
     def test_single_losses_equal_the_fused_pass(self):
         baseline = _engine_baseline()
@@ -850,14 +849,12 @@ class TestEngine:
         assert max(threads_seen) <= base + 3
 
         started.clear()
-        mc_lsdp(STD_PARAMS, 2, 5 * regularizers._UNIT, STREAM.child("pool"), threads=5000)
-        assert started == [3]
-        mc_lsdp(STD_PARAMS, 2, 1000, STREAM.child("pool"), threads=5000)
-        assert started == [3]  # one unit: no pool at all
-        mc_lsdp(STD_PARAMS, 2, 5 * regularizers._UNIT, STREAM.child("pool"), threads=2)
-        assert started == [3, 2]  # an explicit cap below the usable CPUs holds
-        mc_lsdp(STD_PARAMS, 2, 5 * regularizers._UNIT, STREAM.child("pool"))
-        assert started == [3, 2, 3]  # the default is every usable CPU
+        five = 5 * regularizers._UNIT
+        for n, threads in ((five, 5000), (1000, 5000), (five, 2), (five, None)):
+            mc_losses(STD_PARAMS, STD_POST, 0, 2, n, STREAM.child("pool"), threads)
+        # One unit starts no pool at all; an explicit cap below the usable
+        # CPUs holds, and the default is every usable CPU.
+        assert started == [3, 2, 3]
 
     def test_every_caller_spreads_units_over_the_usable_cpus(self, monkeypatch, pools):
         """With two usable CPUs and three units, each caller starts a pool of two."""
@@ -888,13 +885,13 @@ class TestEngine:
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_memory_does_not_grow_with_n_outer(self, threads):
-        """The traced peak of mc_l1p stays under 8 MiB at n_outer 2,000 and 200,000."""
+        """The traced peak of mc_losses stays under 8 MiB at n_outer 2,000 and 200,000."""
         dim = 8
         params = GeneratorParams(np.zeros(dim), np.ones(dim))
         post = ToyPosterior.single(np.zeros(dim), np.ones(dim))
         for n_outer in (2_000, 200_000):
             _, peak = traced_peak(
-                lambda: mc_l1p(params, post, 0, 4, n_outer, STREAM.child("memory-n"), threads)
+                lambda: mc_losses(params, post, 0, 4, n_outer, STREAM.child("memory-n"), threads)
             )
             assert peak <= 8 * 2**20, (n_outer, peak)
 
