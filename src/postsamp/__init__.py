@@ -14,6 +14,7 @@ subcommand it runs needs.
 """
 
 import importlib
+import math
 
 __version__ = "0.1.0"
 
@@ -34,15 +35,19 @@ _SUBMODULE = {
 __all__ = [*_SUBMODULE, "__version__"]
 
 
+# The input checks several modules share live here, which every submodule
+# loads anyway, so that :mod:`postsamp.cfid` and :mod:`postsamp.autotune`
+# load no Monte Carlo engine for them.
 def _check_p(P: int, least: int = 2) -> None:
-    """Raise unless the sample count ``P`` is at least ``least``.
-
-    Here, which every submodule loads anyway, rather than in
-    :mod:`~postsamp.regularizers`, so that :mod:`postsamp.cfid` loads no
-    Monte Carlo engine for it.
-    """
+    """Raise unless the sample count ``P`` is at least ``least``."""
     if P < least:
         raise ValueError(f"P must be >= {least}, got {P}")
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Raise unless the parameter ``name`` is finite."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def __getattr__(name: str):

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
-from . import _check_p
+from . import _check_finite, _check_p
 
 if TYPE_CHECKING:
     import numpy as np
@@ -73,8 +73,8 @@ class AutotuneState:
     p_train: int
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.beta_sd):
-            raise ValueError("beta_sd must be finite")
+        _check_finite("beta_sd", self.beta_sd)
+        _check_finite("mu_sd", self.mu_sd)
         if self.mu_sd < 0:
             raise ValueError("mu_sd must be >= 0")
         if self.p_val < 2:
@@ -251,8 +251,11 @@ def simulate_autotune(
     nominal = beta_sd_nominal(p_train)
 
     # Monotonicity probe over multiples of the nominal weight.  A spread
-    # below zero is meaningless; it is set to 0 and counted.
+    # below zero is meaningless; it is set to 0 and counted.  A NaN one
+    # would pass every comparison below, so non-finite spreads are refused.
     probe = [float(plant(c * nominal)) for c in np.linspace(0.0, 4.0, 17)]
+    for spread in probe:
+        _check_finite("plant spread", spread)
     clamped_probes = sum(spread < 0.0 for spread in probe)
     probe = [max(spread, 0.0) for spread in probe]
     for low, high in zip(probe, probe[1:]):

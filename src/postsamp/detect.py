@@ -11,16 +11,12 @@ Classifiers are caller-supplied handles mapping an ``(n, dim)`` batch to
 ``n`` probabilities.  Two built-ins ship: a coordinate threshold
 indicator and a coordinate logistic.
 
-Memory model: :func:`plug_in_gap` scores a batch held in memory;
-:func:`streamed_plug_in_gap` reduces its draws block by block as the Monte
-Carlo engine of :mod:`postsamp.regularizers` makes them, so memory does
-not grow with the sample count.  Both reduce rows with one helper.
-
-Threads: :func:`streamed_plug_in_gap` runs its draw units on the engine's
-pool of worker threads, one per usable CPU, and sums them in unit order,
-so its result is the same bits for any worker count.  The classifier is
-therefore called from several threads at once and must be thread-safe;
-the built-ins are pure functions of their input.
+Memory model and threads: :func:`plug_in_gap` scores a batch held in
+memory; :func:`streamed_plug_in_gap` draws through the Monte Carlo engine
+of :mod:`postsamp.regularizers`, whose docstring gives its memory and
+thread rules.  Both reduce rows with one helper.  The engine calls the
+classifier from several threads at once, so it must be thread-safe; the
+built-ins are pure functions of their input.
 """
 
 from __future__ import annotations
@@ -30,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .regularizers import _blocks, _check_finite, _map_units
+from . import _check_finite
+from .regularizers import _draw_units
 from .streams import SeededStream
 from .toy import SampleBatch, ToyPosterior
 
@@ -162,11 +159,11 @@ def streamed_plug_in_gap(
     mu0, sigma0 = post.context_params(context)
     origin = np.concatenate((classifier(mu0), mu0))
 
-    def unit(u: int, count: int) -> np.ndarray:
+    def unit(count: int, blocks) -> np.ndarray:
         carry = None
-        g = stream.child("truths", u).generator()
-        for _, block in _blocks(g, mu0, sigma0, count, mu0.shape):
+        for _, (block,) in blocks:
             carry = _gap_sums(classifier, block, origin, carry)[1]
         return carry
 
-    return _finish_gap(classifier, origin, sum(_map_units(n, None, unit)), n)
+    draws = [(stream, "truths", mu0, sigma0, mu0.shape)]
+    return _finish_gap(classifier, origin, sum(_draw_units(draws, n, None, unit)), n)

@@ -43,18 +43,19 @@ per-replicate loss terms divided by sqrt(n_outer).
 Memory model: one engine draws every Monte Carlo quantity of the package:
 these losses, the validation errors of :mod:`postsamp.autotune` and the
 streamed detection probability of :mod:`postsamp.detect`.  Work is split
-into fixed draw units of 16384 replicates (``_UNIT``), which one runner,
-:func:`_run_units`, draws for the losses and the validation errors: unit
-``u`` draws the codes of each run from ``stream.child("codes", u)`` and
-the truths its runs share from ``stream.child("truths", u)``, in reused
-blocks of about 1 MiB (``_BLOCK``) reduced before the next is drawn.
-Blocks continue their substream, so neither the block size nor the worker
-count can change a result.  Every unit is reduced to (count, means,
-co-moments) of its rows: the loss terms of one run, or the validation
-errors of one or two paired runs.  The standard errors of the losses come
-from the co-moments' diagonal.  Units merge in unit order (Chan, Golub &
-LeVeque), so memory is O(unit + block) per worker whatever P, the
-dimension or the replicate count is.
+into fixed draw units of 16384 items (``_UNIT``), and one runner,
+:func:`_draw_units`, draws them for all three: unit ``u`` of each draw
+comes from ``stream.child(label, u)`` (``"codes"`` for the generated
+samples of a run, ``"truths"`` for posterior draws), in blocks of about
+1 MiB (``_BLOCK``) in buffers each worker reuses, and each block is reduced
+before the next is drawn.  Blocks continue their substream, so neither the
+block size nor the worker count can change a result.  The losses and the
+validation errors reduce every unit to (count, means, co-moments) of its
+rows: the loss terms of one run, or the validation errors of one or two
+paired runs; detection reduces it to sums.  The standard errors of the
+losses come from the co-moments' diagonal.  Units merge in unit order
+(Chan, Golub & LeVeque), so memory is O(unit + block) per worker whatever
+P, the dimension or the item count is.
 
 Threads: every caller spreads its units over a pool of worker threads,
 one per CPU this process may use (its affinity set), but never more than
@@ -80,7 +81,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from . import _check_p
+from . import _check_finite, _check_p
 from .streams import SeededStream
 from .toy import GeneratorParams, ToyPosterior, affine_normals
 
@@ -113,12 +114,6 @@ _UNIT = 1 << 14
 _BLOCK = 1 << 17
 
 _T = TypeVar("_T")
-
-
-def _check_finite(name: str, value: float) -> None:
-    """Raise unless the parameter ``name`` is finite."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -233,25 +228,38 @@ def _map_units(n: int, threads: int | None, unit: Callable[[int, int], _T]) -> I
         yield from (future.result() for future in pending)
 
 
-def _blocks(
-    g: np.random.Generator, mu, sigma, count: int, shape: tuple, width: int = 0, buffer=None
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """``(rows, mu + sigma * z)`` for ``count`` rows shaped ``shape``, block by block.
+def _draw_units(draws: list, n: int, threads: int | None, unit: Callable) -> Iterator[_T]:
+    """``unit(count, blocks)`` for the draw units of ``n`` items, yielded in unit order.
 
-    A block holds about ``_BLOCK`` values (at least one row) in one reused
-    buffer, so reduce it before advancing; ``width`` sizes the blocks as if
-    a row held that many values, to align the rows of two substreams.
-    ``buffer``, if given, must hold a block.  Blocks continue ``g``'s
-    sequence, so any split replays the same draws.
+    Draw ``(stream, label, mu, sigma, shape)`` takes unit ``u``'s items,
+    ``mu + sigma * z`` shaped ``shape``, from ``stream.child(label, u)``.
+    ``blocks`` yields ``(rows, values)``, one array per draw, in blocks of
+    about ``_BLOCK`` values of the widest draw (at least one item), so the
+    draws' blocks cover the same rows.  Each block overwrites the last, so
+    reduce it before advancing.  Blocks continue their substreams, so neither
+    the block size nor the worker count can change a result.  Each worker
+    reuses its block buffers: fresh ones per unit were returned to the OS and
+    faulted in again (a sixth of ``autotune-sim --mc`` on 1 CPU).
     """
-    size = math.prod(shape)
-    step = max(1, min(count, _BLOCK // max(width, size)))
-    if buffer is None:
-        buffer = np.empty(step * size)
-    for start in range(0, count, step):
-        n = min(step, count - start)
-        out = buffer[: n * size].reshape(n, *shape)
-        yield slice(start, start + n), affine_normals(g, mu, sigma, out)
+    step = max(1, min(n, _UNIT, _BLOCK // max(math.prod(d[-1]) for d in draws)))
+    scratch = threading.local()
+
+    def run(u: int, count: int) -> _T:
+        if not hasattr(scratch, "buffers"):
+            scratch.buffers = [np.empty((step, *shape)) for *_, shape in draws]
+        gens = [s.child(label, u).generator() for s, label, *_ in draws]
+
+        def blocks() -> Iterator[tuple[slice, list]]:
+            for start in range(0, count, step):
+                rows = slice(start, min(start + step, count))
+                yield rows, [
+                    affine_normals(g, mu, sigma, buffer[: rows.stop - start])
+                    for g, (*_, mu, sigma, _), buffer in zip(gens, draws, scratch.buffers)
+                ]
+
+        return unit(count, blocks())
+
+    return _map_units(n, threads, run)
 
 
 def _block_terms(xhat: np.ndarray, x: np.ndarray | None, spread: bool, out: np.ndarray) -> None:
@@ -325,38 +333,24 @@ def _run_units(
     Run ``(P, stream)`` draws unit ``u``'s codes from ``stream.child("codes", u)``;
     with ``truth = (post, context, stream)``, one truth per replicate, which
     every run shares, comes from ``stream.child("truths", u)``.
-    ``terms[r]`` holds run r's :func:`_block_terms` rows.  All blocks of a
-    unit are sized by the widest run, so they cover the same rows.  Each
-    worker reuses its block buffers: fresh ones per unit were returned to
-    the OS and faulted in again (a sixth of ``autotune-sim --mc`` on 1 CPU).
+    ``terms[r]`` holds run r's :func:`_block_terms` rows.
     """
     for P, _ in runs:
         _check_p(P, 1)
-    dim = params.dim
-    width = max(P for P, _ in runs) * dim
-    draws = [(s, "codes", params.mu, params.sigma, (P, dim)) for P, s in runs]
+    draws = [(s, "codes", params.mu, params.sigma, (P, params.dim)) for P, s in runs]
     if truth is not None:
         post, context, s = truth
-        draws.append((s, "truths", *_context_params(params, post, context), (dim,)))
-    scratch = threading.local()
+        draws.append((s, "truths", *_context_params(params, post, context), (params.dim,)))
 
-    def unit(u: int, count: int) -> _T:
-        if not hasattr(scratch, "buffers"):  # room for the blocks of the largest unit
-            step = max(1, min(n, _UNIT, _BLOCK // width))
-            scratch.buffers = [np.empty(step * math.prod(draw[-1])) for draw in draws]
-        blocks = [
-            _blocks(s.child(label, u).generator(), mu, sigma, count, shape, width, buffer)
-            for (s, label, mu, sigma, shape), buffer in zip(draws, scratch.buffers)
-        ]
+    def unit(count: int, blocks: Iterator) -> _T:
         terms = np.empty((len(runs), 2 * (truth is not None) + 2 * spread, count))
-        for drawn in zip(*blocks):
-            rows = drawn[0][0]
-            x = drawn[-1][1] if truth is not None else None
-            for out, (_, xhat) in zip(terms, drawn[: len(runs)]):
+        for rows, drawn in blocks:
+            x = drawn[-1] if truth is not None else None
+            for out, xhat in zip(terms, drawn[: len(runs)]):
                 _block_terms(xhat, x, spread, out[:, rows])
         return reduce(terms)
 
-    return _map_units(n, threads, unit)
+    return _draw_units(draws, n, threads, unit)
 
 
 def _mc_pass(

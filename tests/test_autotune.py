@@ -355,6 +355,12 @@ INPUT_CHECKS = [
                  id="state-nonfinite-beta"),
     pytest.param(lambda: AutotuneState(0.1, -0.1, 8, 2), "mu_sd must be >= 0",
                  id="state-negative-mu-sd"),
+    pytest.param(lambda: AutotuneState(math.inf, 0.1, 8, 2), "beta_sd must be finite, got inf",
+                 id="state-infinite-beta"),
+    pytest.param(lambda: AutotuneState(0.1, math.nan, 8, 2), "mu_sd must be finite, got nan",
+                 id="state-nan-mu-sd"),
+    pytest.param(lambda: AutotuneState(0.1, math.inf, 8, 2), "mu_sd must be finite, got inf",
+                 id="state-infinite-mu-sd"),
     pytest.param(lambda: AutotuneState(0.1, 0.1, 1, 2), "p_val must be >= 2, got 1",
                  id="state-p-val"),
     pytest.param(lambda: AutotuneState(0.1, 0.1, 8, 1), "p_train must be >= 2, got 1",
@@ -369,6 +375,15 @@ INPUT_CHECKS = [
     pytest.param(
         lambda: simulate_autotune(lambda beta: beta, STD_POST, 0, 8, 0, 10, 0.1, STREAM),
         "epochs must be >= 1", id="simulate-zero-epochs",
+    ),
+    # max(nan, 0.0) is nan, which passes every monotonicity comparison.
+    pytest.param(
+        lambda: simulate_autotune(lambda beta: math.nan, STD_POST, 0, 8, 1, 10, 0.1, STREAM),
+        "plant spread must be finite, got nan", id="simulate-nan-plant",
+    ),
+    pytest.param(
+        lambda: simulate_autotune(lambda beta: math.inf, STD_POST, 0, 8, 1, 10, 0.1, STREAM),
+        "plant spread must be finite, got inf", id="simulate-infinite-plant",
     ),
     pytest.param(lambda: psnr_gain_curve(0), "P_max must be >= 1, got 0", id="curve-zero"),
 ]

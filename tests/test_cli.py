@@ -1155,6 +1155,22 @@ CLI_INPUT_CHECKS = [
         "ranges must be finite, got mu (-3.0, 3.0), sigma (nan, 3.0)",
         id="contours-sigma-min-nan",
     ),
+    pytest.param(
+        lambda tmp_path: ["autotune-sim", "--mu-sd", "nan"],
+        "mu_sd must be finite, got nan", id="autotune-mu-sd-nan",
+    ),
+    pytest.param(
+        lambda tmp_path: ["autotune-sim", "--mu-sd", "inf", "--beta0", "0.9"],
+        "mu_sd must be finite, got inf", id="autotune-mu-sd-infinite",
+    ),
+    pytest.param(
+        lambda tmp_path: ["autotune-sim", "--plant-slope", "nan"],
+        "plant spread must be finite, got nan", id="autotune-plant-slope-nan",
+    ),
+    pytest.param(
+        lambda tmp_path: ["autotune-sim", "--plant-offset", "inf"],
+        "plant spread must be finite, got inf", id="autotune-plant-offset-infinite",
+    ),
 ]
 
 
@@ -1185,6 +1201,32 @@ def test_losses_rejects_a_bad_beta_before_drawing(tmp_path, capsys, monkeypatch,
     assert code == 1
     assert summary["error"] == {"type": "ValueError", "message": message}
     assert not (tmp_path / "l.json").exists()
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("losses", ""),
+    ("verify-prop3", ""),
+    ("detect", ""),
+    ("autotune-sim", "--mc --v 100 --seed 1"),
+])
+def test_every_monte_carlo_draw_comes_from_the_engine_runner(
+    tmp_path, capsys, monkeypatch, command, extra
+):
+    """Each Monte Carlo command keys its generators in one place, the engine's
+    draw-unit runner: every SeededStream.generator call comes from
+    postsamp.regularizers."""
+    callers = []
+    generator = SeededStream.generator
+
+    def recorded(self):
+        callers.append(sys._getframe(1).f_globals["__name__"])
+        return generator(self)
+
+    monkeypatch.setattr(SeededStream, "generator", recorded)
+    argv = [command, *_SMALL_ARGV[command].split(), *extra.split()]
+    code, _ = run_cli(capsys, *argv, "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert callers and set(callers) == {"postsamp.regularizers"}
 
 
 class TestFlagsAgainstClosedForms:
