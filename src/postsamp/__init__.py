@@ -50,6 +50,14 @@ def _check_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_overflow(name: str, value: float) -> float:
+    """Return ``value``, the result ``name``; raise if it is not finite, which
+    from finite inputs means that float64 overflowed."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} overflowed float64, got {value}")
+    return value
+
+
 def __getattr__(name: str):
     if name not in _SUBMODULE:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable
 
-from . import _check_finite, _check_p
+from . import _check_finite, _check_overflow, _check_p
 
 if TYPE_CHECKING:
     import numpy as np
@@ -289,6 +289,8 @@ def simulate_autotune(
         else:
             e1 = closed_form_l2p(params, post, context, 1)
             ep = closed_form_l2p(params, post, context, p_val)
+        _check_overflow(f"the epoch {epoch} error at P = 1", e1)
+        _check_overflow(f"the epoch {epoch} error at P = {p_val}", ep)
         ratio_db_now = db(e1 / ep)
         rows.append(TraceRow(epoch, state.beta_sd, ratio_db_now, target))
         if abs(ratio_db_now - target) <= tol_db:

@@ -114,7 +114,7 @@ def _as_matrix(values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_shapes(x_shape, y_shape, xhat_shape, P: int) -> bool:
+def _check_shapes(x_shape, y_shape, xhat_shape) -> bool:
     """Validate row-aligned shapes; True when rows < dims + 2 (rank-deficient)."""
     rows = x_shape[0]
     if not (rows == y_shape[0] == xhat_shape[0]):
@@ -125,29 +125,21 @@ def _check_shapes(x_shape, y_shape, xhat_shape, P: int) -> bool:
         raise ValueError(
             f"x and xhat must share a column count: {x_shape[1]} vs {xhat_shape[1]}"
         )
-    _check_p(P, 1)
-    if rows % P != 0:
-        raise ValueError(f"row count {rows} is not a multiple of P={P}")
     return rows < x_shape[1] + y_shape[1] + 2
 
 
 @dataclass(frozen=True)
 class EmbeddingSet:
-    """Row-aligned truth / measurement / generated embedding matrices."""
+    """Row-aligned truth / measurement / generated embedding matrices; :func:`cfid` takes P."""
 
     x: np.ndarray
     y: np.ndarray
     xhat: np.ndarray
-    P: int = 1
 
     def __post_init__(self) -> None:
-        x = _as_matrix(self.x, "x")
-        y = _as_matrix(self.y, "y")
-        xhat = _as_matrix(self.xhat, "xhat")
-        _check_shapes(x.shape, y.shape, xhat.shape, self.P)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "xhat", xhat)
+        for name in ("x", "y", "xhat"):
+            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
+        _check_shapes(self.x.shape, self.y.shape, self.xhat.shape)
 
     @property
     def rows(self) -> int:
@@ -477,24 +469,26 @@ def cfid(source, P: int = 1) -> FrechetResult:
     """Conditional Frechet distance between truth and generated embeddings.
 
     ``source`` is a :class:`JointGaussianStats`, an :class:`EmbeddingSet`,
-    or the (x, y, xhat) embedding-file paths, which follow the repetition
-    convention with ``P`` rows per measurement (an ``EmbeddingSet`` carries
-    its own ``P``).  Row input adds ``rows`` and ``rank_deficient``
-    (rows < dims + 2) to the diagnostics.
+    or the (x, y, xhat) embedding-file paths; ``P`` (at least 1) is given
+    here for each of them.  Rows follow the repetition convention with ``P``
+    rows per measurement, so a row count must be a multiple of ``P``.  Row
+    input adds ``rows`` and ``rank_deficient`` (rows < dims + 2) to the
+    diagnostics.
     """
+    _check_p(P, 1)
     report = {}
     if isinstance(source, JointGaussianStats):
         joint = source
     else:
         if isinstance(source, EmbeddingSet):
-            if P != 1:
-                raise ValueError("an EmbeddingSet carries its own P")
-            source, P = (source.x, source.y, source.xhat), source.P
+            source = (source.x, source.y, source.xhat)
         with ExitStack() as stack:
             sources = [
                 _row_source(stack, item, name) for item, name in zip(source, ("x", "y", "xhat"))
             ]
-            rank_deficient = _check_shapes(*(rows.shape for rows in sources), P)
+            rank_deficient = _check_shapes(*(rows.shape for rows in sources))
+            if sources[0].shape[0] % P != 0:
+                raise ValueError(f"row count {sources[0].shape[0]} is not a multiple of P={P}")
             moments = _accumulate(sources, _CFID_PAIRS)
         joint = _joint_stats(moments)
         report.update(rows=moments.rows, rank_deficient=rank_deficient)

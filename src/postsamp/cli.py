@@ -129,11 +129,10 @@ def _vector_csv(values: np.ndarray) -> Iterator[str]:
     """One value per line, or 're,im' per line for complex values."""
     import numpy as np
 
-    if np.iscomplexobj(values):
-        lines = np.column_stack((values.real, values.imag))
-    else:
-        lines = np.asarray(values, dtype=np.float64)[:, None]
-    return _csv([lines.ravel()], lines.shape[1])
+    # Complex values viewed as float64 are their re,im pairs, bits kept, no copy.
+    columns = 2 if np.iscomplexobj(values) else 1
+    values = np.ascontiguousarray(values, dtype=(np.float64, np.complex128)[columns - 1])
+    return _csv([values.view(np.float64)], columns)
 
 
 def _contour_csv(grid) -> Iterator[str]:
@@ -293,14 +292,11 @@ def _cmd_fid(args) -> tuple[int, dict, None]:
 def _cmd_dc(args) -> tuple[int, dict, Iterator[str]]:
     import numpy as np
 
-    from .linops import complex_from_interleaved, data_consistency, load_operator
+    from .linops import data_consistency, load_operator
 
     operator = load_operator(args.mask, coils=args.coils)
     x_raw = _read_vector_csv(args.x_raw)
     y = _read_vector_csv(args.y)
-    if args.interleaved:
-        x_raw = complex_from_interleaved(x_raw)
-        y = complex_from_interleaved(y)
     result = data_consistency(operator, x_raw, y)
     residual = float(np.max(np.abs(operator.apply(result) - y)))
     return 0, {"max_residual": residual, "dim": int(result.shape[0])}, _vector_csv(result)
@@ -460,8 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coils", type=int, default=1)
     p.add_argument("--x-raw", required=True, help="raw vector CSV (value or re,im per line)")
     p.add_argument("--y", required=True, help="measurement vector CSV")
-    p.add_argument("--interleaved", action="store_true",
-                   help="inputs are interleaved re/im single-column vectors")
     _add_common(p, seed_required=None)
     p.set_defaults(handler=_cmd_dc)
 
@@ -515,8 +509,12 @@ def main(argv: list | None = None) -> int:
                 f"refusing to overwrite existing artifact {args.out!r}; pass --force"
             )
         exit_code, results, chunks = args.handler(args)
+        # allow_nan=False: a result that is inf or NaN fails here, before
+        # anything is written, instead of making the JSON invalid.
+        document = json.dumps({**summary, "results": results}, sort_keys=True, indent=2,
+                              allow_nan=False)
         if chunks is None:  # a JSON artifact: the summary's identity fields and results
-            chunks = [json.dumps({**summary, "results": results}, sort_keys=True, indent=2) + "\n"]
+            chunks = [document + "\n"]
         # Mode "x" fails on a file that appeared while the handler ran.
         handle = open(args.out, "w" if args.force else "x", encoding="utf-8", newline="")
         try:
@@ -533,7 +531,7 @@ def main(argv: list | None = None) -> int:
         status = "ok" if exit_code == 0 else "failed"
         summary.update(status=status, artifacts=[args.out], results=results)
     summary["wall_time_ms"] = (time.perf_counter() - start) * 1000.0
-    print(json.dumps(summary, sort_keys=True))
+    print(json.dumps(summary, sort_keys=True, allow_nan=False))
     return exit_code
 
 

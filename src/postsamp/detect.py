@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import _check_finite
+from . import _check_finite, _check_overflow
 from .regularizers import _draw_units
 from .streams import SeededStream
 from .toy import SampleBatch, ToyPosterior
@@ -130,6 +130,7 @@ def _finish_gap(
 ) -> tuple[float, float]:
     """(average of c, c at the average) from the :func:`_gap_sums` of ``n`` rows."""
     mean = origin + sums / n
+    _check_overflow("the average of the samples", float(np.abs(mean).max()))
     return float(mean[0]), float(classifier(mean[None, 1:])[0])
 
 
@@ -166,4 +167,5 @@ def streamed_plug_in_gap(
         return carry
 
     draws = [(stream, "truths", mu0, sigma0, mu0.shape)]
-    return _finish_gap(classifier, origin, sum(_draw_units(draws, n, None, unit)), n)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a draw unit
+        return _finish_gap(classifier, origin, sum(_draw_units(draws, n, None, unit)), n)

@@ -37,7 +37,6 @@ __all__ = [
     "FourierSubsampler",
     "data_consistency",
     "load_operator",
-    "complex_from_interleaved",
 ]
 
 
@@ -171,25 +170,6 @@ class FourierSubsampler:
 def data_consistency(operator, x_raw: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Replace the measured component of ``x_raw`` so that ``A result = y``."""
     return operator.nullspace_project(x_raw) + operator.pinv_apply(y)
-
-
-# ---------------------------------------------------------------------------
-# Interleaved real/imaginary input for the file-facing complex vectors
-# ---------------------------------------------------------------------------
-
-
-def complex_from_interleaved(values: np.ndarray) -> np.ndarray:
-    """Complex vector from alternating real/imaginary parts, each kept as given.
-
-    A view of a copy, since ``re + 1j*im`` turns a ``-0.0`` real part into ``0.0``
-    and spreads a NaN imaginary part into the real part.
-    """
-    if np.iscomplexobj(values):
-        raise ValueError("interleaved vector must be real, one part per value")
-    values = np.array(values, dtype=np.float64)
-    if values.ndim != 1 or values.size % 2 != 0:
-        raise ValueError("interleaved vector must be 1-D with even length")
-    return values.view(np.complex128)
 
 
 # ---------------------------------------------------------------------------

@@ -320,11 +320,12 @@ def contour_grid(
     value = CLOSED_FORMS[kind.kind].value
     values = np.empty((resolution, resolution))
     rows = max(1, _BAND // resolution)
-    for start in range(0, resolution, rows):
-        band = slice(start, start + rows)
-        mu_grid, sigma_grid = np.meshgrid(mu_axis, sigma_axis[band])
-        values[band] = value(
-            mu_grid[..., None] - mu0, sigma_grid[..., None], sigma0, kind.P, kind.beta_sd
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # ContourGrid refuses inf and NaN
+        for start in range(0, resolution, rows):
+            band = slice(start, start + rows)
+            mu_grid, sigma_grid = np.meshgrid(mu_axis, sigma_axis[band])
+            values[band] = value(
+                mu_grid[..., None] - mu0, sigma_grid[..., None], sigma0, kind.P, kind.beta_sd
+            )
     return ContourGrid(mu_axis, sigma_axis, values, kind, truth)
 

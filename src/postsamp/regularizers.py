@@ -81,7 +81,7 @@ from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
-from . import _check_finite, _check_p
+from . import _check_finite, _check_overflow, _check_p
 from .streams import SeededStream
 from .toy import GeneratorParams, ToyPosterior, affine_normals
 
@@ -257,7 +257,9 @@ def _draw_units(draws: list, n: int, threads: int | None, unit: Callable) -> Ite
                     for g, (*_, mu, sigma, _), buffer in zip(gens, draws, scratch.buffers)
                 ]
 
-        return unit(count, blocks())
+        # Set per thread, as numpy's error state is; each caller refuses inf or NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return unit(count, blocks())
 
     return _map_units(n, threads, run)
 
@@ -304,9 +306,10 @@ def _merge(a: tuple, b: tuple) -> tuple:
     """Pooled :func:`_comoments` of two disjoint samples: Chan, Golub &
     LeVeque's update, with the outer product of the mean differences."""
     (n_a, mean_a, m2_a), (n_b, mean_b, m2_b) = a, b
-    n, delta = n_a + n_b, mean_b - mean_a
-    spread = np.multiply.outer(delta, delta)
-    return n, mean_a + delta * (n_b / n), m2_a + m2_b + spread * (n_a * n_b / n)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in a draw unit
+        n, delta = n_a + n_b, mean_b - mean_a
+        spread = np.multiply.outer(delta, delta)
+        return n, mean_a + delta * (n_b / n), m2_a + m2_b + spread * (n_a * n_b / n)
 
 
 def _context_params(
@@ -378,10 +381,14 @@ def _mc_pass(
     names = ("l1p", "l2p") * (truth is not None) + ("lsdp", "lvarp")
     scale = {"l1p": 1.0, "l2p": 1.0, "lsdp": gamma_p(P) / P, "lvarp": 1.0 / (P - 1)}
     normals = n * params.dim * (P + (truth is not None))
-    return {
+    estimates = {
         name: LossEstimate(float(scale[name] * m), float(scale[name] * se), n, P, normals)
         for name, m, se in zip(names, mean, np.sqrt(np.diag(m2) / (n - 1) / n))
     }
+    for name, est in estimates.items():
+        _check_overflow(name, est.value)
+        _check_overflow(f"{name} std_error", est.std_error)
+    return estimates
 
 
 def _residual_units(
@@ -503,8 +510,10 @@ def folded_normal_abs_mean(delta, s):
     """
     delta = np.asarray(delta, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
-    ratio = delta / s
-    with np.errstate(under="ignore"):
+    # Past |ratio| of about 1.3e154 its square overflows, and past 1.8e308 the
+    # ratio itself; exp(-inf) = 0 and erf(+-inf) = +-1 are exact there.
+    with np.errstate(under="ignore", over="ignore"):
+        ratio = delta / s
         gauss = np.exp(-0.5 * ratio**2)
     return s * math.sqrt(2.0 / math.pi) * gauss + delta * _erf(ratio / math.sqrt(2.0))
 
@@ -532,7 +541,7 @@ def _l1sd_terms(delta, sigma, sigma0, P):
     """s, r = delta / s and phi = sqrt(2/pi) exp(-r^2/2)."""
     s = np.sqrt(sigma0**2 + sigma**2 / P)
     ratio = delta / s
-    with np.errstate(under="ignore"):
+    with np.errstate(under="ignore", over="ignore"):  # as in folded_normal_abs_mean
         phi = math.sqrt(2.0 / math.pi) * np.exp(-0.5 * ratio**2)
     return s, ratio, phi
 
@@ -605,7 +614,9 @@ def _closed_form(
 ) -> float:
     """The table's ``value`` of kind ``reg`` at ``params``, for one context."""
     mu0, sigma0 = _context_params(params, post, context)
-    return float(CLOSED_FORMS[reg].value(params.mu - mu0, params.sigma, sigma0, P, beta_sd))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        value = float(CLOSED_FORMS[reg].value(params.mu - mu0, params.sigma, sigma0, P, beta_sd))
+    return _check_overflow(f"the closed-form {reg.value} value", value)
 
 
 def closed_form_j(

@@ -226,7 +226,7 @@ class TestAcceptance:
         # Identical embedding sets.
         x = rng.standard_normal((400, 5))
         y = rng.standard_normal((400, 3))
-        identical = cfid(EmbeddingSet(x, y, x.copy(), P=1)).value
+        identical = cfid(EmbeddingSet(x, y, x.copy())).value
         checks.append(identical <= 1e-8)
         details.append(f"identical sets {identical:.1e}")
 
@@ -239,7 +239,7 @@ class TestAcceptance:
                 yy = local.standard_normal((n, 4))
                 xx = yy @ b2 + local.standard_normal((n, 8))
                 xxhat = yy @ b2 + local.standard_normal((n, 8))
-                _, cov_part = cfid(EmbeddingSet(xx, yy, xxhat, P=1)).parts
+                _, cov_part = cfid(EmbeddingSet(xx, yy, xxhat)).parts
                 sink.append(cov_part)
         checks.append(float(np.mean(small)) > float(np.mean(large)))
         details.append(

@@ -18,6 +18,7 @@ from postsamp.autotune import (
     AutotuneState,
     ValidationSet,
     NonMonotonePlantError,
+    _ratio_from_moments,
     db,
     e_hat,
     e_hat_items,
@@ -370,6 +371,8 @@ INPUT_CHECKS = [
                  id="ratio-one-item"),
     pytest.param(lambda: ratio_with_se(np.ones(3), np.ones(4)),
                  "need two paired 1-D arrays with at least 2 items", id="ratio-shapes"),
+    pytest.param(lambda: _ratio_from_moments(2, np.array([1.0, 0.0]), np.zeros((2, 2))),
+                 "denominator mean must be positive", id="ratio-zero-denominator"),
     pytest.param(lambda: db(0.0), "dB of a nonpositive value: 0.0", id="db-zero"),
     pytest.param(lambda: target_ratio_db(0), "P must be >= 1, got 0", id="target-p-zero"),
     pytest.param(

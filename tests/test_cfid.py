@@ -82,7 +82,8 @@ class TestComputeStats:
     def test_two_row_hand_example(self):
         """Population covariance of {0, 2} is 1 for every block."""
         x = np.array([[0.0], [2.0]])
-        embeddings = EmbeddingSet(x, x.copy(), x.copy(), P=1)
+        embeddings = EmbeddingSet(x, x.copy(), x.copy())
+        assert embeddings.rows == 2
         stats = compute_stats(embeddings)
         assert stats.s_xx[0, 0] == 1.0
         assert stats.s_yy[0, 0] == 1.0
@@ -95,7 +96,7 @@ class TestComputeStats:
     def test_identical_rows_give_zero_covariance(self):
         row = np.array([[1.0, 2.0, 3.0]])
         x = np.repeat(row, 10, axis=0)
-        stats = compute_stats(EmbeddingSet(x, x[:, :2], x, P=1))
+        stats = compute_stats(EmbeddingSet(x, x[:, :2], x))
         assert np.all(stats.s_xx == 0.0)
         assert np.all(stats.s_xy == 0.0)
         np.testing.assert_array_equal(stats.mu_x, row[0])
@@ -104,7 +105,7 @@ class TestComputeStats:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((300, 4))
         y = rng.standard_normal((300, 2))
-        stats = compute_stats(EmbeddingSet(x, y, x.copy(), P=1))
+        stats = compute_stats(EmbeddingSet(x, y, x.copy()))
         np.testing.assert_array_equal(stats.s_xx, stats.s_xhatxhat)
         np.testing.assert_array_equal(stats.s_xy, stats.s_xhaty)
 
@@ -112,19 +113,15 @@ class TestComputeStats:
         """1/rows, no Bessel correction."""
         rng = np.random.default_rng(1)
         x = rng.standard_normal((50, 3))
-        stats = compute_stats(EmbeddingSet(x, x[:, :1], x, P=1))
+        stats = compute_stats(EmbeddingSet(x, x[:, :1], x))
         centered = x - x.mean(axis=0)
         np.testing.assert_allclose(stats.s_xx, centered.T @ centered / 50, atol=1e-15)
 
     def test_row_count_must_divide_by_p(self):
         rng = np.random.default_rng(2)
-        with pytest.raises(ValueError):
-            EmbeddingSet(
-                rng.standard_normal((10, 2)),
-                rng.standard_normal((10, 2)),
-                rng.standard_normal((10, 2)),
-                P=3,
-            )
+        embeddings = EmbeddingSet(*(rng.standard_normal((10, 2)) for _ in range(3)))
+        with pytest.raises(ValueError, match="row count 10 is not a multiple of P=3"):
+            cfid(embeddings, 3)
 
     def test_non_finite_and_mismatched_inputs_rejected(self):
         rng = np.random.default_rng(3)
@@ -133,11 +130,11 @@ class TestComputeStats:
         bad = x.copy()
         bad[0, 0] = np.nan
         with pytest.raises(ValueError):
-            EmbeddingSet(bad, y, x, P=1)
+            EmbeddingSet(bad, y, x)
         with pytest.raises(ValueError):
-            EmbeddingSet(x, y[:6], x, P=1)
+            EmbeddingSet(x, y[:6], x)
         with pytest.raises(ValueError):
-            EmbeddingSet(x, y, rng.standard_normal((12, 3)), P=1)
+            EmbeddingSet(x, y, rng.standard_normal((12, 3)))
 
 
 class TestConditionalStats:
@@ -157,7 +154,7 @@ class TestConditionalStats:
         """x == y exactly: nothing left to explain given the measurement."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal((500, 3))
-        stats = compute_stats(EmbeddingSet(x, x.copy(), x.copy(), P=1))
+        stats = compute_stats(EmbeddingSet(x, x.copy(), x.copy()))
         cond = conditional_stats(stats)
         assert np.abs(cond.s_xx_given_y).max() <= 1e-12
 
@@ -230,7 +227,7 @@ class TestCfid:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((400, 5))
         y = rng.standard_normal((400, 3))
-        assert cfid(EmbeddingSet(x, y, x.copy(), P=1)).value <= 1e-8
+        assert cfid(EmbeddingSet(x, y, x.copy())).value <= 1e-8
 
     def test_unit_mean_shift_analytic(self):
         """x|y ~ N(0,1), xhat|y ~ N(1,1), independent y: distance 1."""
@@ -262,7 +259,7 @@ class TestCfid:
             y = rng.standard_normal((n, d_y))
             x = y @ rng.standard_normal((d_y, d)) + rng.standard_normal((n, d))
             xhat = y @ rng.standard_normal((d_y, d)) + rng.standard_normal((n, d))
-            embeddings = EmbeddingSet(x, y, xhat, P=1)
+            embeddings = EmbeddingSet(x, y, xhat)
             result = cfid(embeddings)
             mean_part, cov_part = result.parts
             assert mean_part >= 0.0 and cov_part >= 0.0
@@ -272,7 +269,7 @@ class TestCfid:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((600, 4))
         y = rng.standard_normal((600, 2))
-        mean_part, cov_part = cfid(EmbeddingSet(x, y, x + 3.0, P=1)).parts
+        mean_part, cov_part = cfid(EmbeddingSet(x, y, x + 3.0)).parts
         assert cov_part <= 1e-8
         assert mean_part == pytest.approx(4 * 9.0, rel=1e-12)
 
@@ -282,9 +279,9 @@ class TestCfid:
         y = rng.standard_normal((n, 2))
         x = y @ rng.standard_normal((2, 4)) + rng.standard_normal((n, 4))
         xhat = 0.5 * x + rng.standard_normal((n, 4))
-        base = cfid(EmbeddingSet(x, y, xhat, P=1)).value
+        base = cfid(EmbeddingSet(x, y, xhat)).value
         perm = rng.permutation(n)
-        shuffled = cfid(EmbeddingSet(x[perm], y[perm], xhat[perm], P=1)).value
+        shuffled = cfid(EmbeddingSet(x[perm], y[perm], xhat[perm])).value
         assert shuffled == pytest.approx(base, abs=1e-12 * max(1.0, base))
 
     def test_repetition_convention_rank_deficiency_is_absorbed(self):
@@ -295,7 +292,7 @@ class TestCfid:
         y = np.repeat(y_unique, P, axis=0)
         x = np.repeat(rng.standard_normal((n_measurements, d)), P, axis=0)
         xhat = x + rng.standard_normal((n_measurements * P, d))
-        value = cfid(EmbeddingSet(x, y, xhat, P=P)).value
+        value = cfid(EmbeddingSet(x, y, xhat), P).value
         assert np.isfinite(value) and value >= 0.0
 
     def test_small_sample_covariance_bias_direction(self):
@@ -309,7 +306,7 @@ class TestCfid:
                 y = rng.standard_normal((n, d_y))
                 x = y @ b + rng.standard_normal((n, d))
                 xhat = y @ b + rng.standard_normal((n, d))
-                _, cov_part = cfid(EmbeddingSet(x, y, xhat, P=1)).parts
+                _, cov_part = cfid(EmbeddingSet(x, y, xhat)).parts
                 sink.append(cov_part)
         assert np.mean(small) > np.mean(large)
 
@@ -509,7 +506,7 @@ class TestStreamedAgreement:
         want = _sqrtm_oracle(_plain_stats(x, y, xhat))
         paths = _write_set(tmp_path, x, y, xhat)
         got = {
-            "in-memory": cfid(EmbeddingSet(x, y, xhat, P=P)).parts,
+            "in-memory": cfid(EmbeddingSet(x, y, xhat), P).parts,
             "streamed": cfid(paths, P=P).parts,
         }
         # 7-row blocks: many Chan merges and a partial last block.
@@ -550,7 +547,7 @@ class TestBlockBoundaries:
         y = rng.standard_normal((100, 3)) + 5.0
         x = y @ rng.standard_normal((3, 4)) + rng.standard_normal((100, 4)) - 2.0
         xhat = 0.5 * x + rng.standard_normal((100, 4))
-        embeddings = EmbeddingSet(x, y, xhat, P=1)
+        embeddings = EmbeddingSet(x, y, xhat)
         whole = compute_stats(embeddings)
         monkeypatch.setattr(cfid_module, "_BUDGET", rows_per_block * 8 * 11)
         blocked = compute_stats(embeddings)
@@ -622,8 +619,6 @@ class TestStreamedValidation:
         paths = _write_set(tmp_path, x, y, x)
         with pytest.raises(ValueError, match="multiple of P"):
             cfid(paths, P=5)
-        with pytest.raises(ValueError, match="carries its own P"):
-            cfid(EmbeddingSet(x, y, x, P=1), P=4)
 
 
 class TestDiagnostics:
@@ -644,7 +639,7 @@ class TestDiagnostics:
             assert report["clamped_mass"] == 0.0
         assert "clamped" not in diagnostics
         assert (mean_part, cov_part) == pytest.approx(
-            cfid(EmbeddingSet(x, y, xhat, P=P)).parts, rel=1e-10
+            cfid(EmbeddingSet(x, y, xhat), P).parts, rel=1e-10
         )
 
     def test_few_rows_flag_rank_deficiency_and_clamps(self, tmp_path):
@@ -706,13 +701,13 @@ class TestClampDiagnostics:
 
     def test_every_input_form_reports_the_part_it_zeroed(self, tmp_path, monkeypatch):
         x, y, xhat, P = CFID_CASES["repetition"]
-        embeddings = EmbeddingSet(x, y, xhat, P=P)
+        embeddings = EmbeddingSet(x, y, xhat)
         joint = compute_stats(embeddings)
         paths = _write_set(tmp_path, x, y, xhat)
-        mean_part = cfid(embeddings).parts[0]
+        mean_part = cfid(embeddings, P).parts[0]
         monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-12, {}))
         for name, result in (
-            ("in-memory", cfid(embeddings)),
+            ("in-memory", cfid(embeddings, P)),
             ("stats", cfid(joint)),
             ("files", cfid(paths, P=P)),
         ):
@@ -731,8 +726,8 @@ class TestClampDiagnostics:
         results = (
             fid(x, xhat),
             gaussian_w2_squared(np.zeros(3), np.eye(3), np.ones(3), 2 * np.eye(3)),
-            cfid(EmbeddingSet(x_c, y, xhat_c, P=P)),
-            cfid(compute_stats(EmbeddingSet(x_c, y, xhat_c, P=P))),
+            cfid(EmbeddingSet(x_c, y, xhat_c), P),
+            cfid(compute_stats(EmbeddingSet(x_c, y, xhat_c)), P),
         )
         for result in results:
             assert result.value > 0.0

@@ -96,6 +96,18 @@ class TestContours:
         assert "sigma range" in summary["error"]["message"]
         assert not out.exists()
 
+    def test_l1sd_grid_far_past_the_truth(self, tmp_path, capsys):
+        """Past |mu - mu0| / s of about 1.3e154 the folded mean's exp term is
+        exactly 0: the grid is written with no overflow warning."""
+        out = tmp_path / "grid.csv"
+        code, summary = run_cli(
+            capsys,
+            "contours", "--kind", "l1sd", "--p", "2", "--mu0", "0", "--sigma0", "1",
+            "--mu-min=-1e300", "--mu-max=1e300", "--out", str(out),
+        )
+        assert code == 0
+        assert summary["results"]["argmin_contains_truth"] is True
+
     def test_l2_argmin_on_collapse_row(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         code, summary = run_cli(
@@ -327,46 +339,25 @@ class TestDc:
         assert summary["results"]["max_residual"] <= 1e-10
 
     def test_interleaved_matches_two_column(self, tmp_path, capsys):
-        """The same complex vectors, interleaved and as 're,im' lines, give the same bytes.
+        """'re,im' lines keep each part as parsed, through to the artifact.
 
-        Entry 1 is unmeasured, so its NaN imaginary part reaches the artifact.
+        Entry 1 is unmeasured, so its NaN imaginary part reaches the artifact,
+        still imaginary; the signed zeros of the measured entries sum to 0.0.
         """
         mask = tmp_path / "m.txt"
         mask.write_text("N=3\n0\n2\n")
         x_raw = [(-0.0, 1.5), (2.0, float("nan")), (0.25, -0.0)]
         y = [(-0.0, -0.0), (-3.0, 0.5)]
         for name, parts in (("xr", x_raw), ("y", y)):
-            (tmp_path / f"{name}2.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in parts))
-            (tmp_path / f"{name}i.csv").write_text("".join(f"{v!r}\n" for p in parts for v in p))
-        artifacts = []
-        for layout, extra in (("2", []), ("i", ["--interleaved"])):
-            out = tmp_path / f"dc{layout}.csv"
-            code, _ = run_cli(
-                capsys,
-                "dc", "--mask", str(mask), "--x-raw", str(tmp_path / f"xr{layout}.csv"),
-                "--y", str(tmp_path / f"y{layout}.csv"), "--out", str(out), *extra,
-            )
-            assert code == 0
-            artifacts.append(out.read_bytes())
-        assert artifacts[0] == artifacts[1]
-        assert artifacts[0].decode().splitlines()[1] == "2.0,nan"
-
-    def test_interleaved_rejects_two_column_file(self, tmp_path, capsys):
-        """Casting 're,im' lines to real would drop every imaginary part."""
-        mask = tmp_path / "m.txt"
-        mask.write_text("N=1\n0\n")
-        (tmp_path / "xr.csv").write_text("1,2\n3,4\n")
-        (tmp_path / "y.csv").write_text("5,6\n7,8\n")
+            (tmp_path / f"{name}.csv").write_text("".join(f"{a!r},{b!r}\n" for a, b in parts))
         out = tmp_path / "dc.csv"
-        code, summary = run_cli(
+        code, _ = run_cli(
             capsys,
             "dc", "--mask", str(mask), "--x-raw", str(tmp_path / "xr.csv"),
-            "--y", str(tmp_path / "y.csv"), "--interleaved", "--out", str(out),
+            "--y", str(tmp_path / "y.csv"), "--out", str(out),
         )
-        assert code == 1
-        assert summary["status"] == "error"
-        assert "real" in summary["error"]["message"]
-        assert not out.exists()
+        assert code == 0
+        assert out.read_text() == "0.0,0.0\n2.0,nan\n-3.0,0.5\n"
 
 
 def _loop_vector_csv(values):
@@ -1037,6 +1028,7 @@ class TestColdStart:
             "minimize_regularizer": proplab.minimize_regularizer,
         }
         assert sorted(expected) == sorted(set(postsamp.__all__) - {"__version__"})
+        assert set(expected) <= set(dir(postsamp))
         for name, obj in expected.items():
             assert getattr(postsamp, name) is obj, name
         with pytest.raises(AttributeError, match="no attribute 'mc_l2p'"):
@@ -1170,6 +1162,43 @@ CLI_INPUT_CHECKS = [
     pytest.param(
         lambda tmp_path: ["autotune-sim", "--plant-offset", "inf"],
         "plant spread must be finite, got inf", id="autotune-plant-offset-infinite",
+    ),
+    # A subnormal sigma axis repeats values.
+    pytest.param(
+        lambda tmp_path: ["contours", "--kind", "l2", "--p", "2", "--mu0", "0",
+                          "--sigma0", "5e-324", "--sigma-max", "1e-322"],
+        "grid axes must be strictly increasing", id="contours-subnormal-sigma-axis",
+    ),
+    # Finite inputs whose results overflow float64: each is refused where it
+    # is formed, with no numpy warning on the way.
+    pytest.param(
+        lambda tmp_path: ["contours", "--kind", "l2", "--p", "2", "--mu0", "0", "--sigma0", "1",
+                          "--mu-min=-1e200", "--mu-max=1e200"],
+        "grid values must be finite", id="contours-l2-overflow",
+    ),
+    pytest.param(
+        lambda tmp_path: ["losses", "--mu", "0", "--sigma", "1e200", "--mu0", "0",
+                          "--sigma0", "1", "--p", "2", "--n-outer", "10", "--seed", "1"],
+        "l1p std_error overflowed float64, got inf", id="losses-sigma-overflow",
+    ),
+    pytest.param(
+        lambda tmp_path: ["losses", "--mu", "1e155", "--sigma", "1", "--mu0", "0",
+                          "--sigma0", "1", "--p", "2", "--n-outer", "10", "--seed", "1"],
+        "l2p overflowed float64, got inf", id="losses-mu-overflow",
+    ),
+    pytest.param(
+        lambda tmp_path: ["detect", "--mu0", "1e308", "--sigma0", "1e308", "--p", "1000",
+                          "--seed", "1"],
+        "the average of the samples overflowed float64", id="detect-overflow",
+    ),
+    pytest.param(
+        lambda tmp_path: ["autotune-sim", "--sigma0", "1e200"],
+        "the closed-form l2 value overflowed float64, got inf", id="autotune-sigma0-overflow",
+    ),
+    pytest.param(
+        lambda tmp_path: ["autotune-sim", "--mu0", "1e200", "--mc", "--v", "1000",
+                          "--seed", "1"],
+        "the epoch 0 error at P = 8 overflowed float64", id="autotune-mc-overflow",
     ),
 ]
 

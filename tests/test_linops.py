@@ -15,7 +15,6 @@ from postsamp import SeededStream, ToyPosterior, linops
 from postsamp.linops import (
     FourierSubsampler,
     MaskOperator,
-    complex_from_interleaved,
     data_consistency,
     load_operator,
 )
@@ -204,33 +203,6 @@ class TestDataConsistencyInvariants:
         cov_raw = np.cov(projected_raw.T)
         cov_dc = np.cov(projected_dc.T)
         np.testing.assert_allclose(cov_dc, cov_raw, atol=1e-12)
-
-
-class TestInterleaved:
-    def test_layout(self):
-        z = complex_from_interleaved(np.array([1.0, 2.0, 3.0, -4.0]))
-        np.testing.assert_array_equal(z, [1 + 2j, 3 - 4j])
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            complex_from_interleaved(np.array([1.0, 2.0, 3.0]))
-
-    def test_parts_kept_as_given(self):
-        """-0.0 keeps its sign and a NaN imaginary part stays imaginary."""
-        z = complex_from_interleaved(np.array([-0.0, 1.0, 2.0, np.nan, 3.0, -0.0]))
-        np.testing.assert_array_equal(z.real, [-0.0, 2.0, 3.0])
-        np.testing.assert_array_equal(z.imag, [1.0, np.nan, -0.0])
-        assert np.signbit(z.real).tolist() == [True, False, False]
-        assert np.signbit(z.imag[2])
-
-    def test_complex_input_rejected(self):
-        with pytest.raises(ValueError, match="real"):
-            complex_from_interleaved(np.array([1.0 + 2.0j, 3.0 + 4.0j]))
-
-    def test_input_not_aliased(self):
-        values = np.array([1.0, 2.0])
-        complex_from_interleaved(values)[0] = 0.0
-        assert values.tolist() == [1.0, 2.0]
 
 
 class TestMaskFiles:
