@@ -56,8 +56,6 @@ the tests' oracle.
 
 from __future__ import annotations
 
-import csv
-import io
 import os
 import struct
 from contextlib import ExitStack
@@ -209,12 +207,10 @@ class _FileRows:
 
 
 def _open_rows(handle, path):
-    """A row reader over an open embedding file: binary payloads are streamed,
-    CSV files are parsed whole."""
+    """A row reader streaming the payload of an open EMB1 embedding file."""
     header = handle.read(16)
     if header[:4] != _MAGIC:
-        matrix = _read_embeddings_csv(header + handle.read(), path)
-        return _ArrayRows(_as_matrix(matrix, str(path)), str(path))
+        raise ValueError(f"{path}: not an EMB1 embedding file")
     if len(header) < 16:
         raise ValueError(f"{path}: truncated embedding header")
     rows, cols, tag = struct.unpack_from("<IIB", header, 4)
@@ -534,47 +530,10 @@ def fid(x, xhat) -> FrechetResult:
 #
 # Binary layout (little-endian): magic "EMB1", u32 rows, u32 cols, u8 dtype
 # tag (1 = float64), 3 reserved zero bytes, then the row-major payload.
-# CSV files with a "col0,col1,..." header are accepted as an alternative.
-
-
-def _read_embeddings_csv(raw: bytes, path) -> np.ndarray:
-    text = raw.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError(f"{path}: empty embedding CSV") from None
-    expected = [f"col{i}" for i in range(len(header))]
-    if [h.strip() for h in header] != expected:
-        raise ValueError(
-            f"{path}: expected a 'col0,col1,...' header, got {header[:4]}..."
-        )
-    data, width = [], None
-    for row in reader:
-        if not row:
-            continue
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(
-                f"{path}: ragged rows, line {reader.line_num} has {len(row)} values "
-                f"where the rows above have {width}"
-            )
-        try:
-            data.append([float(cell) for cell in row])
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not data:
-        raise ValueError(f"{path}: no data rows")
-    if width != len(header):
-        raise ValueError(
-            f"{path}: the header names {len(header)} columns but every row has {width} values"
-        )
-    return np.asarray(data, dtype=np.float64)
 
 
 def read_embeddings(path) -> np.ndarray:
-    """Read one embedding matrix from a binary or CSV file."""
+    """Read one embedding matrix from an EMB1 file."""
     with open(path, "rb") as handle:
         reader = _open_rows(handle, path)
         matrix = np.empty(reader.shape, dtype="<f8")

@@ -22,10 +22,10 @@ standard-library modules and ``__version__``, and :func:`build_parser`
 refers to no lab module (the ``--kind`` choices are literals, each
 ``verify-*`` parser names its check).  So parsing, ``--help`` and a usage
 error load no numpy, ``dataclasses`` or ``json``; :func:`main` imports
-``json`` once the arguments parse, and refuses an existing ``--out``
-before any handler runs.  Each ``_cmd_*`` handler imports what it runs
-when it runs, so a command loads only its own modules: ``dc`` loads
-``linops`` alone, for instance, and ``psnr-curve`` no numpy.
+``json`` once the arguments parse, and refuses an ``--out`` that exists,
+is a directory or has no directory before any handler runs.  Each handler
+imports what it runs when it runs, so a command loads only its own
+modules: ``dc`` loads ``linops`` alone, and ``psnr-curve`` no numpy.
 
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
 error object on stdout), 2 usage error.
@@ -508,6 +508,10 @@ def main(argv: list | None = None) -> int:
             raise ArtifactExistsError(
                 f"refusing to overwrite existing artifact {args.out!r}; pass --force"
             )
+        if os.path.isdir(args.out):
+            raise ValueError(f"--out {args.out!r} is a directory")
+        if not os.path.isdir(os.path.dirname(args.out) or "."):
+            raise ValueError(f"--out {args.out!r}: its directory does not exist")
         exit_code, results, chunks = args.handler(args)
         # allow_nan=False: a result that is inf or NaN fails here, before
         # anything is written, instead of making the JSON invalid.

@@ -50,7 +50,7 @@ class _BadIndex(ValueError):
 
 
 class _BadShape(ValueError):
-    """The shape check of :class:`FourierSubsampler` (a mask file's header)."""
+    """The size check of either operator (a mask file's header)."""
 
 
 def _check_indices(indices, dim: int, what: str) -> tuple[int, ...]:
@@ -86,6 +86,8 @@ class MaskOperator:
     dim: int
 
     def __post_init__(self) -> None:
+        if self.dim < 1:
+            raise _BadShape(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "kept", _check_indices(self.kept, self.dim, "mask"))
 
     @property

@@ -68,26 +68,20 @@ def test_cli_frechet_matches_benchmark_reference(
     assert results["fid"] == pytest.approx(workloads.reference_fid(x, xhat), rel=1e-10)
 
 
-def _write_csv_embeddings(path, matrix):
-    header = ",".join(f"col{i}" for i in range(matrix.shape[1]))
-    lines = [",".join(repr(value) for value in row) for row in matrix.tolist()]
-    path.write_text("\n".join([header, *lines]) + "\n")
-
-
-# (command, seed, distinct, P, dim, y_rank, inputs written as CSV)
+# (command, seed, distinct, P, dim, y_rank)
 PIN_CASES = {
-    "cfid-rank-deficient-s_yy-p4": ("cfid", 3, 24, 4, 6, 3, ()),
-    "cfid-csv-x": ("cfid", 4, 40, 1, 5, 5, ("x",)),
-    "cfid-fewer-rows-than-dims": ("cfid", 5, 8, 1, 4, 1, ("y",)),
-    "fid-self-clamped": ("fid", 0, 24, 2, 6, 6, ()),
-    "fid-csv-xhat": ("fid", 4, 40, 1, 5, 5, ("xhat",)),
+    "cfid-rank-deficient-s_yy-p4": ("cfid", 3, 24, 4, 6, 3),
+    "cfid-full-rank-s_yy-p1": ("cfid", 4, 40, 1, 5, 5),
+    "cfid-fewer-rows-than-dims": ("cfid", 5, 8, 1, 4, 1),
+    "fid-self-clamped": ("fid", 0, 24, 2, 6, 6),
+    "fid-distinct-clouds": ("fid", 4, 40, 1, 5, 5),
 }
 
 # The ``results`` object of each case's artifact, as json.dumps(sort_keys=True)
 # text.  The whole artifact also holds the argv paths, so only ``results``
 # is pinned.
 PINNED_RESULTS = {
-    'cfid-csv-x': (
+    'cfid-full-rank-s_yy-p1': (
         '{"P": 1, "cfid": 1.5220386137839435, "cfid_cov": 0.6108039040924167,'
         ' "cfid_mean": 0.9112347096915268, "diagnostics": {"a": {"clamped_mas'
         's": 0.0, "min_eigenvalue": 0.02148729172782313}, "cross": {"clamped_'
@@ -113,7 +107,7 @@ PINNED_RESULTS = {
         '"dropped": 3, "kept": 3, "min_eigenvalue": -7.790557269303642e-16}},'
         ' "rows": 96}'
     ),
-    'fid-csv-xhat': (
+    'fid-distinct-clouds': (
         '{"diagnostics": {"a": {"clamped_mass": 0.0, "min_eigenvalue": 0.4370'
         '0348699941516}, "cross": {"clamped_mass": 0.0, "min_eigenvalue": 0.2'
         '463322020358562}, "rank_deficient": false, "rows_x": 40, "rows_xhat"'
@@ -131,7 +125,7 @@ PINNED_RESULTS = {
 
 @pytest.mark.parametrize("name", sorted(PIN_CASES))
 def test_cli_frechet_results_are_pinned(workloads, tmp_path, capsys, name):
-    command, seed, distinct, P, dim, y_rank, as_csv = PIN_CASES[name]
+    command, seed, distinct, P, dim, y_rank = PIN_CASES[name]
     rng = np.random.default_rng(seed)
     x, y, xhat = workloads._embeddings(rng, distinct=distinct, P=P, dim=dim, y_rank=y_rank)
     if name == "fid-self-clamped":
@@ -139,10 +133,7 @@ def test_cli_frechet_results_are_pinned(workloads, tmp_path, capsys, name):
     paths = {}
     for key, matrix in (("x", x), ("y", y), ("xhat", xhat)):
         paths[key] = tmp_path / f"{key}.emb"
-        if key in as_csv:
-            _write_csv_embeddings(paths[key], matrix)
-        else:
-            write_embeddings(paths[key], matrix)
+        write_embeddings(paths[key], matrix)
     out = tmp_path / f"{command}.json"
     if command == "cfid":
         argv = ["cfid", "--x", str(paths["x"]), "--y", str(paths["y"]),

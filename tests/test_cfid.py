@@ -348,40 +348,6 @@ class TestEmbeddingIO:
         assert raw[13:16] == b"\x00\x00\x00"
         assert len(raw) == 16 + 2 * 8
 
-    def test_csv_import(self, tmp_path):
-        path = tmp_path / "m.csv"
-        path.write_text("col0,col1\n1.5,2.5\n-3.0,4.0\n")
-        np.testing.assert_array_equal(
-            read_embeddings(path), [[1.5, 2.5], [-3.0, 4.0]]
-        )
-
-    def test_csv_requires_canonical_header(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1,2\n")
-        with pytest.raises(ValueError):
-            read_embeddings(path)
-
-    def test_csv_ragged_rows_name_the_file_and_line(self, tmp_path):
-        path = tmp_path / "ragged.csv"
-        path.write_text("col0,col1\n1,2\n3,4\n5\n6,7\n")
-        with pytest.raises(ValueError, match="ragged rows, line 4 has 1 values") as info:
-            read_embeddings(path)
-        assert str(info.value).startswith(f"{path}: ")
-
-    def test_csv_rows_wider_than_header_name_both_counts(self, tmp_path):
-        path = tmp_path / "wide.csv"
-        path.write_text("col0,col1\n1,2,3\n4,5,6\n")
-        with pytest.raises(ValueError, match="header names 2 columns but every row has 3") as info:
-            read_embeddings(path)
-        assert str(info.value).startswith(f"{path}: ")
-
-    def test_csv_non_numeric_cell_names_the_file_and_line(self, tmp_path):
-        path = tmp_path / "text.csv"
-        path.write_text("col0,col1\n1,2\n1,a\n")
-        with pytest.raises(ValueError, match="line 3: could not convert string to float: 'a'") as info:
-            read_embeddings(path)
-        assert str(info.value).startswith(f"{path}: ")
-
     def test_truncated_binary_rejected(self, tmp_path):
         path = tmp_path / "trunc.emb"
         write_embeddings(path, np.ones((4, 4)))
@@ -787,12 +753,6 @@ def test_conditionals_are_exactly_symmetric(d, d_y):
             assert np.array_equal(matrix, matrix.T)
 
 
-def _embedding_file(tmp_path, text):
-    path = tmp_path / "rows.csv"
-    path.write_text(text)
-    return path
-
-
 # Each row triggers one input check and matches its message.
 INPUT_CHECKS = [
     pytest.param(lambda tmp_path: EmbeddingSet(np.zeros(3), np.zeros((3, 1)), np.zeros((3, 1))),
@@ -801,10 +761,6 @@ INPUT_CHECKS = [
                  "P must be >= 1, got 0", id="cfid-p-zero"),
     pytest.param(lambda tmp_path: sqrtm_psd(np.zeros((2, 3))),
                  "matrix must be square, got shape (2, 3)", id="sqrtm-not-square"),
-    pytest.param(lambda tmp_path: read_embeddings(_embedding_file(tmp_path, "")),
-                 "empty embedding CSV", id="csv-empty"),
-    pytest.param(lambda tmp_path: read_embeddings(_embedding_file(tmp_path, "col0,col1\n")),
-                 "no data rows", id="csv-header-only"),
 ]
 
 
@@ -814,6 +770,45 @@ def test_input_check_rejects(tmp_path, call, message):
         call(tmp_path)
 
 
-def test_csv_blank_rows_are_skipped(tmp_path):
-    path = _embedding_file(tmp_path, "col0,col1\n1,2\n\n3,4\n")
-    np.testing.assert_array_equal(read_embeddings(path), [[1.0, 2.0], [3.0, 4.0]])
+def _write_npy(path):
+    with open(path, "wb") as handle:
+        np.save(handle, np.ones((2, 2)))
+
+
+def _write_random_bytes(path):
+    path.write_bytes(np.random.default_rng(5).bytes(2**20))
+
+
+# Files that are not EMB1: (file name, writer).
+NOT_EMB1 = {
+    "col-text": ("m.csv", lambda path: path.write_text("col0,col1\n1.5,2.5\n-3.0,4.0\n")),
+    "empty": ("m.emb", lambda path: path.write_bytes(b"")),
+    "random-bytes": ("m.emb", _write_random_bytes),
+    "npy": ("m.npy", _write_npy),
+}
+
+
+@pytest.mark.parametrize("entry", ["read_embeddings", "cfid", "fid"])
+@pytest.mark.parametrize("kind", sorted(NOT_EMB1))
+def test_a_file_that_is_not_emb1_is_refused(tmp_path, capsys, kind, entry):
+    """Refused by its first 4 bytes with a message naming it; the CLI exits 1
+    with the error JSON and writes no artifact."""
+    name, write = NOT_EMB1[kind]
+    bad = tmp_path / name
+    write(bad)
+    if entry == "read_embeddings":
+        with pytest.raises(ValueError) as info:
+            read_embeddings(bad)
+        message = str(info.value)
+    else:
+        good = str(tmp_path / "good.emb")
+        write_embeddings(good, np.ones((2, 2)))
+        out = tmp_path / "r.json"
+        inputs = ["--x", good, "--y", good] if entry == "cfid" else ["--x", good]
+        code = main([entry, *inputs, "--xhat", str(bad), "--out", str(out)])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert summary["error"]["type"] == "ValueError"
+        assert not out.exists()
+        message = summary["error"]["message"]
+    assert message == f"{bad}: not an EMB1 embedding file"

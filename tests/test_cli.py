@@ -764,32 +764,6 @@ class TestReproducibilityAndErrors:
         assert summary["error"]["type"] == "FileNotFoundError"
 
     @pytest.mark.parametrize(
-        "body, message",
-        [
-            ("1,2\n3\n", "ragged rows, line 3"),
-            ("1,2,3\n", "header names 2 columns"),
-            ("1,2\n1,a\n", "line 3: could not convert string to float: 'a'"),
-        ],
-        ids=["ragged", "wider-than-header", "non-numeric"],
-    )
-    def test_bad_csv_embeddings_name_the_file(self, tmp_path, capsys, body, message):
-        bad = tmp_path / "bad.emb"
-        bad.write_text("col0,col1\n" + body)
-        good = str(tmp_path / "good.emb")
-        write_embeddings(good, np.ones((2, 2)))
-        code, summary = run_cli(
-            capsys,
-            "cfid", "--x", good, "--y", good, "--xhat", str(bad),
-            "--out", str(tmp_path / "r.json"),
-        )
-        assert code == 1
-        assert summary["status"] == "error"
-        assert summary["error"]["type"] == "ValueError"
-        assert str(bad) in summary["error"]["message"]
-        assert message in summary["error"]["message"]
-        assert not (tmp_path / "r.json").exists()
-
-    @pytest.mark.parametrize(
         "argv",
         [("psnr-curve", "--pmax", "4"),
          ("verify-prop2", "--seed", "1", "--trials", "1", "--p-list", "2")],
@@ -1105,6 +1079,7 @@ def _mask_n4(tmp_path):
 
 
 # Each row is an argv that fails an input check: exit 1 with the error JSON.
+# A row without its own --out writes to tmp_path / "out".
 CLI_INPUT_CHECKS = [
     pytest.param(
         lambda tmp_path: ["losses", "--mu", "1,x", "--sigma", "1,1", "--mu0", "0,0",
@@ -1200,12 +1175,25 @@ CLI_INPUT_CHECKS = [
                           "--seed", "1"],
         "the epoch 0 error at P = 8 overflowed float64", id="autotune-mc-overflow",
     ),
+    # An --out that cannot be written is refused before the command's own checks.
+    pytest.param(
+        lambda tmp_path: ["verify-prop1", "--trials", "0", "--seed", "1",
+                          "--out", str(tmp_path / "missing" / "r.json")],
+        "r.json': its directory does not exist", id="out-in-missing-directory",
+    ),
+    pytest.param(
+        lambda tmp_path: ["psnr-curve", "--pmax", "4", "--out", str(tmp_path), "--force"],
+        "' is a directory", id="out-is-a-directory",
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, message", CLI_INPUT_CHECKS)
 def test_input_check_exits_1_with_error_json(tmp_path, capsys, argv, message):
-    code, summary = run_cli(capsys, *argv(tmp_path), "--out", str(tmp_path / "out"))
+    argv = argv(tmp_path)
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    code, summary = run_cli(capsys, *argv)
     assert code == 1
     assert summary["status"] == "error"
     assert summary["error"]["type"] == "ValueError"

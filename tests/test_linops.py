@@ -293,6 +293,11 @@ INPUT_CHECKS = [
                  ValueError,
                  "mask.txt: line 2: shape must be a 1-D length or 2-D shape, got (0, 4)",
                  id="mask-file-empty-grid"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "N=0\n0\n")),
+                 ValueError, "mask.txt: line 1: dim must be >= 1, got 0", id="mask-file-zero-dim"),
+    pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "N=-3\n0\n")),
+                 ValueError, "mask.txt: line 1: dim must be >= 1, got -3",
+                 id="mask-file-negative-dim"),
     pytest.param(lambda tmp_path: load_operator(_mask_file(tmp_path, "DIMS=2x2\n")),
                  ValueError, "mask.txt: frequency must keep at least one index",
                  id="mask-file-no-frequencies"),
