@@ -25,10 +25,15 @@ repetition convention).  The pipeline is:
 
    plus the usual covariance term
    ``tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}]`` on the conditional
-   covariances.  With ``A = W W^T`` from one ``eigh`` of A
-   (``W = V sqrt(lambda)``), ``A^{1/2} B A^{1/2}`` is similar to
+   covariances.  With ``A = W W^T``, ``A^{1/2} B A^{1/2}`` is similar to
    ``W^T B W``, so the cross term is ``sum sqrt(mu)`` over
-   ``mu = eigvalsh(W^T B W)``: no second matrix square root is formed.
+   ``mu = eigvalsh(W^T B W)``: no matrix square root is formed.  W = L,
+   the Cholesky factor of A.  Only when A is singular to rounding
+   (Cholesky fails, or a pivot L_ii^2 is at most ``dim * eps`` of the
+   largest) is W ``V sqrt(lambda)`` from ``eigh`` of A.  Eigenvalues of
+   A's ``eigh`` and of ``W^T B W`` at most ``dim * eps`` of their largest
+   are rounding and are set to zero: through a square root, each would
+   add about ``sqrt(eps)`` of the scale.
 
 Each metric has one function (``cfid``, ``fid``, ``gaussian_w2_squared``)
 that returns one :class:`FrechetResult`: the value, its parts and the
@@ -49,9 +54,9 @@ buffers, so the statistics have one code path; such input takes the
 matrices' own O(rows * D) as well.
 
 Everything is float64 and deterministic: blocks merge in row order, and
-matrix square roots use a symmetric eigendecomposition, never an
-iterative method.  ``sqrtm_psd`` is kept as the public square root and
-the tests' oracle.
+the covariance term uses a Cholesky factor or a symmetric
+eigendecomposition, never an iterative method.  ``sqrtm_psd`` is kept as
+the public square root and the tests' oracle.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ _PSD_TOL = 1e-8
 # A total (or part) this far below zero is rounding noise and clamps to 0.
 _NEG_CLAMP = 1e-8
 _SYM_TOL = 1e-12
+_EPS = float(np.finfo(np.float64).eps)
 # Bytes of row-block buffers across all input columns.  Larger blocks keep
 # the Gram products efficient: for 4096 rows of three 1024-column inputs on
 # a 2-CPU x86-64 machine with OpenBLAS, the statistics took 0.85 s in
@@ -256,7 +262,11 @@ class _Moments:
         self.rows = total
 
     def covariance(self, i: int, j: int) -> np.ndarray:
-        return self.comoments[i, j] / self.rows
+        """Population covariance of groups i and j.  A diagonal block is
+        returned as ``0.5 (S + S^T)``, the bits :func:`_require_symmetric`
+        would give, so it need not be checked again."""
+        covariance = self.comoments[i, j] / self.rows
+        return 0.5 * (covariance + covariance.T) if i == j else covariance
 
 
 def _accumulate(sources, pairs) -> _Moments:
@@ -276,9 +286,16 @@ def _accumulate(sources, pairs) -> _Moments:
     return moments
 
 
-def _joint_stats(moments: _Moments) -> JointGaussianStats:
+class _RowStats(JointGaussianStats):
+    """Statistics :func:`cfid` accumulated from rows.  Their covariances are
+    symmetric bit for bit (:meth:`_Moments.covariance`), so
+    :func:`conditional_stats` does not scan them; they never leave
+    :func:`cfid`, so no caller can swap in an unchecked matrix."""
+
+
+def _joint_stats(moments: _Moments, kind: type = JointGaussianStats) -> JointGaussianStats:
     mu_x, mu_y, mu_xhat = moments.means
-    return JointGaussianStats(
+    return kind(
         mu_x=mu_x,
         mu_y=mu_y,
         mu_xhat=mu_xhat,
@@ -357,10 +374,16 @@ def sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
 
 
 def conditional_stats(joint: JointGaussianStats) -> ConditionalStats:
-    """Schur-complement conditionals and the expected conditional-mean gap."""
-    s_yy = _require_symmetric(joint.s_yy, "s_yy")
-    s_xx = _require_symmetric(joint.s_xx, "s_xx")
-    s_xhatxhat = _require_symmetric(joint.s_xhatxhat, "s_xhatxhat")
+    """Schur-complement conditionals and the expected conditional-mean gap.
+
+    S_yy, S_xx and S_xhatxhat must be symmetric to within 1e-12 of their
+    largest entry, and are symmetrized before use.
+    """
+    names = ("s_yy", "s_xx", "s_xhatxhat")
+    if isinstance(joint, _RowStats):
+        s_yy, s_xx, s_xhatxhat = (getattr(joint, name) for name in names)
+    else:
+        s_yy, s_xx, s_xhatxhat = (_require_symmetric(getattr(joint, name), name) for name in names)
     w, v = np.linalg.eigh(s_yy)
     keep = w > _PINV_CUTOFF * float(np.abs(w).max())
     # pinv(S_yy) = U U^T on the kept directions.
@@ -388,18 +411,51 @@ def conditional_stats(joint: JointGaussianStats) -> ConditionalStats:
     )
 
 
+def _drop_rounding(eigenvalues: np.ndarray, name: str) -> tuple[np.ndarray, dict]:
+    """:func:`_clamp_psd`, then the eigenvalues at most ``dim * eps`` times the
+    largest set to zero and counted as ``dropped``.
+
+    An eigenvalue that small is rounding, and its square root would add
+    about ``sqrt(eps)`` of the scale to the cross term.
+    """
+    eigenvalues, report = _clamp_psd(eigenvalues, name)
+    rounding = eigenvalues <= eigenvalues.size * _EPS * eigenvalues[-1]
+    eigenvalues[rounding] = 0.0
+    report["dropped"] = int(rounding.sum())
+    return eigenvalues, report
+
+
+def _factor(sigma_a: np.ndarray) -> tuple[np.ndarray, dict]:
+    """W with A = W W^T, and the report ``a`` naming the factor.
+
+    Cholesky (W = L) unless it fails or a pivot L_ii^2 is at most ``dim *
+    eps`` times the largest; then A is singular to rounding, and W is
+    ``V sqrt(lambda)`` from ``eigh`` with :func:`_drop_rounding` applied.
+    """
+    try:
+        lower = np.linalg.cholesky(sigma_a)
+    except np.linalg.LinAlgError:
+        pass
+    else:
+        pivots = np.diagonal(lower) ** 2
+        if pivots.min() > pivots.size * _EPS * pivots.max():
+            return lower, {"factor": "cholesky", "min_pivot": float(pivots.min())}
+    eigenvalues, eigenvectors = np.linalg.eigh(sigma_a)
+    eigenvalues, report = _drop_rounding(eigenvalues, "sigma_a")
+    return eigenvectors * np.sqrt(eigenvalues), {"factor": "eigh", **report}
+
+
 def _covariance_distance(sigma_a: np.ndarray, sigma_b: np.ndarray) -> tuple[float, dict]:
     """tr[A + B - 2 (A^{1/2} B A^{1/2})^{1/2}], the Gaussian covariance gap.
 
-    Also returns the minimum eigenvalue and clamped mass of ``eigh(A)``
-    (``a``) and of ``eigvalsh(W^T B W)`` (``cross``).
+    Also returns the reports of the factor of A (``a``, see :func:`_factor`)
+    and of ``eigvalsh(W^T B W)`` (``cross``: minimum eigenvalue, clamped
+    mass and the rounding-level eigenvalues dropped).
     """
-    eigenvalues, eigenvectors = np.linalg.eigh(sigma_a)
-    eigenvalues, a_report = _clamp_psd(eigenvalues, "sigma_a")
-    w = eigenvectors * np.sqrt(eigenvalues)
+    w, a_report = _factor(sigma_a)
     _check_reconstruction(w @ w.T, sigma_a)
     inner = w.T @ sigma_b @ w
-    cross, cross_report = _clamp_psd(
+    cross, cross_report = _drop_rounding(
         np.linalg.eigvalsh(0.5 * (inner + inner.T)), "the cross term"
     )
     value = float(np.trace(sigma_a) + np.trace(sigma_b) - 2.0 * np.sqrt(cross).sum())
@@ -449,16 +505,22 @@ def _row_source(stack: ExitStack, item, name: str):
     return _ArrayRows(_as_matrix(item, name), name)
 
 
+def _w2_squared(gap: np.ndarray, sigma_a: np.ndarray, sigma_b: np.ndarray) -> FrechetResult:
+    """Squared Wasserstein-2 distance from the mean gap and two symmetric covariances."""
+    cov, report = _covariance_distance(sigma_a, sigma_b)
+    value = _clamp_nonnegative(float(gap @ gap) + cov, "squared Wasserstein distance", report)
+    return FrechetResult(value, (), report)
+
+
 def gaussian_w2_squared(
     mu_a: np.ndarray, sigma_a: np.ndarray, mu_b: np.ndarray, sigma_b: np.ndarray
 ) -> FrechetResult:
     """Squared Wasserstein-2 distance between two Gaussians."""
-    gap = np.asarray(mu_a, dtype=np.float64) - np.asarray(mu_b, dtype=np.float64)
-    cov, report = _covariance_distance(
-        _require_symmetric(sigma_a, "sigma_a"), _require_symmetric(sigma_b, "sigma_b")
+    return _w2_squared(
+        np.asarray(mu_a, dtype=np.float64) - np.asarray(mu_b, dtype=np.float64),
+        _require_symmetric(sigma_a, "sigma_a"),
+        _require_symmetric(sigma_b, "sigma_b"),
     )
-    value = _clamp_nonnegative(float(gap @ gap) + cov, "squared Wasserstein distance", report)
-    return FrechetResult(value, (), report)
 
 
 def cfid(source, P: int = 1) -> FrechetResult:
@@ -486,7 +548,7 @@ def cfid(source, P: int = 1) -> FrechetResult:
             if sources[0].shape[0] % P != 0:
                 raise ValueError(f"row count {sources[0].shape[0]} is not a multiple of P={P}")
             moments = _accumulate(sources, _CFID_PAIRS)
-        joint = _joint_stats(moments)
+        joint = _joint_stats(moments, _RowStats)
         report.update(rows=moments.rows, rank_deficient=rank_deficient)
     cond = conditional_stats(joint)
     report["s_yy"] = cond.s_yy_diagnostics
@@ -511,9 +573,10 @@ def fid(x, xhat) -> FrechetResult:
         if sources[1].shape[1] != cols:
             raise ValueError(f"column counts differ: x {cols}, xhat {sources[1].shape[1]}")
         clouds = [_accumulate([rows], _FID_PAIRS) for rows in sources]
-    w2 = gaussian_w2_squared(
-        clouds[0].means[0], clouds[0].covariance(0, 0),
-        clouds[1].means[0], clouds[1].covariance(0, 0),
+    w2 = _w2_squared(
+        clouds[0].means[0] - clouds[1].means[0],
+        clouds[0].covariance(0, 0),
+        clouds[1].covariance(0, 0),
     )
     rows_x, rows_xhat = clouds[0].rows, clouds[1].rows
     return FrechetResult(w2.value, (), {

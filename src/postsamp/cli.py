@@ -22,10 +22,11 @@ standard-library modules and ``__version__``, and :func:`build_parser`
 refers to no lab module (the ``--kind`` choices are literals, each
 ``verify-*`` parser names its check).  So parsing, ``--help`` and a usage
 error load no numpy, ``dataclasses`` or ``json``; :func:`main` imports
-``json`` once the arguments parse, and refuses an ``--out`` that exists,
-is a directory or has no directory before any handler runs.  Each handler
-imports what it runs when it runs, so a command loads only its own
-modules: ``dc`` loads ``linops`` alone, and ``psnr-curve`` no numpy.
+``json`` once the arguments parse, and refuses an ``--out`` that is
+empty, exists, is a directory or has no directory before any handler
+runs.  Each handler imports what it runs when it runs, so a command
+loads only its own modules: ``dc`` loads ``linops`` alone, and
+``psnr-curve`` no numpy.
 
 Exit codes: 0 success, 1 verification or runtime failure (with a JSON
 error object on stdout), 2 usage error.
@@ -80,15 +81,16 @@ def _read_vector_csv(path: str) -> np.ndarray:
     """One value per line (real) or 're,im' per line (complex), one column
     count per file; blank, whitespace-only and '#' lines are skipped.
 
-    ``np.loadtxt`` parses the kept lines as they are read, never a list of
-    them; the first is taken ahead so an empty file is an error, not a
-    numpy warning.
+    ``np.loadtxt`` parses the stripped nonblank lines as they are read,
+    never a list of them, and skips '#' lines itself.  The first value line
+    is taken ahead, past any leading '#' lines, so a file with none is an
+    error, not a numpy warning.
     """
     import numpy as np
 
     with open(path, "r", encoding="utf-8") as handle:
-        lines = (line for line in handle if line.strip()[:1] not in ("", "#"))
-        first = next(lines, None)
+        lines = filter(None, map(str.strip, handle))
+        first = next((line for line in lines if line[:1] != "#"), None)
         if first is None:
             raise ValueError(f"{path}: empty vector file")
         try:
@@ -504,6 +506,8 @@ def main(argv: list | None = None) -> int:
     summary = {"version": __version__, "argv": raw_argv, "seed": getattr(args, "seed", None)}
     try:
         # Refused before the handler runs, so a refusal costs no work.
+        if not args.out:
+            raise ValueError("--out must name a file, got ''")
         if os.path.exists(args.out) and not args.force:
             raise ArtifactExistsError(
                 f"refusing to overwrite existing artifact {args.out!r}; pass --force"

@@ -81,44 +81,44 @@ PIN_CASES = {
 # text.  The whole artifact also holds the argv paths, so only ``results``
 # is pinned.
 PINNED_RESULTS = {
-    'cfid-full-rank-s_yy-p1': (
-        '{"P": 1, "cfid": 1.5220386137839435, "cfid_cov": 0.6108039040924167,'
-        ' "cfid_mean": 0.9112347096915268, "diagnostics": {"a": {"clamped_mas'
-        's": 0.0, "min_eigenvalue": 0.02148729172782313}, "cross": {"clamped_'
-        'mass": 0.0, "min_eigenvalue": 0.0075687557431922126}, "rank_deficien'
-        't": false, "rows": 40, "s_yy": {"clamped_mass": 0.0, "dropped": 0, "'
-        'kept": 5, "min_eigenvalue": 0.07710737422857253}}, "rows": 40}'
-    ),
     'cfid-fewer-rows-than-dims': (
-        '{"P": 1, "cfid": 1.2161470668239134, "cfid_cov": 0.7068730976287263,'
-        ' "cfid_mean": 0.5092739691951871, "diagnostics": {"a": {"clamped_mas'
-        's": 0.0, "min_eigenvalue": 0.03903742674053352}, "cross": {"clamped_'
-        'mass": 0.0, "min_eigenvalue": 0.008218127550932132}, "rank_deficient'
-        '": true, "rows": 8, "s_yy": {"clamped_mass": 1.804783490142739e-16, '
-        '"dropped": 3, "kept": 1, "min_eigenvalue": -6.903491729621254e-17}},'
-        ' "rows": 8}'
+        '{"P": 1, "cfid": 1.216147066823908, "cfid_cov": 0.706873097628721, "cf'
+        'id_mean": 0.5092739691951871, "diagnostics": {"a": {"factor": "cholesk'
+        'y", "min_pivot": 0.04573790560945751}, "cross": {"clamped_mass": 0.0, '
+        '"dropped": 0, "min_eigenvalue": 0.008218127550932434}, "rank_deficient'
+        '": true, "rows": 8, "s_yy": {"clamped_mass": 1.804783490142739e-16, "d'
+        'ropped": 3, "kept": 1, "min_eigenvalue": -6.903491729621254e-17}}, "ro'
+        'ws": 8}'
+    ),
+    'cfid-full-rank-s_yy-p1': (
+        '{"P": 1, "cfid": 1.5220386137839355, "cfid_cov": 0.6108039040924087, "'
+        'cfid_mean": 0.9112347096915268, "diagnostics": {"a": {"factor": "chole'
+        'sky", "min_pivot": 0.04527910636256439}, "cross": {"clamped_mass": 0.0'
+        ', "dropped": 0, "min_eigenvalue": 0.007568755743192276}, "rank_deficie'
+        'nt": false, "rows": 40, "s_yy": {"clamped_mass": 0.0, "dropped": 0, "k'
+        'ept": 5, "min_eigenvalue": 0.07710737422857253}}, "rows": 40}'
     ),
     'cfid-rank-deficient-s_yy-p4': (
-        '{"P": 4, "cfid": 1.14982661532229, "cfid_cov": 0.7417609715484605, "'
-        'cfid_mean": 0.4080656437738296, "diagnostics": {"a": {"clamped_mass"'
-        ': 0.0, "min_eigenvalue": 0.029759730437362488}, "cross": {"clamped_m'
-        'ass": 0.0, "min_eigenvalue": 0.0142761635001111}, "rank_deficient": '
-        'false, "rows": 96, "s_yy": {"clamped_mass": 1.1014093745214709e-15, '
-        '"dropped": 3, "kept": 3, "min_eigenvalue": -7.790557269303642e-16}},'
+        '{"P": 4, "cfid": 1.1498266153222918, "cfid_cov": 0.7417609715484623, "'
+        'cfid_mean": 0.4080656437738296, "diagnostics": {"a": {"factor": "chole'
+        'sky", "min_pivot": 0.04120150963865376}, "cross": {"clamped_mass": 0.0'
+        ', "dropped": 0, "min_eigenvalue": 0.01427616350011118}, "rank_deficien'
+        't": false, "rows": 96, "s_yy": {"clamped_mass": 1.1014093745214709e-15'
+        ', "dropped": 3, "kept": 3, "min_eigenvalue": -7.790557269303642e-16}},'
         ' "rows": 96}'
     ),
     'fid-distinct-clouds': (
-        '{"diagnostics": {"a": {"clamped_mass": 0.0, "min_eigenvalue": 0.4370'
-        '0348699941516}, "cross": {"clamped_mass": 0.0, "min_eigenvalue": 0.2'
-        '463322020358562}, "rank_deficient": false, "rows_x": 40, "rows_xhat"'
-        ': 40}, "fid": 0.471376090936199, "rows_x": 40, "rows_xhat": 40}'
+        '{"diagnostics": {"a": {"factor": "cholesky", "min_pivot": 0.4379344793'
+        '263832}, "cross": {"clamped_mass": 0.0, "dropped": 0, "min_eigenvalue"'
+        ': 0.24633220203585562}, "rank_deficient": false, "rows_x": 40, "rows_x'
+        'hat": 40}, "fid": 0.4713760909362132, "rows_x": 40, "rows_xhat": 40}'
     ),
     'fid-self-clamped': (
-        '{"diagnostics": {"a": {"clamped_mass": 0.0, "min_eigenvalue": 0.1487'
-        '831986931203}, "clamped": {"squared Wasserstein distance": -3.552713'
-        '678800501e-15}, "cross": {"clamped_mass": 0.0, "min_eigenvalue": 0.0'
-        '22136440213356604}, "rank_deficient": false, "rows_x": 48, "rows_xha'
-        't": 48}, "fid": 0.0, "rows_x": 48, "rows_xhat": 48}'
+        '{"diagnostics": {"a": {"factor": "cholesky", "min_pivot": 0.2264500853'
+        '8840647}, "clamped": {"squared Wasserstein distance": -3.5527136788005'
+        '01e-15}, "cross": {"clamped_mass": 0.0, "dropped": 0, "min_eigenvalue"'
+        ': 0.022136440213356666}, "rank_deficient": false, "rows_x": 48, "rows_'
+        'xhat": 48}, "fid": 0.0, "rows_x": 48, "rows_xhat": 48}'
     ),
 }
 

@@ -34,7 +34,14 @@ from postsamp.cfid import (
 from postsamp.cli import main
 
 from memory import traced_peak
-from oracles import write_embeddings
+from oracles import (
+    plain_stats,
+    singular_value_cfid_parts,
+    singular_value_fid,
+    sqrtm_cfid_parts,
+    sqrtm_fid,
+    write_embeddings,
+)
 
 
 def _stats_1d(mu_x, var_x, mu_xhat, var_xhat, cov_xy=0.0, cov_xhaty=0.0, var_y=1.0):
@@ -370,45 +377,6 @@ class TestEmbeddingIO:
 # ---------------------------------------------------------------------------
 
 
-def _plain_stats(x, y, xhat):
-    """Two-pass statistics over all rows at once, the pre-streaming formula."""
-    n = x.shape[0]
-    xc, yc, hc = x - x.mean(axis=0), y - y.mean(axis=0), xhat - xhat.mean(axis=0)
-    return JointGaussianStats(
-        mu_x=x.mean(axis=0),
-        mu_y=y.mean(axis=0),
-        mu_xhat=xhat.mean(axis=0),
-        s_xx=xc.T @ xc / n,
-        s_yy=yc.T @ yc / n,
-        s_xhatxhat=hc.T @ hc / n,
-        s_xy=xc.T @ yc / n,
-        s_xhaty=hc.T @ yc / n,
-    )
-
-
-def _sqrtm_gap(a, b):
-    root_a = sqrtm_psd(a)
-    inner = root_a @ b @ root_a
-    return float(np.trace(a) + np.trace(b) - 2.0 * np.trace(sqrtm_psd(0.5 * (inner + inner.T))))
-
-
-def _sqrtm_oracle(joint):
-    """(mean part, covariance part) through pinv(S_yy) and two sqrtm_psd calls."""
-    pinv = np.linalg.pinv(joint.s_yy, rcond=1e-10, hermitian=True)
-    a = joint.s_xx - joint.s_xy @ pinv @ joint.s_xy.T
-    b = joint.s_xhatxhat - joint.s_xhaty @ pinv @ joint.s_xhaty.T
-    gap = joint.mu_x - joint.mu_xhat
-    cross_gap = joint.s_xy - joint.s_xhaty
-    mean_part = float(gap @ gap) + float(np.trace(cross_gap @ pinv @ cross_gap.T))
-    return mean_part, _sqrtm_gap(0.5 * (a + a.T), 0.5 * (b + b.T))
-
-
-def _sqrtm_fid(x, xhat):
-    gap = x.mean(axis=0) - xhat.mean(axis=0)
-    xc, hc = x - x.mean(axis=0), xhat - xhat.mean(axis=0)
-    return float(gap @ gap) + _sqrtm_gap(xc.T @ xc / x.shape[0], hc.T @ hc / xhat.shape[0])
-
-
 def _cfid_cases():
     """The embedding sets of the TestCfid cases: (x, y, xhat, P)."""
     cases = {}
@@ -469,7 +437,7 @@ class TestStreamedAgreement:
     @pytest.mark.parametrize("name", sorted(CFID_CASES))
     def test_cfid_matches_sqrtm_oracle(self, name, tmp_path, monkeypatch):
         x, y, xhat, P = CFID_CASES[name]
-        want = _sqrtm_oracle(_plain_stats(x, y, xhat))
+        want = sqrtm_cfid_parts(plain_stats(x, y, xhat))
         paths = _write_set(tmp_path, x, y, xhat)
         got = {
             "in-memory": cfid(EmbeddingSet(x, y, xhat), P).parts,
@@ -492,12 +460,12 @@ class TestStreamedAgreement:
     )
     def test_from_stats_matches_sqrtm_oracle(self, joint):
         got = cfid(joint).parts
-        assert got == pytest.approx(_sqrtm_oracle(joint), rel=1e-10, abs=1e-10)
+        assert got == pytest.approx(sqrtm_cfid_parts(joint), rel=1e-10, abs=1e-10)
 
     @pytest.mark.parametrize("name", ["random-0", "shuffle", "repetition"])
     def test_fid_matches_sqrtm_oracle(self, name, tmp_path, monkeypatch):
         x, _, xhat, _ = CFID_CASES[name]
-        want = _sqrtm_fid(x, xhat[: x.shape[0] // 2])
+        want = sqrtm_fid(x, xhat[: x.shape[0] // 2])
         paths = _write_set(tmp_path, x, x, xhat[: x.shape[0] // 2])
         assert fid(x, xhat[: x.shape[0] // 2]).value == pytest.approx(want, rel=1e-10)
         assert fid(paths[0], paths[2]).value == pytest.approx(want, rel=1e-10)
@@ -600,9 +568,11 @@ class TestDiagnostics:
         assert diagnostics["s_yy"]["kept"] == 5
         assert diagnostics["s_yy"]["dropped"] == 5
         assert 0.0 <= diagnostics["s_yy"]["clamped_mass"] <= 1e-10
-        for report in (diagnostics["a"], diagnostics["cross"]):
-            assert report["min_eigenvalue"] > 0.0
-            assert report["clamped_mass"] == 0.0
+        assert diagnostics["a"]["factor"] == "cholesky"
+        assert diagnostics["a"]["min_pivot"] > 0.0
+        assert diagnostics["cross"]["min_eigenvalue"] > 0.0
+        assert diagnostics["cross"]["clamped_mass"] == 0.0
+        assert diagnostics["cross"]["dropped"] == 0
         assert "clamped" not in diagnostics
         assert (mean_part, cov_part) == pytest.approx(
             cfid(EmbeddingSet(x, y, xhat), P).parts, rel=1e-10
@@ -614,8 +584,11 @@ class TestDiagnostics:
         paths = _write_set(tmp_path, x, y, x + rng.standard_normal((5, 4)))
         diagnostics = cfid(paths).diagnostics
         assert diagnostics["rank_deficient"] is True
-        # 5 rows leave S_xx|y with rank <= 1 of 4: its zero eigenvalues round
-        # either way, and the negative ones are what the clamp removed.
+        # 5 rows leave S_xx|y with rank <= 1 of 4, so it is factored by eigh:
+        # its zero eigenvalues round either way, and the negative ones are
+        # what the clamp removed.
+        assert diagnostics["a"]["factor"] == "eigh"
+        assert diagnostics["a"]["dropped"] >= 3
         assert diagnostics["a"]["min_eigenvalue"] <= 1e-12
         assert diagnostics["a"]["clamped_mass"] >= 0.0
         diagnostics = fid(paths[0], paths[2]).diagnostics
@@ -660,7 +633,11 @@ class TestClampDiagnostics:
     """Every input form reports each value it clamps in its diagnostics."""
 
     def test_self_fid_reports_the_clamp_and_returns_zero(self):
-        x = np.random.default_rng(0).standard_normal((50, 3))
+        # The cloud of the fid-self-clamped pin (tests/test_benchmark_frechet.py):
+        # 24 distinct rows of 6 columns, each repeated twice.
+        rng = np.random.default_rng(0)
+        scales = rng.uniform(0.5, 2.0, 6)
+        x = np.repeat(rng.standard_normal((24, 6)) * scales, 2, axis=0)
         result = fid(x, x)
         assert result.value == 0.0
         assert -1e-8 < result.diagnostics["clamped"]["squared Wasserstein distance"] < 0.0
@@ -700,6 +677,63 @@ class TestClampDiagnostics:
             assert "clamped" not in result.diagnostics
         assert results[2].diagnostics["rank_deficient"] is False
         assert "rank_deficient" not in results[3].diagnostics
+
+
+class TestRoundingLevelSpectra:
+    """A singular A, and the cross matrix, have eigenvalues at rounding level.
+    Each would add about sqrt(eps) of the scale through its square root, so
+    they are dropped; the distances below stay within 1e-12 of tr A + tr B."""
+
+    def test_self_fid_of_random_clouds_rounds_to_zero(self):
+        """10-199 rows of 2-39 columns with column scales in [0.1, 10].  19 of
+        these 300 clouds have rows < dims + 2; in 18, rows <= dims, so A is
+        singular."""
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            rows, dims = int(rng.integers(10, 200)), int(rng.integers(2, 40))
+            x = rng.standard_normal((rows, dims)) * rng.uniform(0.1, 10.0, dims)
+            result = fid(x, x)
+            centered = x - x.mean(axis=0)
+            trace_sum = 2.0 * float(np.sum(centered * centered)) / rows
+            assert 0.0 <= result.value <= 1e-12 * trace_sum, seed
+            factor = "cholesky" if rows > dims else "eigh"
+            assert result.diagnostics["a"]["factor"] == factor, seed
+
+    def test_rows_below_dims_match_the_singular_value_evaluation(self):
+        """40 rows of 64-column x and xhat: A and B are singular, and cfid and
+        fid agree with the evaluation that squares no eigenvalue."""
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((40, 64)) * rng.uniform(0.5, 2.0, 64)
+        y = x @ rng.standard_normal((64, 16)) / 8.0 + 0.3 * rng.standard_normal((40, 16))
+        xhat = 0.8 * x + 0.1 + 0.7 * rng.standard_normal(x.shape)
+        result = cfid(EmbeddingSet(x, y, xhat))
+        assert result.diagnostics["a"]["factor"] == "eigh"
+        assert result.value == pytest.approx(sum(singular_value_cfid_parts(x, y, xhat)), rel=1e-10)
+        result = fid(x, xhat)
+        assert result.diagnostics["a"]["factor"] == "eigh"
+        assert result.value == pytest.approx(singular_value_fid(x, xhat), rel=1e-10)
+
+    def test_commuting_covariances_with_zero_eigenvalues(self):
+        """A = Q diag(a) Q^T and B = Q diag(b) Q^T with 30% of each a and b
+        zero: the distance is sum (sqrt(a_i) - sqrt(b_i))^2."""
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            d = int(rng.integers(3, 40))
+            q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+            a, b = rng.uniform(0.1, 10.0, d), rng.uniform(0.1, 10.0, d)
+            zeros = int(0.3 * d)
+            a[rng.permutation(d)[:zeros]] = 0.0
+            b[rng.permutation(d)[:zeros]] = 0.0
+            sigma_a, sigma_b = (q * a) @ q.T, (q * b) @ q.T
+            result = gaussian_w2_squared(
+                np.zeros(d), 0.5 * (sigma_a + sigma_a.T), np.zeros(d), 0.5 * (sigma_b + sigma_b.T)
+            )
+            exact = float(np.sum((np.sqrt(a) - np.sqrt(b)) ** 2))
+            assert abs(result.value - exact) <= 1e-12 * (a.sum() + b.sum()), seed
+        # A = 0: the cross term is 0, and the distance is tr B.
+        result = gaussian_w2_squared(np.zeros(3), np.zeros((3, 3)), np.zeros(3), np.eye(3))
+        assert result.value == 3.0
+        assert result.diagnostics["a"]["dropped"] == 3
 
 
 class TestMemory:

@@ -1185,6 +1185,10 @@ CLI_INPUT_CHECKS = [
         lambda tmp_path: ["psnr-curve", "--pmax", "4", "--out", str(tmp_path), "--force"],
         "' is a directory", id="out-is-a-directory",
     ),
+    pytest.param(
+        lambda tmp_path: ["psnr-curve", "--pmax", "4", "--out", ""],
+        "--out must name a file, got ''", id="out-empty",
+    ),
 ]
 
 
