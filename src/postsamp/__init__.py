@@ -37,7 +37,8 @@ __all__ = [*_SUBMODULE, "__version__"]
 
 # The input checks several modules share live here, which every submodule
 # loads anyway, so that :mod:`postsamp.cfid` and :mod:`postsamp.autotune`
-# load no Monte Carlo engine for them.
+# load no Monte Carlo engine for them, nor :mod:`postsamp.toy` and
+# :mod:`postsamp.detect` the Frechet module.
 def _check_p(P: int, least: int = 2) -> None:
     """Raise unless the sample count ``P`` is at least ``least``."""
     if P < least:
@@ -56,6 +57,20 @@ def _check_overflow(name: str, value: float) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name} overflowed float64, got {value}")
     return value
+
+
+def _as_matrix(values, name: str):
+    """``values`` as a float64 array; raise unless it is a nonempty, finite
+    2-D matrix.  numpy is imported here, so the command-line front end,
+    which loads this module, does not load it."""
+    import numpy as np
+
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite")
+    return arr
 
 
 def __getattr__(name: str):

@@ -56,7 +56,8 @@ matrices' own O(rows * D) as well.
 Everything is float64 and deterministic: blocks merge in row order, and
 the covariance term uses a Cholesky factor or a symmetric
 eigendecomposition, never an iterative method.  ``sqrtm_psd`` is kept as
-the public square root and the tests' oracle.
+the public square root and the tests' oracle; it drops rounding-level
+eigenvalues by the same rule as the factor.
 """
 
 from __future__ import annotations
@@ -68,10 +69,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _check_p
+from . import _as_matrix, _check_p
 
 __all__ = [
-    "EmbeddingSet",
     "JointGaussianStats",
     "ConditionalStats",
     "FrechetResult",
@@ -109,15 +109,6 @@ _CFID_PAIRS = ((0, 0), (1, 1), (2, 2), (0, 1), (2, 1))
 _FID_PAIRS = ((0, 0),)
 
 
-def _as_matrix(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite")
-    return arr
-
-
 def _check_shapes(x_shape, y_shape, xhat_shape) -> bool:
     """Validate row-aligned shapes; True when rows < dims + 2 (rank-deficient)."""
     rows = x_shape[0]
@@ -130,24 +121,6 @@ def _check_shapes(x_shape, y_shape, xhat_shape) -> bool:
             f"x and xhat must share a column count: {x_shape[1]} vs {xhat_shape[1]}"
         )
     return rows < x_shape[1] + y_shape[1] + 2
-
-
-@dataclass(frozen=True)
-class EmbeddingSet:
-    """Row-aligned truth / measurement / generated embedding matrices; :func:`cfid` takes P."""
-
-    x: np.ndarray
-    y: np.ndarray
-    xhat: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("x", "y", "xhat"):
-            object.__setattr__(self, name, _as_matrix(getattr(self, name), name))
-        _check_shapes(self.x.shape, self.y.shape, self.xhat.shape)
-
-    @property
-    def rows(self) -> int:
-        return self.x.shape[0]
 
 
 @dataclass(frozen=True)
@@ -286,6 +259,24 @@ def _accumulate(sources, pairs) -> _Moments:
     return moments
 
 
+def _row_source(stack: ExitStack, item, name: str):
+    """A row reader over an embedding file path or an in-memory matrix."""
+    if isinstance(item, (str, os.PathLike)):
+        return _open_rows(stack.enter_context(open(item, "rb")), item)
+    return _ArrayRows(_as_matrix(item, name), name)
+
+
+def _row_moments(x, y, xhat, P: int = 1) -> tuple[_Moments, bool]:
+    """Moments of row inputs x, y and xhat, and whether rows < dims + 2."""
+    with ExitStack() as stack:
+        sources = [_row_source(stack, item, name)
+                   for item, name in ((x, "x"), (y, "y"), (xhat, "xhat"))]
+        rank_deficient = _check_shapes(*(rows.shape for rows in sources))
+        if sources[0].shape[0] % P != 0:
+            raise ValueError(f"row count {sources[0].shape[0]} is not a multiple of P={P}")
+        return _accumulate(sources, _CFID_PAIRS), rank_deficient
+
+
 class _RowStats(JointGaussianStats):
     """Statistics :func:`cfid` accumulated from rows.  Their covariances are
     symmetric bit for bit (:meth:`_Moments.covariance`), so
@@ -307,14 +298,11 @@ def _joint_stats(moments: _Moments, kind: type = JointGaussianStats) -> JointGau
     )
 
 
-def compute_stats(embeddings: EmbeddingSet) -> JointGaussianStats:
-    """Sample means and population covariances of an embedding set."""
-    sources = [
-        _ArrayRows(embeddings.x, "x"),
-        _ArrayRows(embeddings.y, "y"),
-        _ArrayRows(embeddings.xhat, "xhat"),
-    ]
-    return _joint_stats(_accumulate(sources, _CFID_PAIRS))
+def compute_stats(x, y, xhat) -> JointGaussianStats:
+    """Sample means and population covariances of row-aligned truths ``x``,
+    measurements ``y`` and generated samples ``xhat``, each an embedding-file
+    path or a matrix."""
+    return _joint_stats(_row_moments(x, y, xhat)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +320,27 @@ def _require_symmetric(matrix: np.ndarray, name: str) -> np.ndarray:
     return 0.5 * (matrix + matrix.T)
 
 
-def _clamp_psd(eigenvalues: np.ndarray, name: str) -> tuple[np.ndarray, dict]:
-    """Ascending eigenvalues of a nominally-PSD matrix with rounding negatives
-    set to zero, plus the minimum eigenvalue and the mass that was clamped.
+def _drop_rounding(eigenvalues: np.ndarray, name: str) -> tuple[np.ndarray, dict]:
+    """Ascending eigenvalues of a nominally-PSD matrix with the rounding-level
+    ones set to zero, and a report of them.
 
-    Eigenvalues within ``-1e-8 * lambda_max`` of zero are clamped; anything
-    more negative is rejected as an indefinite input.
+    An eigenvalue below ``-1e-8 * lambda_max`` is rejected as an indefinite
+    input.  Those at most ``dim * eps * lambda_max`` are rounding: through a
+    square root each would add about ``sqrt(eps)`` of the scale.  The report
+    holds the ``min_eigenvalue``, the ``clamped_mass`` (sum of |negative
+    eigenvalues|) and the count ``dropped`` of eigenvalues set to zero.
     """
     lowest = float(eigenvalues[0])
     lambda_max = max(float(eigenvalues[-1]), 0.0)
     if lowest < -_PSD_TOL * max(lambda_max, np.finfo(np.float64).tiny):
         raise ValueError(f"{name} has eigenvalue {lowest:.3e} below the PSD tolerance")
+    rounding = eigenvalues <= eigenvalues.size * _EPS * lambda_max
     report = {
         "min_eigenvalue": lowest,
         "clamped_mass": float(np.maximum(-eigenvalues, 0.0).sum()),
+        "dropped": int(rounding.sum()),
     }
-    return np.clip(eigenvalues, 0.0, None), report
+    return np.where(rounding, 0.0, eigenvalues), report
 
 
 def _check_reconstruction(square: np.ndarray, matrix: np.ndarray) -> None:
@@ -361,12 +354,13 @@ def _check_reconstruction(square: np.ndarray, matrix: np.ndarray) -> None:
 def sqrtm_psd(matrix: np.ndarray) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    Eigenvalues within ``-1e-8 * lambda_max`` of zero are clamped to
-    zero; anything more negative is rejected as an indefinite input.
+    Eigenvalues at most ``dim * eps * lambda_max`` are set to zero (see
+    :func:`_drop_rounding`); one below ``-1e-8 * lambda_max`` is rejected
+    as an indefinite input.
     """
     matrix = _require_symmetric(matrix, "matrix")
     eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    eigenvalues, _ = _clamp_psd(eigenvalues, "matrix")
+    eigenvalues, _ = _drop_rounding(eigenvalues, "matrix")
     root = (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
     root = 0.5 * (root + root.T)
     _check_reconstruction(root @ root, matrix)
@@ -409,20 +403,6 @@ def conditional_stats(joint: JointGaussianStats) -> ConditionalStats:
             "clamped_mass": float(np.abs(w[~keep]).sum()),
         },
     )
-
-
-def _drop_rounding(eigenvalues: np.ndarray, name: str) -> tuple[np.ndarray, dict]:
-    """:func:`_clamp_psd`, then the eigenvalues at most ``dim * eps`` times the
-    largest set to zero and counted as ``dropped``.
-
-    An eigenvalue that small is rounding, and its square root would add
-    about ``sqrt(eps)`` of the scale to the cross term.
-    """
-    eigenvalues, report = _clamp_psd(eigenvalues, name)
-    rounding = eigenvalues <= eigenvalues.size * _EPS * eigenvalues[-1]
-    eigenvalues[rounding] = 0.0
-    report["dropped"] = int(rounding.sum())
-    return eigenvalues, report
 
 
 def _factor(sigma_a: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -498,13 +478,6 @@ class FrechetResult:
     diagnostics: dict
 
 
-def _row_source(stack: ExitStack, item, name: str):
-    """A row reader over an embedding file path or an in-memory matrix."""
-    if isinstance(item, (str, os.PathLike)):
-        return _open_rows(stack.enter_context(open(item, "rb")), item)
-    return _ArrayRows(_as_matrix(item, name), name)
-
-
 def _w2_squared(gap: np.ndarray, sigma_a: np.ndarray, sigma_b: np.ndarray) -> FrechetResult:
     """Squared Wasserstein-2 distance from the mean gap and two symmetric covariances."""
     cov, report = _covariance_distance(sigma_a, sigma_b)
@@ -526,9 +499,9 @@ def gaussian_w2_squared(
 def cfid(source, P: int = 1) -> FrechetResult:
     """Conditional Frechet distance between truth and generated embeddings.
 
-    ``source`` is a :class:`JointGaussianStats`, an :class:`EmbeddingSet`,
-    or the (x, y, xhat) embedding-file paths; ``P`` (at least 1) is given
-    here for each of them.  Rows follow the repetition convention with ``P``
+    ``source`` is a :class:`JointGaussianStats` or the row inputs (x, y,
+    xhat), each an embedding-file path or a matrix; ``P`` (at least 1) is
+    given here for either.  Rows follow the repetition convention with ``P``
     rows per measurement, so a row count must be a multiple of ``P``.  Row
     input adds ``rows`` and ``rank_deficient`` (rows < dims + 2) to the
     diagnostics.
@@ -538,16 +511,7 @@ def cfid(source, P: int = 1) -> FrechetResult:
     if isinstance(source, JointGaussianStats):
         joint = source
     else:
-        if isinstance(source, EmbeddingSet):
-            source = (source.x, source.y, source.xhat)
-        with ExitStack() as stack:
-            sources = [
-                _row_source(stack, item, name) for item, name in zip(source, ("x", "y", "xhat"))
-            ]
-            rank_deficient = _check_shapes(*(rows.shape for rows in sources))
-            if sources[0].shape[0] % P != 0:
-                raise ValueError(f"row count {sources[0].shape[0]} is not a multiple of P={P}")
-            moments = _accumulate(sources, _CFID_PAIRS)
+        moments, rank_deficient = _row_moments(*source, P=P)
         joint = _joint_stats(moments, _RowStats)
         report.update(rows=moments.rows, rank_deficient=rank_deficient)
     cond = conditional_stats(joint)

@@ -11,7 +11,7 @@ Classifiers are caller-supplied handles mapping an ``(n, dim)`` batch to
 ``n`` probabilities.  Two built-ins ship: a coordinate threshold
 indicator and a coordinate logistic.
 
-Memory model and threads: :func:`plug_in_gap` scores a batch held in
+Memory model and threads: :func:`plug_in_gap` scores a matrix held in
 memory; :func:`streamed_plug_in_gap` draws through the Monte Carlo engine
 of :mod:`postsamp.regularizers`, whose docstring gives its memory and
 thread rules.  Both reduce rows with one helper.  The engine calls the
@@ -26,10 +26,10 @@ from typing import Callable
 
 import numpy as np
 
-from . import _check_finite, _check_overflow
+from . import _as_matrix, _check_finite, _check_overflow
 from .regularizers import _draw_units
 from .streams import SeededStream
-from .toy import SampleBatch, ToyPosterior
+from .toy import ToyPosterior
 
 __all__ = [
     "Classifier",
@@ -96,9 +96,10 @@ def logistic_classifier(
     return Classifier(fn, f"logistic((x[{coordinate}] - {tau}) / {scale})")
 
 
-def detection_probability(classifier: Classifier, samples: SampleBatch) -> float:
-    """Sample-average classifier output: the event probability given y."""
-    return float(classifier(samples.values).mean())
+def detection_probability(classifier: Classifier, samples) -> float:
+    """Average classifier output over the rows of the ``(n, dim)`` matrix
+    ``samples``: the event probability given y."""
+    return float(classifier(_as_matrix(samples, "samples")).mean())
 
 
 def _gap_sums(
@@ -134,15 +135,18 @@ def _finish_gap(
     return float(mean[0]), float(classifier(mean[None, 1:])[0])
 
 
-def plug_in_gap(classifier: Classifier, samples: SampleBatch) -> tuple[float, float]:
-    """(average of c over samples, c at the sample average).
+def plug_in_gap(classifier: Classifier, samples) -> tuple[float, float]:
+    """(average of c over the rows of the ``(n, dim)`` matrix ``samples``,
+    c at their average).
 
     The two agree for affine classifiers and generally disagree
     otherwise; the caller observes the gap.
     """
-    if samples.n < 2:
+    samples = _as_matrix(samples, "samples")
+    n = samples.shape[0]
+    if n < 2:
         raise ValueError("need at least 2 samples to compare against their average")
-    return _finish_gap(classifier, *_gap_sums(classifier, samples.values), samples.n)
+    return _finish_gap(classifier, *_gap_sums(classifier, samples), n)
 
 
 def streamed_plug_in_gap(

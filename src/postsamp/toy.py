@@ -17,7 +17,7 @@ different parameters.  Code that scores a sampler therefore takes a
 ``GeneratorParams(*post.context_params(context))``.
 
 Memory model: :func:`sample_posterior` and :func:`sample_generator` return
-whole ``(n, dim)`` batches; nothing in the package calls them.  The Monte
+whole ``(n, dim)`` matrices; nothing in the package calls them.  The Monte
 Carlo engine of :mod:`postsamp.regularizers` draws every truth and code
 with :func:`affine_normals` on reused blocks of about 1 MiB, so its
 memory does not grow with the draw count.
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _as_matrix
 from .streams import SeededStream
 
 __all__ = [
     "ToyPosterior",
     "GeneratorParams",
-    "SampleBatch",
     "sample_posterior",
     "sample_generator",
 ]
@@ -130,25 +130,6 @@ class GeneratorParams:
         return self.mu.shape[0]
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """A finite ``(n, dim)`` matrix of draws."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise ValueError(f"values must be an (n, dim) matrix with n >= 1, got {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-
 def _scale_shift(values: np.ndarray, mu, sigma) -> None:
     np.multiply(values, sigma, out=values)
     np.add(values, mu, out=values)
@@ -183,18 +164,20 @@ def affine_normals(
 
 def sample_posterior(
     post: ToyPosterior, context: int, n: int, stream: SeededStream
-) -> SampleBatch:
-    """Draw ``n`` i.i.d. rows from the true posterior of one context."""
+) -> np.ndarray:
+    """The ``(n, dim)`` matrix of ``n`` i.i.d. draws from the true posterior
+    of one context."""
     return sample_generator(GeneratorParams(*post.context_params(context)), n, stream)
 
 
 def sample_generator(
     params: GeneratorParams, n: int, stream: SeededStream
-) -> SampleBatch:
-    """Draw ``n`` i.i.d. rows from the affine generator."""
+) -> np.ndarray:
+    """The ``(n, dim)`` matrix of ``n`` i.i.d. draws from the affine
+    generator; raises if a draw overflowed float64."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     values = affine_normals(
         stream.generator(), params.mu, params.sigma, np.empty((int(n), params.dim))
     )
-    return SampleBatch(values)
+    return _as_matrix(values, "samples")

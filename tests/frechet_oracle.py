@@ -8,11 +8,11 @@
 xhat and 256-column y, so rows < dims and both covariances are singular).
 ``check`` reads the artifacts ``<set>-cfid.json`` and ``<set>-fid.json``
 that the CLI wrote to DIR/one-cpu (under ``taskset -c 0``) and to DIR/out
-(on all CPUs).  Each value must be within 1e-10 relative of its
-evaluation: two ``sqrtm_psd`` calls for ``full``, and singular values of
-centred rows for ``few``, where the ``sqrtm_psd`` evaluation is itself
-off by about sqrt(eps) of the scale.  It prints whether the two runs
-wrote the same bytes, but does not fail on that.  Exit 1 on a miss.
+(on all CPUs).  Each value must be within 1e-10 relative of each of its
+evaluations: two ``sqrtm_psd`` calls for both sets, and for ``few`` also
+singular values of centred rows, which square no eigenvalue.  It prints
+whether the two runs wrote the same bytes, but does not fail on that.
+Exit 1 on a miss.
 """
 
 import json
@@ -54,24 +54,24 @@ def _check(root: str) -> int:
     for name in SETS:
         x, y, xhat = (read_embeddings(os.path.join(root, name, f"{key}.emb"))
                       for key in ("x", "y", "xhat"))
-        if name == "full":
-            want = {"cfid": sum(sqrtm_cfid_parts(plain_stats(x, y, xhat))),
-                    "fid": sqrtm_fid(x, xhat)}
-        else:
-            want = {"cfid": sum(singular_value_cfid_parts(x, y, xhat)),
-                    "fid": singular_value_fid(x, xhat)}
-        for command, expected in want.items():
+        want = {"cfid": {"sqrtm_psd": sum(sqrtm_cfid_parts(plain_stats(x, y, xhat)))},
+                "fid": {"sqrtm_psd": sqrtm_fid(x, xhat)}}
+        if name == "few":
+            want["cfid"]["singular-value"] = sum(singular_value_cfid_parts(x, y, xhat))
+            want["fid"]["singular-value"] = singular_value_fid(x, xhat)
+        for command, evaluations in want.items():
             artifact = f"{name}-{command}.json"
             texts = {}
             for run in ("one-cpu", "out"):
                 with open(os.path.join(root, run, artifact), "rb") as handle:
                     texts[run] = handle.read()
                 got = json.loads(texts[run])["results"][command]
-                error = abs(got - expected) / abs(expected)
-                ok = error <= RTOL
-                misses += not ok
-                print(f"{artifact} ({run}): {got!r}, {error:.1e} relative from the "
-                      f"evaluation {expected!r}: {'ok' if ok else 'MISS'}")
+                for method, expected in evaluations.items():
+                    error = abs(got - expected) / abs(expected)
+                    ok = error <= RTOL
+                    misses += not ok
+                    print(f"{artifact} ({run}): {got!r}, {error:.1e} relative from the "
+                          f"{method} evaluation {expected!r}: {'ok' if ok else 'MISS'}")
             same = "the same" if texts["one-cpu"] == texts["out"] else "different"
             print(f"{artifact}: one CPU and all CPUs wrote {same} bytes")
     return 1 if misses else 0

@@ -14,8 +14,9 @@ import struct
 
 import numpy as np
 
+from postsamp import _as_matrix
 from postsamp.autotune import _ratio_from_moments
-from postsamp.cfid import _DTYPE_F64, _MAGIC, JointGaussianStats, _as_matrix, sqrtm_psd
+from postsamp.cfid import _DTYPE_F64, _MAGIC, JointGaussianStats, sqrtm_psd
 from postsamp.linops import MaskOperator
 from postsamp.regularizers import _comoments
 
@@ -96,9 +97,8 @@ def _sqrtm_gap(a, b):
 def sqrtm_cfid_parts(joint) -> tuple[float, float]:
     """(mean part, covariance part) through pinv(S_yy) and two sqrtm_psd calls.
 
-    A rounding-level eigenvalue of a singular A passes through both square
-    roots here, so on rank-deficient inputs this evaluation is itself off
-    by about sqrt(eps) of the scale.
+    ``sqrtm_psd`` drops rounding-level eigenvalues, so a singular A costs
+    this evaluation no sqrt(eps) of the scale.
     """
     pinv = np.linalg.pinv(joint.s_yy, rcond=1e-10, hermitian=True)
     a = joint.s_xx - joint.s_xy @ pinv @ joint.s_xy.T

@@ -16,11 +16,7 @@ import pytest
 
 from postsamp import GeneratorParams, SeededStream, ToyPosterior, beta_sd_nominal, closed_form_j
 from postsamp.autotune import AutotuneState, simulate_autotune, update_beta
-from postsamp.cfid import (
-    EmbeddingSet,
-    JointGaussianStats,
-    cfid,
-)
+from postsamp.cfid import JointGaussianStats, cfid
 from postsamp.cli import main as cli_main
 from postsamp.detect import detection_probability, threshold_classifier
 from postsamp.linops import FourierSubsampler, MaskOperator, data_consistency
@@ -226,7 +222,7 @@ class TestAcceptance:
         # Identical embedding sets.
         x = rng.standard_normal((400, 5))
         y = rng.standard_normal((400, 3))
-        identical = cfid(EmbeddingSet(x, y, x.copy())).value
+        identical = cfid((x, y, x.copy())).value
         checks.append(identical <= 1e-8)
         details.append(f"identical sets {identical:.1e}")
 
@@ -239,7 +235,7 @@ class TestAcceptance:
                 yy = local.standard_normal((n, 4))
                 xx = yy @ b2 + local.standard_normal((n, 8))
                 xxhat = yy @ b2 + local.standard_normal((n, 8))
-                _, cov_part = cfid(EmbeddingSet(xx, yy, xxhat)).parts
+                _, cov_part = cfid((xx, yy, xxhat)).parts
                 sink.append(cov_part)
         checks.append(float(np.mean(small)) > float(np.mean(large)))
         details.append(

@@ -21,7 +21,6 @@ import pytest
 
 from postsamp import cfid as cfid_module
 from postsamp.cfid import (
-    EmbeddingSet,
     JointGaussianStats,
     cfid,
     compute_stats,
@@ -89,9 +88,8 @@ class TestComputeStats:
     def test_two_row_hand_example(self):
         """Population covariance of {0, 2} is 1 for every block."""
         x = np.array([[0.0], [2.0]])
-        embeddings = EmbeddingSet(x, x.copy(), x.copy())
-        assert embeddings.rows == 2
-        stats = compute_stats(embeddings)
+        embeddings = (x, x.copy(), x.copy())
+        stats = compute_stats(*embeddings)
         assert stats.s_xx[0, 0] == 1.0
         assert stats.s_yy[0, 0] == 1.0
         assert stats.s_xy[0, 0] == 1.0
@@ -103,7 +101,7 @@ class TestComputeStats:
     def test_identical_rows_give_zero_covariance(self):
         row = np.array([[1.0, 2.0, 3.0]])
         x = np.repeat(row, 10, axis=0)
-        stats = compute_stats(EmbeddingSet(x, x[:, :2], x))
+        stats = compute_stats(x, x[:, :2], x)
         assert np.all(stats.s_xx == 0.0)
         assert np.all(stats.s_xy == 0.0)
         np.testing.assert_array_equal(stats.mu_x, row[0])
@@ -112,7 +110,7 @@ class TestComputeStats:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((300, 4))
         y = rng.standard_normal((300, 2))
-        stats = compute_stats(EmbeddingSet(x, y, x.copy()))
+        stats = compute_stats(x, y, x.copy())
         np.testing.assert_array_equal(stats.s_xx, stats.s_xhatxhat)
         np.testing.assert_array_equal(stats.s_xy, stats.s_xhaty)
 
@@ -120,28 +118,31 @@ class TestComputeStats:
         """1/rows, no Bessel correction."""
         rng = np.random.default_rng(1)
         x = rng.standard_normal((50, 3))
-        stats = compute_stats(EmbeddingSet(x, x[:, :1], x))
+        stats = compute_stats(x, x[:, :1], x)
         centered = x - x.mean(axis=0)
         np.testing.assert_allclose(stats.s_xx, centered.T @ centered / 50, atol=1e-15)
 
     def test_row_count_must_divide_by_p(self):
         rng = np.random.default_rng(2)
-        embeddings = EmbeddingSet(*(rng.standard_normal((10, 2)) for _ in range(3)))
+        embeddings = tuple(rng.standard_normal((10, 2)) for _ in range(3))
         with pytest.raises(ValueError, match="row count 10 is not a multiple of P=3"):
             cfid(embeddings, 3)
 
     def test_non_finite_and_mismatched_inputs_rejected(self):
+        """Each check refuses the same input, as a matrix, in compute_stats and cfid."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal((12, 2))
         y = rng.standard_normal((12, 2))
         bad = x.copy()
         bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            EmbeddingSet(bad, y, x)
-        with pytest.raises(ValueError):
-            EmbeddingSet(x, y[:6], x)
-        with pytest.raises(ValueError):
-            EmbeddingSet(x, y, rng.standard_normal((12, 3)))
+        for inputs, message in (
+            ((bad, y, x), "x must be finite"),
+            ((x, y[:6], x), "row counts differ: x 12, y 6, xhat 12"),
+            ((x, y, rng.standard_normal((12, 3))), "x and xhat must share a column count: 2 vs 3"),
+        ):
+            for call in (compute_stats, lambda *rows: cfid(rows)):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    call(*inputs)
 
 
 class TestConditionalStats:
@@ -161,7 +162,7 @@ class TestConditionalStats:
         """x == y exactly: nothing left to explain given the measurement."""
         rng = np.random.default_rng(3)
         x = rng.standard_normal((500, 3))
-        stats = compute_stats(EmbeddingSet(x, x.copy(), x.copy()))
+        stats = compute_stats(x, x.copy(), x.copy())
         cond = conditional_stats(stats)
         assert np.abs(cond.s_xx_given_y).max() <= 1e-12
 
@@ -234,7 +235,7 @@ class TestCfid:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((400, 5))
         y = rng.standard_normal((400, 3))
-        assert cfid(EmbeddingSet(x, y, x.copy())).value <= 1e-8
+        assert cfid((x, y, x.copy())).value <= 1e-8
 
     def test_unit_mean_shift_analytic(self):
         """x|y ~ N(0,1), xhat|y ~ N(1,1), independent y: distance 1."""
@@ -266,7 +267,7 @@ class TestCfid:
             y = rng.standard_normal((n, d_y))
             x = y @ rng.standard_normal((d_y, d)) + rng.standard_normal((n, d))
             xhat = y @ rng.standard_normal((d_y, d)) + rng.standard_normal((n, d))
-            embeddings = EmbeddingSet(x, y, xhat)
+            embeddings = (x, y, xhat)
             result = cfid(embeddings)
             mean_part, cov_part = result.parts
             assert mean_part >= 0.0 and cov_part >= 0.0
@@ -276,7 +277,7 @@ class TestCfid:
         rng = np.random.default_rng(8)
         x = rng.standard_normal((600, 4))
         y = rng.standard_normal((600, 2))
-        mean_part, cov_part = cfid(EmbeddingSet(x, y, x + 3.0)).parts
+        mean_part, cov_part = cfid((x, y, x + 3.0)).parts
         assert cov_part <= 1e-8
         assert mean_part == pytest.approx(4 * 9.0, rel=1e-12)
 
@@ -286,9 +287,9 @@ class TestCfid:
         y = rng.standard_normal((n, 2))
         x = y @ rng.standard_normal((2, 4)) + rng.standard_normal((n, 4))
         xhat = 0.5 * x + rng.standard_normal((n, 4))
-        base = cfid(EmbeddingSet(x, y, xhat)).value
+        base = cfid((x, y, xhat)).value
         perm = rng.permutation(n)
-        shuffled = cfid(EmbeddingSet(x[perm], y[perm], xhat[perm])).value
+        shuffled = cfid((x[perm], y[perm], xhat[perm])).value
         assert shuffled == pytest.approx(base, abs=1e-12 * max(1.0, base))
 
     def test_repetition_convention_rank_deficiency_is_absorbed(self):
@@ -299,7 +300,7 @@ class TestCfid:
         y = np.repeat(y_unique, P, axis=0)
         x = np.repeat(rng.standard_normal((n_measurements, d)), P, axis=0)
         xhat = x + rng.standard_normal((n_measurements * P, d))
-        value = cfid(EmbeddingSet(x, y, xhat), P).value
+        value = cfid((x, y, xhat), P).value
         assert np.isfinite(value) and value >= 0.0
 
     def test_small_sample_covariance_bias_direction(self):
@@ -313,7 +314,7 @@ class TestCfid:
                 y = rng.standard_normal((n, d_y))
                 x = y @ b + rng.standard_normal((n, d))
                 xhat = y @ b + rng.standard_normal((n, d))
-                _, cov_part = cfid(EmbeddingSet(x, y, xhat)).parts
+                _, cov_part = cfid((x, y, xhat)).parts
                 sink.append(cov_part)
         assert np.mean(small) > np.mean(large)
 
@@ -440,7 +441,7 @@ class TestStreamedAgreement:
         want = sqrtm_cfid_parts(plain_stats(x, y, xhat))
         paths = _write_set(tmp_path, x, y, xhat)
         got = {
-            "in-memory": cfid(EmbeddingSet(x, y, xhat), P).parts,
+            "in-memory": cfid((x, y, xhat), P).parts,
             "streamed": cfid(paths, P=P).parts,
         }
         # 7-row blocks: many Chan merges and a partial last block.
@@ -448,6 +449,19 @@ class TestStreamedAgreement:
         got["7-row blocks"] = cfid(paths, P=P).parts
         for how, parts in got.items():
             assert parts == pytest.approx(want, rel=1e-10, abs=1e-10), how
+
+    @pytest.mark.parametrize("name", ["random-0", "repetition"])
+    def test_matrices_and_files_give_the_same_bits(self, name, tmp_path):
+        """Row input takes one path whether each input is a matrix or an EMB1
+        file: results and statistics are equal bit for bit."""
+        x, y, xhat, P = CFID_CASES[name]
+        paths = _write_set(tmp_path, x, y, xhat)
+        want = cfid(paths, P)
+        assert cfid((x, y, xhat), P) == want
+        assert cfid((paths[0], y, paths[2]), P) == want
+        from_matrices, from_files = compute_stats(x, y, xhat), compute_stats(*paths)
+        for field, value in vars(from_files).items():
+            assert getattr(from_matrices, field).tobytes() == value.tobytes(), field
 
     @pytest.mark.parametrize(
         "joint",
@@ -481,10 +495,10 @@ class TestBlockBoundaries:
         y = rng.standard_normal((100, 3)) + 5.0
         x = y @ rng.standard_normal((3, 4)) + rng.standard_normal((100, 4)) - 2.0
         xhat = 0.5 * x + rng.standard_normal((100, 4))
-        embeddings = EmbeddingSet(x, y, xhat)
-        whole = compute_stats(embeddings)
+        embeddings = (x, y, xhat)
+        whole = compute_stats(*embeddings)
         monkeypatch.setattr(cfid_module, "_BUDGET", rows_per_block * 8 * 11)
-        blocked = compute_stats(embeddings)
+        blocked = compute_stats(*embeddings)
         for field in ("mu_x", "mu_y", "mu_xhat", "s_xx", "s_yy", "s_xhatxhat", "s_xy", "s_xhaty"):
             np.testing.assert_allclose(
                 getattr(blocked, field), getattr(whole, field), rtol=1e-12, atol=1e-13,
@@ -575,7 +589,7 @@ class TestDiagnostics:
         assert diagnostics["cross"]["dropped"] == 0
         assert "clamped" not in diagnostics
         assert (mean_part, cov_part) == pytest.approx(
-            cfid(EmbeddingSet(x, y, xhat), P).parts, rel=1e-10
+            cfid((x, y, xhat), P).parts, rel=1e-10
         )
 
     def test_few_rows_flag_rank_deficiency_and_clamps(self, tmp_path):
@@ -644,8 +658,8 @@ class TestClampDiagnostics:
 
     def test_every_input_form_reports_the_part_it_zeroed(self, tmp_path, monkeypatch):
         x, y, xhat, P = CFID_CASES["repetition"]
-        embeddings = EmbeddingSet(x, y, xhat)
-        joint = compute_stats(embeddings)
+        embeddings = (x, y, xhat)
+        joint = compute_stats(*embeddings)
         paths = _write_set(tmp_path, x, y, xhat)
         mean_part = cfid(embeddings, P).parts[0]
         monkeypatch.setattr(cfid_module, "_covariance_distance", lambda a, b: (-1e-12, {}))
@@ -669,8 +683,8 @@ class TestClampDiagnostics:
         results = (
             fid(x, xhat),
             gaussian_w2_squared(np.zeros(3), np.eye(3), np.ones(3), 2 * np.eye(3)),
-            cfid(EmbeddingSet(x_c, y, xhat_c), P),
-            cfid(compute_stats(EmbeddingSet(x_c, y, xhat_c)), P),
+            cfid((x_c, y, xhat_c), P),
+            cfid(compute_stats(x_c, y, xhat_c), P),
         )
         for result in results:
             assert result.value > 0.0
@@ -699,19 +713,36 @@ class TestRoundingLevelSpectra:
             factor = "cholesky" if rows > dims else "eigh"
             assert result.diagnostics["a"]["factor"] == factor, seed
 
-    def test_rows_below_dims_match_the_singular_value_evaluation(self):
-        """40 rows of 64-column x and xhat: A and B are singular, and cfid and
-        fid agree with the evaluation that squares no eigenvalue."""
+    @staticmethod
+    def _rows_below_dims():
+        """40 rows of 64-column x and xhat and 16-column y."""
         rng = np.random.default_rng(11)
         x = rng.standard_normal((40, 64)) * rng.uniform(0.5, 2.0, 64)
         y = x @ rng.standard_normal((64, 16)) / 8.0 + 0.3 * rng.standard_normal((40, 16))
         xhat = 0.8 * x + 0.1 + 0.7 * rng.standard_normal(x.shape)
-        result = cfid(EmbeddingSet(x, y, xhat))
+        return x, y, xhat
+
+    def test_rows_below_dims_match_the_singular_value_evaluation(self):
+        """40 rows of 64-column x and xhat: A and B are singular, and cfid and
+        fid agree with the evaluation that squares no eigenvalue."""
+        x, y, xhat = self._rows_below_dims()
+        result = cfid((x, y, xhat))
         assert result.diagnostics["a"]["factor"] == "eigh"
         assert result.value == pytest.approx(sum(singular_value_cfid_parts(x, y, xhat)), rel=1e-10)
         result = fid(x, xhat)
         assert result.diagnostics["a"]["factor"] == "eigh"
         assert result.value == pytest.approx(singular_value_fid(x, xhat), rel=1e-10)
+
+    def test_sqrtm_evaluation_of_rows_below_dims_matches_singular_values(self):
+        """sqrtm_psd drops rounding-level eigenvalues as the factor does, so on
+        the singular set above the evaluation through two sqrtm_psd calls
+        agrees with the singular-value one too.  Kept, they put it about
+        sqrt(eps) of the scale off (5.5e-8 relative for FID)."""
+        x, y, xhat = self._rows_below_dims()
+        assert sqrtm_fid(x, xhat) == pytest.approx(singular_value_fid(x, xhat), rel=1e-12)
+        assert sum(sqrtm_cfid_parts(plain_stats(x, y, xhat))) == pytest.approx(
+            sum(singular_value_cfid_parts(x, y, xhat)), rel=1e-12
+        )
 
     def test_commuting_covariances_with_zero_eigenvalues(self):
         """A = Q diag(a) Q^T and B = Q diag(b) Q^T with 30% of each a and b
@@ -781,7 +812,7 @@ def test_conditionals_are_exactly_symmetric(d, d_y):
             for name, value in vars(joint).items()
         }
     )
-    for stats in (compute_stats(EmbeddingSet(x, y, xhat)), symmetric):
+    for stats in (compute_stats(x, y, xhat), symmetric):
         cond = conditional_stats(stats)
         for matrix in (cond.s_xx_given_y, cond.s_xhatxhat_given_y):
             assert np.array_equal(matrix, matrix.T)
@@ -789,8 +820,10 @@ def test_conditionals_are_exactly_symmetric(d, d_y):
 
 # Each row triggers one input check and matches its message.
 INPUT_CHECKS = [
-    pytest.param(lambda tmp_path: EmbeddingSet(np.zeros(3), np.zeros((3, 1)), np.zeros((3, 1))),
+    pytest.param(lambda tmp_path: compute_stats(np.zeros(3), np.zeros((3, 1)), np.zeros((3, 1))),
                  "x must be a nonempty 2-D matrix, got shape (3,)", id="matrix-one-dimensional"),
+    pytest.param(lambda tmp_path: compute_stats(np.zeros((2, 1)), np.zeros((0, 1)), [[0.0], [1.0]]),
+                 "y must be a nonempty 2-D matrix, got shape (0, 1)", id="matrix-empty"),
     pytest.param(lambda tmp_path: cfid((np.zeros((4, 1)), np.zeros((4, 1)), np.zeros((4, 1))), 0),
                  "P must be >= 1, got 0", id="cfid-p-zero"),
     pytest.param(lambda tmp_path: sqrtm_psd(np.zeros((2, 3))),

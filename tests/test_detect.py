@@ -88,7 +88,7 @@ class TestPlugInGap:
             ToyPosterior.single(0.5, 0.1), 0, 400_000, STREAM.child("affine")
         )
         avg_of_c, c_of_avg = plug_in_gap(clamp, batch)
-        assert abs(avg_of_c - c_of_avg) <= 4.0 * 0.1 / math.sqrt(batch.n)
+        assert abs(avg_of_c - c_of_avg) <= 4.0 * 0.1 / math.sqrt(batch.shape[0])
 
     def test_collapsed_samples_have_zero_gap(self):
         batch = sample_generator(GeneratorParams(0.3, 0.0), 50, STREAM)
@@ -106,6 +106,24 @@ class TestBuiltinClassifiers:
     def test_negative_coordinate_rejected(self, make):
         with pytest.raises(ValueError, match="coordinate"):
             make(-1)
+
+
+def _matrix_checks(name, estimate):
+    """Rows for an estimator over a sample matrix: each refuses the same
+    inputs with the same messages."""
+    two = Classifier(lambda v: np.zeros(2), "two")
+    return [
+        pytest.param(lambda: estimate(threshold_classifier(), np.zeros(3)),
+                     "samples must be a nonempty 2-D matrix, got shape (3,)",
+                     id=f"{name}-one-dimensional"),
+        pytest.param(lambda: estimate(threshold_classifier(), np.zeros((0, 2))),
+                     "samples must be a nonempty 2-D matrix, got shape (0, 2)", id=f"{name}-empty"),
+        pytest.param(lambda: estimate(threshold_classifier(), [[0.0], [np.nan]]),
+                     "samples must be finite", id=f"{name}-nonfinite"),
+        pytest.param(lambda: estimate(two, np.zeros((3, 1))),
+                     "classifier 'two' returned shape (2,), expected (3,)",
+                     id=f"{name}-rows-misaligned"),
+    ]
 
 
 # Each row triggers one input check and matches its message.
@@ -126,6 +144,8 @@ INPUT_CHECKS = [
         ),
         "need at least 2 samples to compare against their average", id="streamed-one-sample",
     ),
+    *_matrix_checks("detection-probability", detection_probability),
+    *_matrix_checks("plug-in-gap", plug_in_gap),
 ]
 
 

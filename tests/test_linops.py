@@ -195,9 +195,9 @@ class TestDataConsistencyInvariants:
         op = MaskOperator((0, 2), 4)
         x_true = np.array([0.5, -0.5, 1.5, 2.0])
         y = op.apply(x_true)
-        projected_raw = np.array([op.nullspace_project(row) for row in batch.values])
+        projected_raw = np.array([op.nullspace_project(row) for row in batch])
         projected_dc = np.array(
-            [op.nullspace_project(data_consistency(op, row, y)) for row in batch.values]
+            [op.nullspace_project(data_consistency(op, row, y)) for row in batch]
         )
         np.testing.assert_array_equal(projected_raw, projected_dc)
         cov_raw = np.cov(projected_raw.T)

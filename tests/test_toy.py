@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from postsamp import GeneratorParams, SeededStream, ToyPosterior
-from postsamp.toy import SampleBatch, affine_normals, sample_generator, sample_posterior
+from postsamp.toy import affine_normals, sample_generator, sample_posterior
 
 from memory import traced_peak
 
@@ -20,25 +20,25 @@ class TestSamplePosterior:
         post = ToyPosterior.single(0.0, 1.0)
         n = 1_000_000
         batch = sample_posterior(post, 0, n, STREAM.child("lln"))
-        assert abs(batch.values.mean()) <= 4.0 / np.sqrt(n)
-        assert abs(batch.values.std(ddof=1) - 1.0) <= 0.01
+        assert abs(batch.mean()) <= 4.0 / np.sqrt(n)
+        assert abs(batch.std(ddof=1) - 1.0) <= 0.01
 
     def test_determinism(self):
         post = ToyPosterior.single([1.0, -2.0], [0.5, 3.0])
         a = sample_posterior(post, 0, 64, STREAM.child("det"))
         b = sample_posterior(post, 0, 64, STREAM.child("det"))
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_degenerate_width(self):
         post = ToyPosterior.single(5.0, 1e-12)
         batch = sample_posterior(post, 0, 100, STREAM.child("deg"))
-        assert np.all(np.abs(batch.values - 5.0) <= 1e-10)
+        assert np.all(np.abs(batch - 5.0) <= 1e-10)
 
     def test_affine_map_matches_out_of_place_expression(self):
         mu0, sigma0 = np.array([1.0, -2.0, 0.0]), np.array([0.5, 3.0, 1e-12])
         batch = sample_posterior(ToyPosterior.single(mu0, sigma0), 0, 1000, STREAM.child("aff"))
         z = STREAM.child("aff").generator().standard_normal((1000, 3))
-        assert batch.values.tobytes() == (mu0 + sigma0 * z).tobytes()
+        assert batch.tobytes() == (mu0 + sigma0 * z).tobytes()
 
     def test_peak_memory_close_to_output(self):
         """Drawing 1e6 x 2 rows holds little beyond the 16 MB result."""
@@ -46,12 +46,12 @@ class TestSamplePosterior:
         batch, peak = traced_peak(
             lambda: sample_posterior(post, 0, 1_000_000, STREAM.child("mem"))
         )
-        assert peak <= 1.25 * batch.values.nbytes
+        assert peak <= 1.25 * batch.nbytes
 
     def test_context_selection(self):
         post = ToyPosterior([[0.0], [10.0]], [[1.0], [0.01]])
         batch = sample_posterior(post, 1, 50, STREAM.child("ctx"))
-        assert np.all(np.abs(batch.values - 10.0) < 1.0)
+        assert np.all(np.abs(batch - 10.0) < 1.0)
 
     def test_errors(self):
         post = ToyPosterior.single(0.0, 1.0)
@@ -64,26 +64,26 @@ class TestSamplePosterior:
 class TestSampleGenerator:
     def test_mode_collapse_rows_identical(self):
         batch = sample_generator(GeneratorParams(2.0, 0.0), 5, STREAM.child("mc"))
-        assert np.array_equal(batch.values, np.full((5, 1), 2.0))
+        assert np.array_equal(batch, np.full((5, 1), 2.0))
 
     def test_moments_at_scale(self):
         n = 1_000_000
         batch = sample_generator(GeneratorParams(2.0, 3.0), n, STREAM.child("mom"))
-        assert abs(batch.values.mean() - 2.0) <= 4.0 * 3.0 / np.sqrt(n)
-        assert abs(batch.values.std(ddof=1) - 3.0) <= 0.01 * 3.0
+        assert abs(batch.mean() - 2.0) <= 4.0 * 3.0 / np.sqrt(n)
+        assert abs(batch.std(ddof=1) - 3.0) <= 0.01 * 3.0
 
     def test_bit_identical_replay(self):
         params = GeneratorParams([0.0, 1.0], [1.0, 2.0])
         a = sample_generator(params, 32, STREAM.child("replay"))
         b = sample_generator(params, 32, STREAM.child("replay"))
-        assert a.values.tobytes() == b.values.tobytes()
+        assert a.tobytes() == b.tobytes()
 
     def test_affine_map_matches_out_of_place_expression(self):
         """Bit for bit, signed zeros included, with a collapsed dimension."""
         mu, sigma = np.array([0.0, 1.0, -3.0]), np.array([1.0, 0.0, 2.0])
         batch = sample_generator(GeneratorParams(mu, sigma), 1000, STREAM.child("aff"))
         z = STREAM.child("aff").generator().standard_normal((1000, 3))
-        assert batch.values.tobytes() == (mu + sigma * z).tobytes()
+        assert batch.tobytes() == (mu + sigma * z).tobytes()
 
 
 class TestAffineNormals:
@@ -118,7 +118,7 @@ class TestGaussianity:
             batch = sample_generator(
                 GeneratorParams(0.0, 1.0), n, STREAM.child("gauss", which)
             )
-        flat = batch.values.ravel()
+        flat = batch.ravel()
         assert abs(stats.skew(flat)) < 0.01
         assert abs(stats.kurtosis(flat)) < 0.03
 
@@ -154,10 +154,21 @@ INPUT_CHECKS = [
                  id="posterior-nonfinite"),
     pytest.param(lambda: GeneratorParams([0.0, 1.0], [1.0]),
                  "mu and sigma shapes differ: (2,) vs (1,)", id="generator-shapes"),
-    pytest.param(lambda: SampleBatch(np.zeros(3)),
-                 "values must be an (n, dim) matrix with n >= 1, got (3,)", id="batch-one-dimensional"),
-    pytest.param(lambda: SampleBatch([[np.inf]]), "values must be finite", id="batch-nonfinite"),
+    pytest.param(lambda: sample_generator(GeneratorParams(0.0, 1.0), 0, STREAM),
+                 "n must be >= 1, got 0", id="generator-sampler-empty"),
+    pytest.param(lambda: sample_posterior(ToyPosterior.single(0.0, 1.0), 0, 0, STREAM),
+                 "n must be >= 1, got 0", id="posterior-sampler-empty"),
+    pytest.param(lambda: _overflowing(sample_generator, GeneratorParams(1e308, 1e308)),
+                 "samples must be finite", id="batch-nonfinite"),
+    pytest.param(lambda: _overflowing(sample_posterior, ToyPosterior.single(1e308, 1e308), 0),
+                 "samples must be finite", id="posterior-sampler-nonfinite"),
 ]
+
+
+def _overflowing(sampler, *params):
+    """64 draws at a mean and spread of 1e308, most of which overflow."""
+    with np.errstate(over="ignore"):
+        return sampler(*params, 64, STREAM.child("overflow"))
 
 
 @pytest.mark.parametrize("call, message", INPUT_CHECKS)
